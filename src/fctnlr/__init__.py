@@ -26,8 +26,6 @@ from .network import (
     ReuseCache,
     compose,
     compose_except,
-    compose_except_cached,
-    compose_from_partial,
     property1_unfold,
     shuffle_order,
 )
@@ -48,7 +46,6 @@ from .sylvester import (
     SpectralPair,
     eig_gram,
     solve_factor,
-    solve_factor_dense,
 )
 from .tensor import FLOPS, contract, gfold, gunfold, mode_fold, mode_unfold, transpose
 
@@ -70,8 +67,6 @@ __all__ = [
     "SpectralPair",
     "compose",
     "compose_except",
-    "compose_except_cached",
-    "compose_from_partial",
     "contract",
     "eig_gram",
     "extrapolate",
@@ -88,7 +83,6 @@ __all__ = [
     "run",
     "shuffle_order",
     "solve_factor",
-    "solve_factor_dense",
     "ssim",
     "transpose",
     "update_x",

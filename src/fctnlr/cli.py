@@ -126,8 +126,6 @@ def _cmd_complete(args) -> int:
         mask = fileio.read_mask(args.mask)
     else:
         mask = fileio.sample_mask(values.shape, args.sr, args.seed)
-    if args.save_mask:
-        fileio.write_mask(args.save_mask, mask)
     obs = Observation.from_dense(values, mask)
     n = values.ndim
     cfg = SolverConfig(
@@ -150,6 +148,8 @@ def _cmd_complete(args) -> int:
         seed=args.seed,
         cache_budget=args.cache_budget,
     )
+    if args.save_mask:
+        fileio.write_mask(args.save_mask, mask)
     res = run(obs, cfg)
     fileio.write_tensor(args.output, res.x)
     if args.report:

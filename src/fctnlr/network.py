@@ -4,9 +4,10 @@ Factor ``k`` is an order-N array whose mode ``k`` is the physical mode (extent
 ``I_k``) and whose mode ``j != k`` is the bond shared with factor ``j`` (extent
 ``R[j,k]``).  Composing all factors (contracting every bond) yields the dense
 order-N tensor.  The partial network around ``k`` (everything contracted except
-factor ``k``) is the workhorse of the alternating solver; building it with and
-without reuse of shared intermediate contractions is what separates the two
-solver variants.
+factor ``k``) is the workhorse of the alternating solver.  The baseline builds
+it by a plain chain in canonical order (:func:`compose_except`); the
+accelerated build reuses prefix/suffix chains through a :class:`ReuseCache`
+and writes it in :func:`matrix_labels` order, so its network matrix is a view.
 
 Modes inside a labeled intermediate are tracked by label, not position:
 ``('i', k)`` is the physical mode of factor ``k`` and ``('r', a, b)`` with
@@ -26,8 +27,6 @@ __all__ = [
     "ReuseCache",
     "compose",
     "compose_except",
-    "compose_except_cached",
-    "compose_from_partial",
     "factor_labels",
     "matrix_labels",
     "partial_labels",
@@ -326,23 +325,6 @@ def compose_except(f: FctnFactors, k: int) -> np.ndarray:
         return _to_label_order(arr, labels, partial_labels(k, n))
 
 
-def compose_from_partial(partial: np.ndarray, a_k: np.ndarray, k: int) -> np.ndarray:
-    """Dense tensor from the partial network around k and factor k itself.
-
-    One contraction over all n-1 bonds of factor k: 2 * I^n * R^(n-1) FLOPs in
-    the uniform case, versus the full chain for :func:`compose`.
-    """
-    n = a_k.ndim
-    lm = partial_labels(k, n)
-    if partial.ndim != len(lm):
-        raise ValueError(
-            f"partial network has order {partial.ndim}, expected {len(lm)}"
-        )
-    with FLOPS.scoped("compose"):
-        target = [("i", j) for j in range(n)]
-        return _contract_labeled(partial, lm, a_k, factor_labels(k, n), target)[0]
-
-
 def property1_unfold(partial: np.ndarray, k: int, n: int, labels=None) -> np.ndarray:
     """Matricize the partial network around k into its network matrix M: rows
     run over factor k's bond modes (ascending partner) and columns over the
@@ -437,14 +419,12 @@ def _chain_labels(members, n: int) -> list:
     return out
 
 
-def _chain_partial(f: FctnFactors, seq, cache: ReuseCache | None, suffix_style: bool, target=None):
-    """Contract the factors listed in ``seq`` into one labeled tensor, its
-    modes in ``target`` order when given.
-
-    ``suffix_style=False`` folds left to right (intermediates are prefixes of
-    ``seq``); ``suffix_style=True`` folds right to left (intermediates are
-    suffixes), which is what lets consecutive sweep positions share work.
-    Every intermediate is written in :func:`_chain_labels` layout.
+def _chain_partial(f: FctnFactors, seq, cache: ReuseCache, target):
+    """Contract the factors listed in ``seq`` left to right into one labeled
+    tensor, its modes in ``target`` order when given, starting from the
+    largest cached prefix.  Every intermediate is written in
+    :func:`_chain_labels` layout; a suffix chain is the prefix chain of the
+    reversed sequence (same subsets, cache keys and layouts).
 
     Multi-factor intermediates are offered to the cache except those spanning
     all but one factor: only shorter prefix/suffix runs of the same sweep can
@@ -452,79 +432,53 @@ def _chain_partial(f: FctnFactors, seq, cache: ReuseCache | None, suffix_style: 
     the full-size ones would only churn memory.
     """
     n = f.n
-    m = len(seq)
-    if m == 0:
+    if not seq:
         return None, None
-    # growing subsets, smallest (2 factors) first
-    if suffix_style:
-        subsets = [seq[i:] for i in range(m - 2, -1, -1)]
-    else:
-        subsets = [seq[: i + 2] for i in range(m - 1)]
-    # start from the largest cached intermediate, if any
-    base = len(subsets)
-    arr = labels = None
-    if cache is not None:
-        for idx in range(len(subsets) - 1, -1, -1):
-            got = cache.lookup(*_subset_key(f, subsets[idx]))
-            if got is not None:
-                arr, labels = got
-                base = idx + 1
-                break
-    if arr is None:
-        first = seq[-1] if suffix_style else seq[0]
-        arr, labels = f.factor(first), factor_labels(first, n)
-        base = 0
-    for idx in range(base, len(subsets)):
-        nxt = subsets[idx][0] if suffix_style else subsets[idx][-1]
-        if target is not None and idx == len(subsets) - 1:
-            out = target
-        else:
-            out = _chain_labels(subsets[idx], n)
+    # growing prefixes, smallest (2 factors) first
+    prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
+    arr, labels = f.factor(seq[0]), factor_labels(seq[0], n)
+    base = 0
+    for idx in range(len(prefixes) - 1, -1, -1):
+        got = cache.lookup(*_subset_key(f, prefixes[idx]))
+        if got is not None:
+            arr, labels = got
+            base = idx + 1
+            break
+    for prefix in prefixes[base:]:
+        nxt = prefix[-1]
+        out = target if target is not None and prefix == seq else _chain_labels(prefix, n)
         arr, labels = _contract_labeled(arr, labels, f.factor(nxt), factor_labels(nxt, n), out)
-        if cache is not None and len(subsets[idx]) < n - 1:
-            cache.store(*_subset_key(f, subsets[idx]), arr, labels)
+        if len(prefix) < n - 1:
+            cache.store(*_subset_key(f, prefix), arr, labels)
     if target is not None:  # a lone factor has had no contraction to lay it out
         arr, labels = _to_label_order(arr, labels, target), list(target)
     return arr, labels
 
 
-def _compose_except_cached_labeled(
-    f: FctnFactors, k: int, order=None, cache: ReuseCache | None = None, target=None
-):
-    """Cached partial network around k, with its labels: modes in ``target``
-    order when given (the last contraction writes that layout directly),
-    else in as-built order."""
+def _compose_except_cached_labeled(f: FctnFactors, k: int, order, cache: ReuseCache) -> np.ndarray:
+    """Partial network around k in :func:`matrix_labels` order, so its network
+    matrix is a view: factors before k in the visiting ``order`` form a prefix
+    chain, those after it a suffix chain, both reusing ``cache``.  Matches
+    :func:`compose_except` to within reassociation roundoff (1e-12 relative).
+    The benchmark's tracer hooks this name, so it is renamed only with the
+    next benchmark change."""
     n = f.n
-    if order is None:
-        order = tuple(range(n))
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of range({n})")
     pos = order.index(k)
+    target = matrix_labels(k, n)
     with FLOPS.scoped("mk"):
         # with k at either end of the order, one chain holds the whole
         # partial network and lays out its own last step
         out = target if pos in (0, n - 1) else None
-        left, llab = _chain_partial(f, order[:pos], cache, suffix_style=False, target=out)
-        right, rlab = _chain_partial(f, order[pos + 1 :], cache, suffix_style=True, target=out)
+        left, llab = _chain_partial(f, order[:pos], cache, out)
+        right, rlab = _chain_partial(f, order[pos + 1 :][::-1], cache, out)
         if left is None:
-            return right, rlab
+            return right
         if right is None:
-            return left, llab
-        return _contract_labeled(left, llab, right, rlab, target)
-
-
-def compose_except_cached(
-    f: FctnFactors, k: int, order=None, cache: ReuseCache | None = None
-) -> np.ndarray:
-    """Partial network around k, reusing cached intermediates where possible.
-
-    ``order`` is the sweep's visiting order; factors before k in it are
-    folded as a prefix chain, factors after it as a suffix chain, and the two
-    halves are joined last.  Matches :func:`compose_except` to within
-    contraction reassociation roundoff (1e-12 relative).
-    """
-    return _compose_except_cached_labeled(f, k, order, cache, partial_labels(k, f.n))[0]
+            return left
+        return _contract_labeled(left, llab, right, rlab, target)[0]
 
 
 def shuffle_order(prev, rng: np.random.Generator) -> tuple:

@@ -10,14 +10,14 @@ factors in the current visiting order (each solve is exact and proximally
 damped by rho), then refreshes X by blending the composed tensor with the
 previous iterate off the observed set and restoring the observations exactly.
 
-The baseline variant rebuilds every partial network from scratch and composes
-the full tensor by the whole chain; the accelerated variant shares prefix and
-suffix partial contractions through a :class:`~fctnlr.network.ReuseCache`,
-has the last contraction of each build write the partial network straight
-into the layout of its network matrix M (so M is a view, not a copy),
-composes the X-refresh tensor from the network matrix M of the factor updated
-last as ``X_(k) = A_(k) M``, and (by default) draws a fresh random visiting
-order every sweep.
+The variants differ in three places.  The baseline rebuilds every partial
+network from scratch and composes the X-refresh tensor by the whole chain.
+The accelerated variant builds each partial network from prefix and suffix
+contractions shared through a :class:`~fctnlr.network.ReuseCache`, straight
+into the layout of its network matrix M (a view, not a copy); composes the
+X-refresh tensor from the last factor's M as ``X_(k) = A_(k) M``; and (by
+default) draws a fresh random visiting order every sweep.  Bonds grow by one
+when the relative change falls below ``10 * eps``.
 """
 from __future__ import annotations
 
@@ -56,6 +56,7 @@ __all__ = [
 
 _ALGORITHMS = ("fctnlr", "afctnlr")
 _RANK_POLICIES = ("fixed", "threshold")
+_GROW_NOISE = 1e-2
 
 
 # ---------- problem data ---------- #
@@ -79,6 +80,8 @@ class Observation:
         if not self.mask.any():
             raise ValueError("mask has no observed entry")
         self.values = np.asfortranarray(np.where(self.mask, self.values, 0.0))
+        if not np.isfinite(self.values).all():
+            raise ValueError("observed values must be finite")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, mask: np.ndarray) -> "Observation":
@@ -119,8 +122,6 @@ class SolverConfig:
     max_rank: object = 2
     initial_rank: object = None
     rank_policy: str = "threshold"
-    rank_tau: float | None = None
-    grow_noise: float = 1e-2
     algorithm: str = "fctnlr"
     laplacian_sign: str = "positive-definite"
     extrapolation: tuple | None = None
@@ -129,10 +130,15 @@ class SolverConfig:
     cache_budget: int = 1 << 30
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
-        if self.eps < 0.0:
-            raise ValueError("eps must be >= 0")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and > 0")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError("eps must be finite and >= 0")
+        if self.cache_budget < 0:
+            raise ValueError("cache_budget must be >= 0")
+        for name in ("lam", "delta"):
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=np.float64)).all():
+                raise ValueError(f"{name} must be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.algorithm not in _ALGORITHMS:
@@ -146,11 +152,6 @@ class SolverConfig:
             if not 0.2 < beta < 0.8:
                 raise ValueError("old-iterate shrink beta must lie in (0.2, 0.8)")
             self.extrapolation = (float(alpha), float(beta))
-        if self.grow_noise < 0.0:
-            raise ValueError("grow_noise must be >= 0")
-
-    def tau(self) -> float:
-        return 10.0 * self.eps if self.rank_tau is None else float(self.rank_tau)
 
 
 @dataclass
@@ -245,19 +246,12 @@ def extrapolate(a_new, a_old, alpha: float, beta: float) -> np.ndarray:
     return a_new + alpha * (a_new - beta * a_old)
 
 
-def increase_rank(f: FctnFactors, cap: FctnRank, rng: np.random.Generator, noise_scale: float = 1e-2):
+def increase_rank(f: FctnFactors, cap: FctnRank, rng: np.random.Generator, noise_scale: float = _GROW_NOISE):
     """Grow every below-cap bond by one: zero-padded embedding plus white
     noise on the new entries, scaled per factor by ``noise_scale`` times the
     RMS of the old entries.  Returns the grown factors; with zero noise the
     composed tensor is unchanged."""
-    grown, noises = _grow_parts(f, cap, rng)
-    out = []
-    for k in range(f.n):
-        rms = float(np.sqrt(np.mean(f.factor(k) ** 2)))
-        out.append(grown.factor(k) + noise_scale * rms * noises[k])
-    res = FctnFactors(out)
-    res.versions = list(grown.versions)
-    return res
+    return _add_noise(f, *_grow_parts(f, cap, rng), noise_scale)
 
 
 def _grow_parts(f: FctnFactors, cap: FctnRank, rng: np.random.Generator):
@@ -271,6 +265,17 @@ def _grow_parts(f: FctnFactors, cap: FctnRank, rng: np.random.Generator):
         noise[old_block] = 0.0
         noises.append(noise)
     return grown, noises
+
+
+def _add_noise(f: FctnFactors, grown: FctnFactors, noises, scale: float) -> FctnFactors:
+    """``grown`` plus ``scale`` times each old factor's RMS times its noise."""
+    out = []
+    for k in range(f.n):
+        rms = float(np.sqrt(np.mean(f.factor(k) ** 2)))
+        out.append(grown.factor(k) + scale * rms * noises[k])
+    res = FctnFactors(out)
+    res.versions = list(grown.versions)
+    return res
 
 
 # ---------- main loop ---------- #
@@ -299,7 +304,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     x = obs.values.copy(order="F")
     order = tuple(range(n))
     accelerated = cfg.algorithm == "afctnlr"
-    cache = ReuseCache(cfg.cache_budget) if accelerated else None
+    cache = ReuseCache(cfg.cache_budget)  # only the accelerated build consults it
 
     initial_objective = objective(x, f, laps, lams)
     result = SolverResult(x=x, factors=f, initial_objective=initial_objective)
@@ -311,14 +316,13 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         flops0 = FLOPS.total
         mk0 = FLOPS.labeled("mk")
         comp0 = FLOPS.labeled("compose")
-        hits0 = cache.hits if cache is not None else 0
+        hits0 = cache.hits
         step_sq = 0.0
 
         for k in order:
             if accelerated:
-                labels = matrix_labels(k, n)
-                partial, _ = _compose_except_cached_labeled(f, k, order, cache, labels)
-                m = property1_unfold(partial, k, n, labels)
+                partial = _compose_except_cached_labeled(f, k, order, cache)
+                m = property1_unfold(partial, k, n, matrix_labels(k, n))
             else:
                 partial = compose_except(f, k)
                 m = property1_unfold(partial, k, n)
@@ -355,10 +359,9 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         rank_during = tuple(f.rank.entries)
         grown = False
         can_grow = cfg.rank_policy == "threshold" and f.rank.any_below(cap)
-        if can_grow and rel < cfg.tau():
-            f = _grow_with_continuity(f, cap, rng, laps, lams, x, cfg.grow_noise, obj)
-            if cache is not None:
-                cache = ReuseCache(cfg.cache_budget)
+        if can_grow and rel < 10.0 * cfg.eps:
+            f = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
+            cache = ReuseCache(cfg.cache_budget)
             grown = True
 
         result.trace.append(
@@ -368,7 +371,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
                 rel_change=rel,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 flops=FLOPS.total - flops0,
-                cache_hits=(cache.hits if cache is not None else 0) - hits0,
+                cache_hits=cache.hits - hits0,
                 rank=rank_during,
                 mk_flops=FLOPS.labeled("mk") - mk0,
                 compose_flops=FLOPS.labeled("compose") - comp0,
@@ -393,21 +396,13 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     return result
 
 
-def _grow_with_continuity(f, cap, rng, laps, lams, x, scale, pre_objective):
+def _grow_with_continuity(f, cap, rng, laps, lams, x, pre_objective):
     """Enlarge the rank table; retry with smaller noise until the objective
     stays within 5% of its pre-growth value (zero noise restores it exactly)."""
     grown, noises = _grow_parts(f, cap, rng)
-    scales = [scale, scale / 10.0, 0.0]
-    for s in scales:
-        out = []
-        for k in range(f.n):
-            rms = float(np.sqrt(np.mean(f.factor(k) ** 2)))
-            out.append(grown.factor(k) + s * rms * noises[k])
-        cand = FctnFactors(out)
-        cand.versions = list(grown.versions)
-        if s == 0.0:
-            return cand
+    for scale in (_GROW_NOISE, _GROW_NOISE / 10.0):
+        cand = _add_noise(f, grown, noises, scale)
         post = objective(x, cand, laps, lams)
         if math.isfinite(post) and post <= 1.05 * pre_objective + 1e-12:
             return cand
-    return cand
+    return _add_noise(f, grown, noises, 0.0)

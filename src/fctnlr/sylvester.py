@@ -29,11 +29,9 @@ __all__ = [
     "SpectralPair",
     "eig_gram",
     "solve_factor",
-    "solve_factor_dense",
 ]
 
 _T_FLOOR = 1e-10
-_DENSE_LIMIT = 4096
 
 
 class NumericalFailure(RuntimeError):
@@ -115,19 +113,3 @@ def solve_factor(p: FactorSubproblem, pair: SpectralPair | None = None) -> np.nd
     a = p.lap.apply_FH(w / t) @ pair.c.T
     return np.ascontiguousarray(a.real)
 
-
-def solve_factor_dense(p: FactorSubproblem) -> np.ndarray:
-    """Dense oracle: assemble the q*s x q*s system under column-stacking vec
-    and solve it directly.  Guarded to small sizes; for tests."""
-    q, s = p.a_prev.shape
-    if q * s > _DENSE_LIMIT:
-        raise ValueError(f"dense oracle limited to q*s <= {_DENSE_LIMIT}, got {q * s}")
-    gram = p.m @ p.m.T
-    big = (
-        np.kron(gram, np.eye(q))
-        + p.lam * np.kron(np.eye(s), p.lap.dense())
-        + p.rho * np.eye(q * s)
-    )
-    rhs = p.x_k @ p.m.T + p.rho * p.a_prev
-    vec = np.linalg.solve(big, rhs.reshape(q * s, order="F"))
-    return vec.reshape((q, s), order="F")

@@ -11,9 +11,7 @@ from fctnlr.network import (
     _compose_except_cached_labeled,
     compose,
     compose_except,
-    compose_except_cached,
     compose_flops,
-    compose_from_partial,
     compose_from_partial_flops,
     factor_labels,
     matrix_labels,
@@ -51,6 +49,18 @@ def nested_sum_compose(f):
             acc += term
         out[el] = acc
     return out
+
+
+def plain_m(f, k):
+    """Network matrix of factor k from the baseline build."""
+    return property1_unfold(compose_except(f, k), k, f.n)
+
+
+def cached_m(f, k, order, cache):
+    """Network matrix of factor k from the cached build: a view of it."""
+    return property1_unfold(
+        _compose_except_cached_labeled(f, k, order, cache), k, f.n, matrix_labels(k, f.n)
+    )
 
 
 def random_network(seed, n=None, max_extent=4, max_rank=3):
@@ -272,51 +282,46 @@ def test_compose_from_partial_matches_compose():
         f = random_network(1000 + seed)
         full = compose(f)
         for k in range(f.n):
-            got = compose_from_partial(compose_except(f, k), f.factor(k), k)
+            got = compose(f, k, plain_m(f, k))
             err = np.linalg.norm(got - full) / np.linalg.norm(full)
             assert err <= 1e-12
     with pytest.raises(ValueError):
-        compose_from_partial(np.zeros((2, 2)), np.zeros((2, 2, 2)), 0)
+        compose(f, 0, np.zeros((2, 2)))
 
 
 def test_compose_from_partial_flop_count():
     rng = np.random.default_rng(9)
     n, i, r = 4, 3, 2
     f = FctnFactors.random((i,) * n, FctnRank.uniform(n, r), rng)
-    partial = compose_except(f, 1)
+    m = plain_m(f, 1)
     FLOPS.reset()
     before = FLOPS.labeled("compose")
-    compose_from_partial(partial, f.factor(1), 1)
+    compose(f, 1, m)
     assert FLOPS.labeled("compose") - before == 2 * i**n * r ** (n - 1)
     assert compose_from_partial_flops(n, i, r) == 2 * i**n * r ** (n - 1)
 
 
 def _check_network_matrix_orders(f, orders):
-    """Every visiting order of the cached build, as built or laid out for the
-    network matrix, yields the canonical network matrix and, through
-    compose(f, k, m), the canonical composition."""
+    """Every visiting order of the cached build yields, as a view of the
+    build, the canonical network matrix and, through compose(f, k, m), the
+    canonical composition."""
     full = compose(f)
     for order in orders:
         cache = ReuseCache()
         for k in order:
-            want = property1_unfold(compose_except(f, k), k, f.n)
-            arr, labels = _compose_except_cached_labeled(f, k, order, cache)
-            built = property1_unfold(arr, k, f.n, labels)
-            mlab = matrix_labels(k, f.n)
-            arr, labels = _compose_except_cached_labeled(f, k, order, cache, mlab)
-            assert labels == mlab
-            m = property1_unfold(arr, k, f.n, labels)
+            want = plain_m(f, k)
+            arr = _compose_except_cached_labeled(f, k, order, cache)
+            m = property1_unfold(arr, k, f.n, matrix_labels(k, f.n))
             assert np.shares_memory(m, arr)
-            for mat in (built, m):
-                assert np.linalg.norm(mat - want) <= 1e-12 * np.linalg.norm(want)
-                got = compose(f, k, mat)
-                err = np.linalg.norm(got - full) / np.linalg.norm(full)
-                assert err <= 1e-12
+            assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
+            got = compose(f, k, m)
+            err = np.linalg.norm(got - full) / np.linalg.norm(full)
+            assert err <= 1e-12
 
 
 def test_compose_from_partial_view_any_label_order():
-    """The network matrix must come out the same from whatever mode order the
-    cached chain produced, and compose back to the canonical composition."""
+    """The cached build's network matrix must match the canonical one under
+    any visiting order, and compose back to the canonical composition."""
     f = random_network(10, n=4)
     _check_network_matrix_orders(f, [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)])
 
@@ -340,8 +345,8 @@ def test_cached_equals_plain_cold_and_warm():
     order = (0, 1, 2, 3)
     for sweep in range(3):
         for k in order:
-            got = compose_except_cached(f, k, order, cache)
-            want = compose_except(f, k)
+            got = cached_m(f, k, order, cache)
+            want = plain_m(f, k)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-12
         # update a factor mid-stream so later sweeps exercise stale entries
@@ -355,8 +360,8 @@ def test_cached_equals_plain_shuffled_orders():
     order = tuple(range(5))
     for sweep in range(4):
         for k in order:
-            got = compose_except_cached(f, k, order, cache)
-            want = compose_except(f, k)
+            got = cached_m(f, k, order, cache)
+            want = plain_m(f, k)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-12
         order = shuffle_order(order, rng)
@@ -367,9 +372,9 @@ def test_cache_shares_suffix_between_first_two_positions():
     f = random_network(13, n=4)
     cache = ReuseCache()
     order = (0, 1, 2, 3)
-    compose_except_cached(f, 0, order, cache)
+    _compose_except_cached_labeled(f, 0, order, cache)
     assert cache.hits == 0
-    compose_except_cached(f, 1, order, cache)
+    _compose_except_cached_labeled(f, 1, order, cache)
     assert cache.hits == 1
 
 
@@ -377,9 +382,9 @@ def test_cache_shares_prefix_between_last_two_positions():
     f = random_network(14, n=4)
     cache = ReuseCache()
     order = (0, 1, 2, 3)
-    compose_except_cached(f, 2, order, cache)
+    _compose_except_cached_labeled(f, 2, order, cache)
     hits0 = cache.hits
-    compose_except_cached(f, 3, order, cache)
+    _compose_except_cached_labeled(f, 3, order, cache)
     assert cache.hits == hits0 + 1
 
 
@@ -388,11 +393,11 @@ def test_cache_version_invalidation():
     cache = ReuseCache()
     order = (0, 1, 2, 3)
     for k in order:
-        compose_except_cached(f, k, order, cache)
+        _compose_except_cached_labeled(f, k, order, cache)
     f.replace(3, f.factor(3) * -0.5)
     # subsets containing factor 3 are now stale and must be rebuilt
-    got = compose_except_cached(f, 0, order, cache)
-    want = compose_except(f, 0)
+    got = cached_m(f, 0, order, cache)
+    want = plain_m(f, 0)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
@@ -401,8 +406,8 @@ def test_cache_zero_budget_degrades_to_recompute():
     cache = ReuseCache(budget_bytes=0)
     order = (0, 1, 2, 3)
     for k in order:
-        got = compose_except_cached(f, k, order, cache)
-        want = compose_except(f, k)
+        got = cached_m(f, k, order, cache)
+        want = plain_m(f, k)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
     assert cache.hits == 0
     assert cache.nbytes == 0
@@ -463,7 +468,7 @@ def test_cost_model_matches_measured_counters():
     FLOPS.reset()
     cache = ReuseCache()
     for k in range(n):
-        compose_except_cached(f, k, tuple(range(n)), cache)
+        _compose_except_cached_labeled(f, k, tuple(range(n)), cache)
     assert FLOPS.labeled("mk") == partial_sweep_flops_cached(n, i, r)
 
 

@@ -53,6 +53,19 @@ def test_observation_validation():
         Observation(values=np.zeros(4), mask=np.ones(4, dtype=bool))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observation_rejects_non_finite_observed_values(bad):
+    values = np.ones((3, 4))
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[0, :] = True
+    values[2, 1] = bad  # off the mask: zeroed, accepted
+    obs = Observation(values=values, mask=mask)
+    assert np.isfinite(obs.values).all()
+    values[0, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Observation(values=values, mask=mask)
+
+
 # ---------- objective ---------- #
 
 
@@ -227,8 +240,24 @@ def test_config_validation():
         SolverConfig(algorithm="sgd")
     with pytest.raises(ValueError):
         SolverConfig(rank_policy="oracle")
-    assert SolverConfig(eps=1e-4).tau() == pytest.approx(1e-3)
-    assert SolverConfig(eps=1e-4, rank_tau=0.5).tau() == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_hyperparameters(bad):
+    with pytest.raises(ValueError, match="rho"):
+        SolverConfig(rho=bad)
+    with pytest.raises(ValueError, match="eps"):
+        SolverConfig(eps=bad)
+    for name in ("lam", "delta"):
+        for value in (bad, [0.3, bad, 0.3]):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
+
+
+def test_config_rejects_negative_cache_budget():
+    with pytest.raises(ValueError, match="cache_budget"):
+        SolverConfig(cache_budget=-1)
+    assert SolverConfig(cache_budget=0).cache_budget == 0
 
 
 def test_run_rejects_inconsistent_config():
@@ -346,6 +375,9 @@ def test_run_threshold_policy_grows_rank():
     grown = [t for t, rec in enumerate(res.trace) if rec.rank_grown]
     assert len(grown) == 1
     t = grown[0]
+    # the table grows at the first sweep whose change falls below 10 * eps
+    assert res.trace[t].rel_change < 10 * cfg.eps
+    assert all(rec.rel_change >= 10 * cfg.eps for rec in res.trace[:t])
     assert res.trace[t].rank == (1,) * 6
     assert res.trace[t + 1].rank == (2,) * 6
     # growth keeps the objective within the continuity budget and the next

@@ -3,13 +3,8 @@ import numpy as np
 import pytest
 
 from fctnlr.laplacian import CirculantLaplacian
-from fctnlr.sylvester import (
-    FactorSubproblem,
-    NumericalFailure,
-    eig_gram,
-    solve_factor,
-    solve_factor_dense,
-)
+from fctnlr.sylvester import FactorSubproblem, NumericalFailure, eig_gram, solve_factor
+from oracles import solve_factor_dense
 
 
 def random_problem(seed, q=None, s=None, p=None, lam=None, rho=None):
