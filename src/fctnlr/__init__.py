@@ -26,6 +26,7 @@ from .network import (
     ReuseCache,
     compose,
     compose_except,
+    gram_except,
     property1_unfold,
     shuffle_order,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "eig_gram",
     "extrapolate",
     "gfold",
+    "gram_except",
     "gunfold",
     "increase_rank",
     "mode_fold",

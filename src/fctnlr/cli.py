@@ -6,14 +6,33 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
 from . import fileio, metrics
 from .bench import BenchConfig, run_bench
 from .metrics import quality_report
-from .solver import Observation, SolverConfig, run
+from .solver import IterationRecord, Observation, SolverConfig, run
 from .sylvester import NumericalFailure
+
+# --report columns: every IterationRecord field, in declaration order
+REPORT_FIELDS = [fld.name for fld in dataclasses.fields(IterationRecord)]
+
+
+def _report_cell(name: str, value):
+    """CSV text of one IterationRecord field: floats with round-trip
+    precision (the wall time to the microsecond), flags as 0/1, the rank
+    table joined by ``|``."""
+    if name == "wall_ms":
+        return f"{value:.3f}"
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return "|".join(str(v) for v in value)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,23 +173,10 @@ def _cmd_complete(args) -> int:
     fileio.write_tensor(args.output, res.x)
     if args.report:
         rows = [
-            {
-                "iteration": rec.iteration,
-                "objective": f"{rec.objective:.17g}",
-                "rel_change": f"{rec.rel_change:.17g}",
-                "wall_ms": f"{rec.wall_ms:.3f}",
-                "flops": rec.flops,
-                "cache_hits": rec.cache_hits,
-                "rank": "|".join(str(v) for v in rec.rank),
-            }
+            {name: _report_cell(name, getattr(rec, name)) for name in REPORT_FIELDS}
             for rec in res.trace
         ]
-        fileio.write_report_csv(
-            args.report,
-            rows,
-            ["iteration", "objective", "rel_change", "wall_ms", "flops",
-             "cache_hits", "rank"],
-        )
+        fileio.write_report_csv(args.report, rows, REPORT_FIELDS)
     print(
         f"completed: iterations={res.iterations} converged={res.converged} "
         f"objective={res.objective:.10g}"

@@ -8,6 +8,9 @@ factor ``k``) is the workhorse of the alternating solver.  The baseline builds
 it by a plain chain in canonical order (:func:`compose_except`); the
 accelerated build reuses prefix/suffix chains through a :class:`ReuseCache`
 and writes it in :func:`matrix_labels` order, so its network matrix is a view.
+The Gram matrix ``M M^T`` of that network matrix comes from the doubled
+network (:func:`gram_except`) wherever :func:`doubled_gram_pays` finds that
+cheaper than the dense product of M with itself.
 
 Modes inside a labeled intermediate are tracked by label, not position:
 ``('i', k)`` is the physical mode of factor ``k`` and ``('r', a, b)`` with
@@ -15,11 +18,12 @@ Modes inside a labeled intermediate are tracked by label, not position:
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .tensor import FLOPS, contract, gunfold, transpose
+from .tensor import FLOPS, contract, gunfold, mode_unfold, transpose
 
 __all__ = [
     "FctnFactors",
@@ -27,7 +31,9 @@ __all__ = [
     "ReuseCache",
     "compose",
     "compose_except",
+    "doubled_gram_pays",
     "factor_labels",
+    "gram_except",
     "matrix_labels",
     "partial_labels",
     "property1_unfold",
@@ -351,6 +357,106 @@ def property1_unfold(partial: np.ndarray, k: int, n: int, labels=None) -> np.nda
     return gunfold(partial, rows + cols, n - 1)
 
 
+def _twin(bond) -> tuple:
+    """Label of a bond's copy in the doubled network."""
+    return bond + ("twin",)
+
+
+def _doubled_labels(j: int, n: int) -> list:
+    """Modes of factor j's Gram over its physical mode: its bonds, then their
+    twins."""
+    bonds = [_bond(j, p) for p in range(n) if p != j]
+    return bonds + [_twin(lab) for lab in bonds]
+
+
+def gram_except(f: FctnFactors, k: int) -> np.ndarray:
+    """Gram matrix ``M M^T`` of factor k's network matrix, s x s, rows and
+    columns in M's row order (k's bonds by ascending partner, first index
+    fastest), F-ordered.
+
+    Built from the doubled network, not from M: each other factor j first
+    meets its own copy over physical mode j in the small Gram ``U_j^T U_j``
+    of its mode-j unfolding, a tensor over its bonds and their twins; then
+    those n-1 Grams are chained in ascending order over every bond not at k,
+    and the last step writes the s x s layout directly.  Costs
+    :func:`gram_except_plan` (:func:`gram_except_flops` in the uniform case)
+    instead of the ``2 * s^2 * I^(n-1)`` of the product ``M M^T``.
+    """
+    n = f.n
+    rest = [j for j in range(n) if j != k]
+    target = [_bond(j, k) for j in rest]
+    target += [_twin(lab) for lab in target]
+    with FLOPS.scoped("gram"):
+        arr = labels = None
+        for j in rest:
+            u = mode_unfold(f.factor(j), j)
+            FLOPS.add(2 * u.shape[0] * u.shape[1] ** 2)
+            extents = [f.factor(j).shape[p] for p in range(n) if p != j]
+            # the product is symmetric, so its transpose is the F-ordered Gram
+            g = (u.T @ u).T.reshape(extents * 2, order="F")
+            lg = _doubled_labels(j, n)
+            if arr is None:
+                arr, labels = g, lg
+            else:
+                out = target if j == rest[-1] else None
+                arr, labels = _contract_labeled(arr, labels, g, lg, out)
+    s = f.factor(k).size // f.dims[k]
+    # (with one other factor, its Gram already has the target modes)
+    return _to_label_order(arr, labels, target).reshape((s, s), order="F")
+
+
+def gram_except_plan(rank: FctnRank, dims, k: int) -> tuple[int, int]:
+    """FLOPs and largest intermediate (entries) of :func:`gram_except` for
+    this rank table and these extents: the same chain, sized, not run."""
+    n = rank.n
+
+    def size(labels):
+        return math.prod(rank[lab[1], lab[2]] for lab in labels)
+
+    flops = peak = 0
+    labels = None
+    for j in range(n):
+        if j == k:
+            continue
+        lg = _doubled_labels(j, n)
+        flops += 2 * dims[j] * size(lg)
+        peak = max(peak, size(lg))
+        if labels is None:
+            labels = lg
+            continue
+        union = labels + [lab for lab in lg if lab not in labels]
+        flops += 2 * size(union)
+        labels = [lab for lab in union if (lab in labels) != (lab in lg)]
+        peak = max(peak, size(labels))
+    return flops, peak
+
+
+# Weights of the doubled-network Gram against the dense product M M^T, timed
+# per factor with FCTN_THREADS=1 on a 2-core x86 host over 25 shapes (n 3-6,
+# extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
+# FLOP rate (small operands, layout copies), and each of its n-2 contraction
+# calls costs about 140 us of Python, some 4e6 FLOPs of GEMM time.
+_DOUBLED_WEIGHT = 3
+_CALL_FLOPS = 4_000_000
+
+
+@functools.lru_cache(maxsize=256)
+def doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
+    """Whether factor k's Gram matrix is cheaper from the doubled network
+    (:func:`gram_except`) than as the dense product ``M M^T`` of its network
+    matrix (s x p): its weighted FLOPs plus its per-call overhead must stay
+    below ``2 * s^2 * p``, and its largest intermediate must not outgrow M.
+
+    The doubled chain's middle intermediates grow as R^(2 t (n-t)), so it
+    loses once R^2 is large against the extents (4^5 at R=3, 6^6 at R=2) and
+    on small tensors, where the Python cost of its contractions dominates."""
+    s = rank.bond_product(k)
+    p = math.prod(dims) // dims[k]
+    flops, peak = gram_except_plan(rank, dims, k)
+    cost = _DOUBLED_WEIGHT * flops + (rank.n - 2) * _CALL_FLOPS
+    return cost < 2 * s * s * p and peak <= s * p
+
+
 # ---------- reuse cache and the accelerated partial build ---------- #
 
 
@@ -517,7 +623,23 @@ def partial_sweep_flops_cached(n: int, i: int, r: int) -> int:
     return 2 * partial_chain_flops(n, i, r) + cross
 
 
+def gram_except_flops(n: int, i: int, r: int) -> int:
+    """One factor's Gram matrix from the doubled network (:func:`gram_except`):
+    n-1 per-factor Grams over the physical modes, 2 * I * R^(2(n-1)) each,
+    then their ascending chain.  The doubled network is itself a network of
+    physical extent 1 and bond size R^2, so the chain costs what one partial
+    network of that network does."""
+    return (n - 1) * 2 * i * r ** (2 * (n - 1)) + partial_chain_flops(n, 1, r * r)
+
+
 def factor_matmul_flops(n: int, i: int, r: int) -> int:
-    """Per-sweep cost of the two big factor-update products: the data term
-    X_(k) M^T and the Gram matrix M M^T, summed over all n factors."""
-    return n * (2 * i**n * r ** (n - 1) + 2 * i ** (n - 1) * r ** (2 * (n - 1)))
+    """Per-sweep cost of the factor-update products, summed over all n
+    factors: the data term X_(k) M^T, 2 * I^n * R^(n-1) per factor, and the
+    Gram matrix M M^T by the route the solver takes (:func:`doubled_gram_pays`):
+    the doubled network (:func:`gram_except_flops`) or the dense product,
+    2 * I^(n-1) * R^(2(n-1)) per factor."""
+    if doubled_gram_pays(FctnRank.uniform(n, r), (i,) * n, 0):
+        gram = gram_except_flops(n, i, r)
+    else:
+        gram = 2 * i ** (n - 1) * r ** (2 * (n - 1))
+    return n * (2 * i**n * r ** (n - 1) + gram)

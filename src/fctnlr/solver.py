@@ -16,8 +16,18 @@ The accelerated variant builds each partial network from prefix and suffix
 contractions shared through a :class:`~fctnlr.network.ReuseCache`, straight
 into the layout of its network matrix M (a view, not a copy); composes the
 X-refresh tensor from the last factor's M as ``X_(k) = A_(k) M``; and (by
-default) draws a fresh random visiting order every sweep.  Bonds grow by one
-when the relative change falls below ``10 * eps``.
+default) draws a fresh random visiting order every sweep.  Both take each
+factor's Gram matrix ``M M^T`` from the doubled network
+(:func:`~fctnlr.network.gram_except`) where
+:func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
+dense product.  Bonds grow by one when the relative change falls below
+``10 * eps``.
+
+Extrapolation is guarded by a monotone restart: a sweep whose objective ends
+above the previous one is redone without extrapolation from the factors it
+started from.  A sweep without extrapolation cannot raise the objective
+beyond roundoff (PAM decreases it), so one that does stops the run with
+:class:`~fctnlr.sylvester.NumericalFailure`.
 """
 from __future__ import annotations
 
@@ -35,11 +45,13 @@ from .network import (
     _compose_except_cached_labeled,
     compose,
     compose_except,
+    doubled_gram_pays,
+    gram_except,
     matrix_labels,
     property1_unfold,
     shuffle_order,
 )
-from .sylvester import FactorSubproblem, NumericalFailure, solve_factor
+from .sylvester import FactorSubproblem, NumericalFailure, SpectralPair, solve_factor
 from .tensor import FLOPS, mode_fold, mode_unfold
 
 __all__ = [
@@ -57,6 +69,12 @@ __all__ = [
 _ALGORITHMS = ("fctnlr", "afctnlr")
 _RANK_POLICIES = ("fixed", "threshold")
 _GROW_NOISE = 1e-2
+# a sweep without extrapolation may raise the objective by at most this share
+# of (|objective| + ||X||^2), the scale of its summation roundoff; over 25k
+# such sweeps (the test suite, the benchmark workloads, as-printed runs near a
+# singular shift, rho 1e-8 with lam 0, data scaled by 1e6 and 1e-6) the
+# largest rise seen was 2.3e-17 of it
+_RISE_SLACK = 1e-9
 
 
 # ---------- problem data ---------- #
@@ -165,6 +183,9 @@ class IterationRecord:
     across that boundary are against the post-growth value, not this one.
     ``x_norm`` and ``factor_norm`` record the iterate magnitudes (the latter
     the largest factor Frobenius norm) for boundedness diagnostics.
+    ``extrapolation_rejected`` marks that the extrapolated sweep raised the
+    objective and was redone without extrapolation; the record describes the
+    redone sweep, but its counters and ``wall_ms`` cover both attempts.
     """
 
     iteration: int
@@ -180,6 +201,7 @@ class IterationRecord:
     x_norm: float = math.nan
     factor_norm: float = math.nan
     rank_grown: bool = False
+    extrapolation_rejected: bool = False
 
 
 @dataclass
@@ -310,6 +332,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     result = SolverResult(x=x, factors=f, initial_objective=initial_objective)
     if not math.isfinite(initial_objective):
         raise NumericalFailure("initial objective is not finite")
+    prev_obj = initial_objective
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
@@ -317,29 +340,24 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         mk0 = FLOPS.labeled("mk")
         comp0 = FLOPS.labeled("compose")
         hits0 = cache.hits
-        step_sq = 0.0
 
-        for k in order:
-            if accelerated:
-                partial = _compose_except_cached_labeled(f, k, order, cache)
-                m = property1_unfold(partial, k, n, matrix_labels(k, n))
-            else:
-                partial = compose_except(f, k)
-                m = property1_unfold(partial, k, n)
-            x_k = mode_unfold(x, k)
-            a_prev = mode_unfold(f.factor(k), k)
-            prob = FactorSubproblem(
-                x_k=x_k, m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho
+        start = f.copy() if cfg.extrapolation is not None else None
+        x_new, obj, step_sq = _sweep(f, x, obs, order, cache, laps, lams, cfg, cfg.extrapolation)
+        rejected = start is not None and not obj <= prev_obj
+        if rejected:
+            # restart from the sweep's starting point; the fresh cache cannot
+            # serve contractions of the discarded factors, whose version
+            # stamps the redone sweep reuses
+            hits0 -= cache.hits  # keep the discarded sweep's hits
+            f, cache = start, ReuseCache(cfg.cache_budget)
+            x_new, obj, step_sq = _sweep(f, x, obs, order, cache, laps, lams, cfg, None)
+        if not math.isfinite(obj):
+            raise NumericalFailure(f"objective diverged at iteration {it}")
+        x_sq = _sq(x_new)
+        if obj > prev_obj + _RISE_SLACK * (abs(prev_obj) + x_sq):
+            raise NumericalFailure(
+                f"objective rose from {prev_obj:.10g} to {obj:.10g} at iteration {it}"
             )
-            a_new = solve_factor(prob)
-            if cfg.extrapolation is not None:
-                a_new = extrapolate(a_new, a_prev, *cfg.extrapolation)
-            step_sq += _sq(a_new - a_prev)
-            f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
-
-        # the last factor's network matrix holds every other factor as updated
-        composed = compose(f, k, m) if accelerated else compose(f)
-        x_new = update_x(composed, x, obs, cfg.rho)
 
         diff = math.sqrt(_sq(x_new - x))
         base = math.sqrt(_sq(x))
@@ -350,17 +368,15 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         else:
             rel = diff / base
         step_sq += diff * diff
-
-        obj = objective(x_new, f, laps, lams, composed=composed)
-        if not math.isfinite(obj):
-            raise NumericalFailure(f"objective diverged at iteration {it}")
         x = x_new
+        prev_obj = obj
 
         rank_during = tuple(f.rank.entries)
+        hits = cache.hits - hits0
         grown = False
         can_grow = cfg.rank_policy == "threshold" and f.rank.any_below(cap)
         if can_grow and rel < 10.0 * cfg.eps:
-            f = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
+            f, prev_obj = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
             cache = ReuseCache(cfg.cache_budget)
             grown = True
 
@@ -371,16 +387,17 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
                 rel_change=rel,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 flops=FLOPS.total - flops0,
-                cache_hits=cache.hits - hits0,
+                cache_hits=hits,
                 rank=rank_during,
                 mk_flops=FLOPS.labeled("mk") - mk0,
                 compose_flops=FLOPS.labeled("compose") - comp0,
                 step_sq=step_sq,
-                x_norm=math.sqrt(_sq(x)),
+                x_norm=math.sqrt(x_sq),
                 factor_norm=max(
                     math.sqrt(_sq(f.factor(k))) for k in range(n)
                 ),
                 rank_grown=grown,
+                extrapolation_rejected=rejected,
             )
         )
 
@@ -396,13 +413,47 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     return result
 
 
+def _sweep(f, x, obs, order, cache, laps, lams, cfg, push):
+    """One PAM sweep: update every factor of ``f`` in place, in the visiting
+    ``order``, extrapolating each by ``push`` (alpha, beta) when given, then
+    refresh X.  Returns the new X, its objective and the summed squared
+    factor steps."""
+    n = f.n
+    accelerated = cfg.algorithm == "afctnlr"
+    step_sq = 0.0
+    for k in order:
+        if accelerated:
+            partial = _compose_except_cached_labeled(f, k, order, cache)
+            m = property1_unfold(partial, k, n, matrix_labels(k, n))
+        else:
+            partial = compose_except(f, k)
+            m = property1_unfold(partial, k, n)
+        x_k = mode_unfold(x, k)
+        a_prev = mode_unfold(f.factor(k), k)
+        prob = FactorSubproblem(
+            x_k=x_k, m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho
+        )
+        pair = None  # solve_factor forms the dense M M^T
+        if doubled_gram_pays(f.rank, f.dims, k):
+            pair = SpectralPair.from_gram(gram_except(f, k))
+        a_new = solve_factor(prob, pair)
+        if push is not None:
+            a_new = extrapolate(a_new, a_prev, *push)
+        step_sq += _sq(a_new - a_prev)
+        f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
+    # the last factor's network matrix holds every other factor as updated
+    composed = compose(f, k, m) if accelerated else compose(f)
+    x_new = update_x(composed, x, obs, cfg.rho)
+    return x_new, objective(x_new, f, laps, lams, composed=composed), step_sq
+
+
 def _grow_with_continuity(f, cap, rng, laps, lams, x, pre_objective):
     """Enlarge the rank table; retry with smaller noise until the objective
-    stays within 5% of its pre-growth value (zero noise restores it exactly)."""
+    stays within 5% of its pre-growth value (zero noise restores it up to
+    roundoff).  Returns the grown factors and their objective."""
     grown, noises = _grow_parts(f, cap, rng)
-    for scale in (_GROW_NOISE, _GROW_NOISE / 10.0):
+    for scale in (_GROW_NOISE, _GROW_NOISE / 10.0, 0.0):
         cand = _add_noise(f, grown, noises, scale)
         post = objective(x, cand, laps, lams)
-        if math.isfinite(post) and post <= 1.05 * pre_objective + 1e-12:
-            return cand
-    return _add_noise(f, grown, noises, 0.0)
+        if scale == 0.0 or (math.isfinite(post) and post <= 1.05 * pre_objective + 1e-12):
+            return cand, post

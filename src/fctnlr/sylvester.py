@@ -13,6 +13,18 @@ circulant) and the Gram matrix ``M M^T`` by a symmetric eigendecomposition.
 Transforming the right-hand side into the joint eigenbasis turns the system
 into an entrywise division by ``T[w, v] = lam * eig_L[w] + phi[v] + rho``,
 which is strictly positive in the default operator orientation.
+
+The dense product ``M M^T`` costs ``2 s^2 I^(n-1)`` FLOPs, on large extents
+the largest single term of a sweep.  There the solver builds the same s x s
+matrix from the doubled network instead
+(:func:`fctnlr.network.gram_except`: the other factors' small Grams over
+their physical modes, contracted over their doubled bonds) and hands its
+eigendecomposition to :func:`solve_factor` as a :class:`SpectralPair`
+(:meth:`SpectralPair.from_gram`).  Where
+:func:`fctnlr.network.doubled_gram_pays` finds the doubled chain dearer
+(squared ranks large against the extents, or small tensors), it passes no
+pair and :func:`solve_factor` forms the dense product through
+:func:`eig_gram`.
 """
 from __future__ import annotations
 
@@ -45,18 +57,25 @@ class SpectralPair:
     c: np.ndarray
     phi: np.ndarray
 
+    @classmethod
+    def from_gram(cls, g: np.ndarray) -> "SpectralPair":
+        """Eigendecomposition of a Gram matrix, symmetrized first so roundoff
+        in how it was summed cannot skew the basis."""
+        g = 0.5 * (g + g.T)
+        phi, c = np.linalg.eigh(g)
+        return cls(c=c, phi=np.maximum(phi, 0.0))
+
 
 def eig_gram(m: np.ndarray) -> SpectralPair:
-    """Symmetric eigendecomposition of the Gram matrix of the rows of m."""
+    """Symmetric eigendecomposition of the Gram matrix of the rows of m,
+    formed by the dense product ``m @ m.T``."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("m must be a matrix")
     with FLOPS.scoped("gram"):
         g = m @ m.T
         FLOPS.add(2 * m.shape[0] * m.shape[0] * m.shape[1])
-    g = 0.5 * (g + g.T)
-    phi, c = np.linalg.eigh(g)
-    return SpectralPair(c=c, phi=np.maximum(phi, 0.0))
+    return SpectralPair.from_gram(g)
 
 
 @dataclass

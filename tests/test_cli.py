@@ -96,7 +96,8 @@ def test_report_csv_structure(tmp_path):
     assert len(rows) == 8
     assert list(rows[0].keys()) == [
         "iteration", "objective", "rel_change", "wall_ms", "flops",
-        "cache_hits", "rank",
+        "cache_hits", "rank", "mk_flops", "compose_flops", "step_sq",
+        "x_norm", "factor_norm", "rank_grown", "extrapolation_rejected",
     ]
     assert [int(r["iteration"]) for r in rows] == list(range(1, 9))
     objectives = [float(r["objective"]) for r in rows]

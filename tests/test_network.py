@@ -4,6 +4,7 @@ model."""
 import numpy as np
 import pytest
 
+from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
@@ -13,7 +14,11 @@ from fctnlr.network import (
     compose_except,
     compose_flops,
     compose_from_partial_flops,
+    doubled_gram_pays,
     factor_labels,
+    factor_matmul_flops,
+    gram_except,
+    gram_except_flops,
     matrix_labels,
     partial_chain_flops,
     partial_labels,
@@ -22,6 +27,7 @@ from fctnlr.network import (
     property1_unfold,
     shuffle_order,
 )
+from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.tensor import FLOPS, mode_unfold
 
 
@@ -471,6 +477,50 @@ def test_cost_model_matches_measured_counters():
         _compose_except_cached_labeled(f, k, tuple(range(n)), cache)
     assert FLOPS.labeled("mk") == partial_sweep_flops_cached(n, i, r)
 
+    FLOPS.reset()
+    gram_except(f, 1)
+    assert FLOPS.labeled("gram") == FLOPS.total == gram_except_flops(n, i, r)
+
+
+@pytest.mark.parametrize("n, i, r, doubled", [
+    (3, 48, 6, True), (5, 14, 3, True),  # the doubled network is cheaper
+    (3, 6, 3, False), (5, 4, 3, False),  # R^2 large against I: dense M M^T
+])
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
+    """One solver sweep outside order four: each factor's Gram takes the
+    route the cost rule picks, the gram-labelled FLOPs are that route's
+    closed form and the factor-update products the rest."""
+    dims = (i,) * n
+    assert all(doubled_gram_pays(FctnRank.uniform(n, r), dims, k) == doubled
+               for k in range(n))
+    truth = np.random.default_rng(3).standard_normal(dims)
+    obs = Observation.from_dense(truth, sample_mask(dims, 0.5, 3))
+    cfg = SolverConfig(eps=0.0, max_iters=1, max_rank=r, initial_rank=r,
+                       rank_policy="fixed", algorithm=algorithm, seed=3)
+    FLOPS.reset()
+    res = run(obs, cfg)
+    sweep = res.trace[0]
+    per_factor = gram_except_flops(n, i, r) if doubled else 2 * i ** (n - 1) * r ** (2 * (n - 1))
+    assert FLOPS.labeled("gram") == n * per_factor
+    assert FLOPS.labeled("unlabeled") == 0
+    assert sweep.flops - sweep.mk_flops - sweep.compose_flops == factor_matmul_flops(n, i, r)
+
+
+def test_doubled_gram_route_follows_cost():
+    """The doubled network wins on the benchmark shapes and loses where its
+    middle intermediates (R^(2 t (n-t)) entries) or its per-call overhead
+    outweigh the dense product."""
+    for dims, r in [((40,) * 4, 4), ((16,) * 5, 3), ((128,) * 3, 4)]:
+        assert doubled_gram_pays(FctnRank.uniform(len(dims), r), dims, 0)
+    for dims, r in [((4,) * 5, 3), ((8,) * 5, 3), ((6,) * 6, 2), ((8,) * 6, 3),
+                    ((12, 12, 3, 8), 2), ((6, 6, 4), 2)]:
+        assert not doubled_gram_pays(FctnRank.uniform(len(dims), r), dims, 0)
+    # per factor: at 64x64x3x32 R=2 only the short mode's M is wide enough
+    rank = FctnRank.uniform(4, 2)
+    assert [doubled_gram_pays(rank, (64, 64, 3, 32), k) for k in range(4)] == [
+        False, False, True, False]
+
 
 def test_cost_model_cached_is_cheaper_for_order_four():
     for i, r in [(5, 2), (20, 3), (40, 4)]:
@@ -485,3 +535,10 @@ def test_cost_model_closed_forms_order_four():
         assert partial_sweep_flops_cached(4, i, r) == 4 * i**2 * r**5 + 8 * i**3 * r**5
         assert compose_flops(4, i, r) == 2 * (i**2 + i**3) * r**5 + 2 * i**4 * r**3
         assert compose_from_partial_flops(4, i, r) == 2 * i**4 * r**3
+        assert gram_except_flops(4, i, r) == 6 * i * r**6 + 4 * r**10
+    # the Gram term is the route's: dense M M^T at 5^4 R=2, else the doubled network
+    assert factor_matmul_flops(4, 5, 2) == 4 * (2 * 5**4 * 2**3 + 2 * 5**3 * 2**6)
+    for i, r in [(20, 3), (40, 4)]:
+        assert factor_matmul_flops(4, i, r) == 4 * (2 * i**4 * r**3 + gram_except_flops(4, i, r))
+    # the dense Gram GEMM cost 4 * 2 * 40^3 * 4^6 = 2,097,152,000 per sweep here
+    assert 4 * gram_except_flops(4, 40, 4) == 20_709_376

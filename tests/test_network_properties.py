@@ -1,5 +1,6 @@
-"""Property test of the accelerated partial-network build over random
-network orders, extents, rank tables and visiting orders."""
+"""Property tests of the accelerated partial-network build and of the
+doubled-network Gram matrix over random network orders, extents, rank tables
+and visiting orders."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,13 @@ from fctnlr.network import (
     _compose_except_cached_labeled,
     compose,
     compose_except,
+    gram_except,
+    gram_except_plan,
     matrix_labels,
     property1_unfold,
 )
-from fctnlr.tensor import mode_unfold
+from fctnlr.tensor import FLOPS, mode_unfold
+from oracles import gram_dense
 
 
 @st.composite
@@ -47,3 +51,19 @@ def test_cached_build_is_the_network_matrix(case):
             assert _close(mode_unfold(f[k], k) @ m, mode_unfold(compose(f), k))
             # as in a sweep: the solved factor replaces k before the next build
             f.replace(k, rng.standard_normal(f[k].shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_doubled_network_gram_is_the_dense_gram(case):
+    dims, rank, _, seed = case
+    f = FctnFactors.random(dims, rank, np.random.default_rng(seed))
+    n = f.n
+    for k in range(n):
+        want = gram_dense(property1_unfold(compose_except(f, k), k, n))
+        FLOPS.reset()
+        got = gram_except(f, k)
+        assert got.shape == want.shape
+        assert _close(got, want)
+        # the route choice sizes the same chain without running it
+        assert FLOPS.labeled("gram") == FLOPS.total == gram_except_plan(rank, dims, k)[0]

@@ -16,7 +16,8 @@ from fctnlr.solver import (
     run,
     update_x,
 )
-from fctnlr.sylvester import solve_factor
+import fctnlr.solver as solver_module
+from fctnlr.sylvester import NumericalFailure, solve_factor
 from fctnlr.tensor import mode_unfold
 
 
@@ -407,6 +408,108 @@ def test_run_extrapolation_path_executes():
     assert np.isfinite(pushed.objective)
     assert not np.allclose(pushed.x, plain.x)
     assert np.array_equal(pushed.x[obs.mask], truth[obs.mask])
+
+
+def _rises(res):
+    objs = [res.initial_objective] + [rec.objective for rec in res.trace]
+    return sum(1 for a, b in zip(objs, objs[1:]) if b > a + 1e-9 * abs(a))
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_run_extrapolation_never_raises_the_objective(algorithm):
+    """The acceptance-05 instance with extrapolation on: sweeps whose
+    extrapolated objective rose are redone without it and flagged."""
+    dims = (10, 10, 3, 6)
+    truth = np.random.default_rng(0).standard_normal(dims)
+    obs = Observation.from_dense(truth, sample_mask(dims, 0.3, 0))
+    cfg = SolverConfig(eps=0.0, max_iters=120, max_rank=2, initial_rank=2,
+                       rank_policy="fixed", algorithm=algorithm, seed=0,
+                       extrapolation=(0.6, 0.5))
+    res = run(obs, cfg)
+    assert len(res.trace) == 120
+    assert _rises(res) == 0
+    rejected = [rec.extrapolation_rejected for rec in res.trace]
+    assert any(rejected) and not all(rejected)
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_run_extrapolation_example_converges(algorithm):
+    """Kept unconditionally, extrapolated sweeps drove this instance's
+    objective to ~1e80 within 500 sweeps; guarded, the run converges."""
+    truth = np.random.default_rng(0).standard_normal((6, 6, 4))
+    obs = Observation.from_dense(truth, sample_mask((6, 6, 4), 0.3, 0))
+    res = run(obs, SolverConfig(algorithm=algorithm, extrapolation=(0.6, 0.5)))
+    assert res.converged
+    assert _rises(res) == 0
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_run_rejected_sweeps_redo_the_plain_sweep(algorithm, monkeypatch):
+    """With every extrapolated sweep rejected the run is the plain run, bit
+    for bit: the redo starts from the saved factors with a fresh cache."""
+    truth, obs = small_problem(26, dims=(6, 5, 4, 3))
+    common = dict(eps=0.0, max_iters=6, max_rank=2, initial_rank=2,
+                  rank_policy="fixed", algorithm=algorithm, seed=2)
+    plain = run(obs, SolverConfig(**common))
+    monkeypatch.setattr(solver_module, "extrapolate", lambda a_new, *_: 1e3 * a_new)
+    pushed = run(obs, SolverConfig(extrapolation=(0.5, 0.5), **common))
+    assert all(rec.extrapolation_rejected for rec in pushed.trace)
+    assert not any(rec.extrapolation_rejected for rec in plain.trace)
+    assert np.array_equal(pushed.x, plain.x)
+    assert [r.objective for r in pushed.trace] == [r.objective for r in plain.trace]
+
+
+def test_run_rising_objective_is_a_numerical_failure(monkeypatch):
+    """Without extrapolation PAM cannot raise the objective; a sweep that does
+    stops the run instead of ending it as completed."""
+    truth, obs = small_problem(27)
+    solve = solver_module.solve_factor
+    monkeypatch.setattr(solver_module, "solve_factor", lambda p, pair: 10.0 * solve(p, pair))
+    with pytest.raises(NumericalFailure, match="rose"):
+        run(obs, SolverConfig(eps=0.0, max_iters=5, max_rank=2, initial_rank=2,
+                              rank_policy="fixed", seed=1))
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_run_roundoff_stall_is_not_a_failure(algorithm):
+    """An over-parameterised fit (s = p = 16) with lam 0 and rho 1e-8 drives
+    the objective down to roundoff, where some sweeps raise it by about 1e-24
+    of the rise check's scale; the run still completes."""
+    dims = (4, 4, 4)
+    truth = np.random.default_rng(2).standard_normal(dims)
+    obs = Observation.from_dense(truth, sample_mask(dims, 0.4, 2))
+    res = run(obs, SolverConfig(eps=0.0, max_iters=150, max_rank=4, initial_rank=4,
+                                rank_policy="fixed", algorithm=algorithm,
+                                rho=1e-8, lam=0.0, seed=2))
+    objs = [rec.objective for rec in res.trace]
+    assert len(objs) == 150
+    assert any(b > a for a, b in zip(objs, objs[1:]))
+
+
+def test_run_unchanged_negative_objective_is_not_a_rise(monkeypatch):
+    """A sweep that moves nothing (full mask, factor solves pinned to the
+    previous factors) at a negative as-printed objective recomputes it to
+    within roundoff; the rise check's slack must still be a slack there."""
+    dims = (4, 3, 5)
+    truth = np.random.default_rng(0).standard_normal(dims)
+    obs = Observation.from_dense(truth, np.ones(dims, dtype=bool))
+    monkeypatch.setattr(solver_module, "solve_factor", lambda p, pair: p.a_prev)
+    res = run(obs, SolverConfig(eps=0.0, max_iters=3, max_rank=2, initial_rank=2,
+                                rank_policy="fixed", laplacian_sign="as-printed",
+                                lam=5.0, seed=0))
+    assert res.initial_objective < 0.0
+    assert res.objective == pytest.approx(res.initial_objective, rel=1e-12)
+
+
+def test_run_growth_sweep_counts_its_own_cache_hits():
+    """The sweep that grows the rank reports the hits of the cache it used,
+    not of the fresh one made for the grown table."""
+    truth, obs = small_problem(28, dims=(8, 7, 6, 5))
+    res = run(obs, SolverConfig(algorithm="afctnlr", eps=1e-3, max_rank=3,
+                                max_iters=60, seed=0))
+    grown = [rec for rec in res.trace if rec.rank_grown]
+    assert grown
+    assert all(rec.cache_hits > 0 for rec in res.trace)
 
 
 def test_factor_update_scale_homogeneity():
