@@ -23,7 +23,6 @@ from .metrics import QualityReport, psnr, quality_report, rel_err, ssim
 from .network import (
     FctnFactors,
     FctnRank,
-    ReuseCache,
     compose,
     compose_except,
     gram_except,
@@ -62,7 +61,6 @@ __all__ = [
     "NumericalFailure",
     "Observation",
     "QualityReport",
-    "ReuseCache",
     "SolverConfig",
     "SolverResult",
     "SpectralPair",

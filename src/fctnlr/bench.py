@@ -5,8 +5,8 @@ rank, identical seed) for a fixed iteration budget, several repeats each,
 interleaved so slow drift of the machine hits both equally.  Reported per
 variant: per-repeat and median wall time (sum of per-iteration times, so
 setup is excluded), first-iteration contraction FLOPs split into the
-partial-network and composition categories, total FLOPs, and total cache
-hits, followed by the accelerated-over-baseline wall ratio.  The closed-form
+partial-network and composition categories, and total FLOPs, followed by the
+accelerated-over-baseline wall ratio.  The closed-form
 cost model for the same configuration is emitted alongside, so measured
 counts can be checked against it exactly.
 """
@@ -38,7 +38,6 @@ CSV_FIELDS = [
     "compose_flops_iter1",
     "factor_matmul_flops_iter1",
     "total_flops",
-    "cache_hits",
 ]
 
 
@@ -99,7 +98,6 @@ class BenchResult:
     compose_iter1: dict = field(default_factory=dict)
     factor_matmul_iter1: dict = field(default_factory=dict)
     totals: dict = field(default_factory=dict)
-    cache_hits: dict = field(default_factory=dict)
     predicted: dict = field(default_factory=dict)
 
     def speedup(self) -> float:
@@ -120,7 +118,6 @@ class BenchResult:
                         "compose_flops_iter1": self.compose_iter1[alg],
                         "factor_matmul_flops_iter1": self.factor_matmul_iter1[alg],
                         "total_flops": self.totals[alg],
-                        "cache_hits": self.cache_hits[alg],
                     }
                 )
             out.append(
@@ -133,12 +130,11 @@ class BenchResult:
                     "compose_flops_iter1": self.compose_iter1[alg],
                     "factor_matmul_flops_iter1": self.factor_matmul_iter1[alg],
                     "total_flops": self.totals[alg],
-                    "cache_hits": self.cache_hits[alg],
                 }
             )
         pred_mk = {
             "fctnlr": self.predicted["mk_plain"],
-            "afctnlr": self.predicted["mk_cached_cold"],
+            "afctnlr": self.predicted["mk_cached"],
         }
         pred_compose = {
             "fctnlr": self.predicted["compose_chain"],
@@ -155,7 +151,6 @@ class BenchResult:
                     "compose_flops_iter1": pred_compose[alg],
                     "factor_matmul_flops_iter1": self.predicted["factor_matmuls"],
                     "total_flops": "",
-                    "cache_hits": "",
                 }
             )
         out.append(
@@ -168,7 +163,6 @@ class BenchResult:
                 "compose_flops_iter1": "",
                 "factor_matmul_flops_iter1": "",
                 "total_flops": "",
-                "cache_hits": "",
             }
         )
         return out
@@ -185,7 +179,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     n, i, r = cfg.order, cfg.extent, cfg.rank
     result.predicted = {
         "mk_plain": partial_sweep_flops(n, i, r),
-        "mk_cached_cold": partial_sweep_flops_cached(n, i, r),
+        "mk_cached": partial_sweep_flops_cached(n, i, r),
         "compose_chain": compose_flops(n, i, r),
         "compose_from_partial": compose_from_partial_flops(n, i, r),
         "factor_matmuls": factor_matmul_flops(n, i, r),
@@ -225,5 +219,4 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
             first.flops - first.mk_flops - first.compose_flops
         )
         result.totals[alg] = sum(rec.flops for rec in res.trace)
-        result.cache_hits[alg] = sum(rec.cache_hits for rec in res.trace)
     return result

@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="positive-definite")
     pc.add_argument("--no-shuffle", action="store_true",
                     help="keep the identity visiting order in afctnlr")
-    pc.add_argument("--cache-budget", type=int, default=1 << 30,
-                    help="reuse cache budget in bytes")
     pc.add_argument("--seed", type=int, default=0)
     pc.set_defaults(func=_cmd_complete)
 
@@ -165,7 +163,6 @@ def _cmd_complete(args) -> int:
         ),
         shuffle=not args.no_shuffle,
         seed=args.seed,
-        cache_budget=args.cache_budget,
     )
     if args.save_mask:
         fileio.write_mask(args.save_mask, mask)
@@ -201,7 +198,7 @@ def _cmd_bench(args) -> int:
         for alg in ("fctnlr", "afctnlr"):
             print(
                 f"{alg}: median_wall_ms={res.medians[alg]:.3f} "
-                f"total_flops={res.totals[alg]} cache_hits={res.cache_hits[alg]}"
+                f"total_flops={res.totals[alg]}"
             )
         print(f"speedup: afctnlr/fctnlr median wall ratio = {res.speedup():.4f}")
     else:

@@ -6,8 +6,10 @@ Factor ``k`` is an order-N array whose mode ``k`` is the physical mode (extent
 order-N tensor.  The partial network around ``k`` (everything contracted except
 factor ``k``) is the workhorse of the alternating solver.  The baseline builds
 it by a plain chain in canonical order (:func:`compose_except`); the
-accelerated build reuses prefix/suffix chains through a :class:`ReuseCache`
-and writes it in :func:`matrix_labels` order, so its network matrix is a view.
+accelerated build joins a prefix chain over the factors already updated in
+the sweep with a suffix chain over those not yet updated, reusing both
+chains' intermediates within the sweep, and writes it in :func:`matrix_labels`
+order, so its network matrix is a view.
 The Gram matrix ``M M^T`` of that network matrix comes from the doubled
 network (:func:`gram_except`) wherever :func:`doubled_gram_pays` finds that
 cheaper than the dense product of M with itself.
@@ -28,7 +30,6 @@ from .tensor import FLOPS, contract, gunfold, mode_unfold, transpose
 __all__ = [
     "FctnFactors",
     "FctnRank",
-    "ReuseCache",
     "compose",
     "compose_except",
     "doubled_gram_pays",
@@ -143,11 +144,7 @@ class FctnRank:
 
 
 class FctnFactors:
-    """Ordered list of network factors with per-factor version stamps.
-
-    Versions start at zero and bump on :meth:`replace`; the reuse cache keys
-    its entries on them, so stale cached contractions are never served.
-    """
+    """Ordered list of network factors, each F-ordered float64."""
 
     def __init__(self, factors) -> None:
         arrays = [np.asfortranarray(np.asarray(a, dtype=np.float64)) for a in factors]
@@ -164,7 +161,6 @@ class FctnFactors:
                         f"bond ({i}, {j}) disagrees: {arrays[i].shape[j]} vs {arrays[j].shape[i]}"
                     )
         self._arrays = arrays
-        self.versions = [0] * n
 
     @classmethod
     def random(cls, dims, rank: FctnRank, rng: np.random.Generator) -> "FctnFactors":
@@ -203,12 +199,9 @@ class FctnFactors:
                 f"replacement for factor {k} has shape {arr.shape}, expected {self._arrays[k].shape}"
             )
         self._arrays[k] = arr
-        self.versions[k] += 1
 
     def copy(self) -> "FctnFactors":
-        dup = FctnFactors([a.copy(order="F") for a in self._arrays])
-        dup.versions = list(self.versions)
-        return dup
+        return FctnFactors([a.copy(order="F") for a in self._arrays])
 
     def grow(self, new_rank: FctnRank) -> "FctnFactors":
         """Zero-padded embedding into a larger rank table (entrywise >= current)."""
@@ -224,9 +217,7 @@ class FctnFactors:
             a = np.zeros(shape, order="F")
             a[tuple(slice(0, s) for s in self._arrays[k].shape)] = self._arrays[k]
             grown.append(a)
-        out = FctnFactors(grown)
-        out.versions = [v + 1 for v in self.versions]
-        return out
+        return FctnFactors(grown)
 
 
 # ---------- labeled contraction helpers ---------- #
@@ -457,56 +448,7 @@ def doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
     return cost < 2 * s * s * p and peak <= s * p
 
 
-# ---------- reuse cache and the accelerated partial build ---------- #
-
-
-class ReuseCache:
-    """Byte-budgeted store of labeled partial contractions.
-
-    Keyed by the sorted factor subset; an entry is served only when every
-    stamped factor version still matches, so updates to any member invalidate
-    it (stale entries are evicted lazily on lookup).  When storing would
-    exceed the budget the entry is simply not kept: the solver silently falls
-    back to recomputation, never to a wrong value.
-    """
-
-    def __init__(self, budget_bytes: int = 1 << 30) -> None:
-        self.budget_bytes = int(budget_bytes)
-        self.hits = 0
-        self.misses = 0
-        self._store: dict[tuple, tuple] = {}
-        self._bytes = 0
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def lookup(self, subset: tuple, versions: tuple):
-        entry = self._store.get(subset)
-        if entry is not None and entry[0] == versions:
-            self.hits += 1
-            return entry[1], entry[2]
-        if entry is not None:
-            self._bytes -= entry[1].nbytes
-            del self._store[subset]
-        self.misses += 1
-        return None
-
-    def store(self, subset: tuple, versions: tuple, arr: np.ndarray, labels: list) -> None:
-        old = self._store.get(subset)
-        if old is not None:
-            self._bytes -= old[1].nbytes
-            del self._store[subset]
-        if self._bytes + arr.nbytes > self.budget_bytes:
-            return
-        self._store[subset] = (versions, arr, labels)
-        self._bytes += arr.nbytes
-
-
-def _subset_key(f: FctnFactors, members) -> tuple[tuple, tuple]:
-    subset = tuple(sorted(int(m) for m in members))
-    stamps = tuple(f.versions[m] for m in subset)
-    return subset, stamps
+# ---------- the accelerated partial build ---------- #
 
 
 def _chain_labels(members, n: int) -> list:
@@ -525,17 +467,16 @@ def _chain_labels(members, n: int) -> list:
     return out
 
 
-def _chain_partial(f: FctnFactors, seq, cache: ReuseCache, target):
+def _chain_partial(f: FctnFactors, seq, kept: dict, target):
     """Contract the factors listed in ``seq`` left to right into one labeled
     tensor, its modes in ``target`` order when given, starting from the
-    largest cached prefix.  Every intermediate is written in
-    :func:`_chain_labels` layout; a suffix chain is the prefix chain of the
-    reversed sequence (same subsets, cache keys and layouts).
+    longest prefix held in ``kept`` (keyed by its sorted factor tuple).  Every
+    intermediate is written in :func:`_chain_labels` layout; a suffix chain
+    is the prefix chain of the reversed sequence (same keys and layouts).
 
-    Multi-factor intermediates are offered to the cache except those spanning
-    all but one factor: only shorter prefix/suffix runs of the same sweep can
-    be asked for again before the next factor update goes stale, so storing
-    the full-size ones would only churn memory.
+    Multi-factor intermediates are kept except those spanning all but one
+    factor: only shorter prefix/suffix runs of the same sweep can be asked
+    for again, so keeping the full-size ones would only hold memory.
     """
     n = f.n
     if not seq:
@@ -545,7 +486,7 @@ def _chain_partial(f: FctnFactors, seq, cache: ReuseCache, target):
     arr, labels = f.factor(seq[0]), factor_labels(seq[0], n)
     base = 0
     for idx in range(len(prefixes) - 1, -1, -1):
-        got = cache.lookup(*_subset_key(f, prefixes[idx]))
+        got = kept.get(tuple(sorted(prefixes[idx])))
         if got is not None:
             arr, labels = got
             base = idx + 1
@@ -555,19 +496,25 @@ def _chain_partial(f: FctnFactors, seq, cache: ReuseCache, target):
         out = target if target is not None and prefix == seq else _chain_labels(prefix, n)
         arr, labels = _contract_labeled(arr, labels, f.factor(nxt), factor_labels(nxt, n), out)
         if len(prefix) < n - 1:
-            cache.store(*_subset_key(f, prefix), arr, labels)
+            kept[tuple(sorted(prefix))] = arr, labels
     if target is not None:  # a lone factor has had no contraction to lay it out
         arr, labels = _to_label_order(arr, labels, target), list(target)
     return arr, labels
 
 
-def _compose_except_cached_labeled(f: FctnFactors, k: int, order, cache: ReuseCache) -> np.ndarray:
+def _compose_except_cached_labeled(f: FctnFactors, k: int, order, kept: dict) -> np.ndarray:
     """Partial network around k in :func:`matrix_labels` order, so its network
     matrix is a view: factors before k in the visiting ``order`` form a prefix
-    chain, those after it a suffix chain, both reusing ``cache``.  Matches
-    :func:`compose_except` to within reassociation roundoff (1e-12 relative).
-    The benchmark's tracer hooks this name, so it is renamed only with the
-    next benchmark change."""
+    chain, those after it a suffix chain, both reusing the intermediates in
+    ``kept``.  Matches :func:`compose_except` to within reassociation
+    roundoff (1e-12 relative).
+
+    ``kept`` belongs to one sweep, which builds every factor once in
+    ``order`` and replaces factor k only after its own build.  So a prefix
+    chain holds only factors already replaced and a suffix chain only factors
+    not yet replaced, and neither changes before the sweep ends: no entry can
+    go stale.  Start each sweep from an empty dict.  The benchmark's tracer
+    hooks this name, so it is renamed only with the next benchmark change."""
     n = f.n
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(n)):
@@ -578,8 +525,8 @@ def _compose_except_cached_labeled(f: FctnFactors, k: int, order, cache: ReuseCa
         # with k at either end of the order, one chain holds the whole
         # partial network and lays out its own last step
         out = target if pos in (0, n - 1) else None
-        left, llab = _chain_partial(f, order[:pos], cache, out)
-        right, rlab = _chain_partial(f, order[pos + 1 :][::-1], cache, out)
+        left, llab = _chain_partial(f, order[:pos], kept, out)
+        right, rlab = _chain_partial(f, order[pos + 1 :][::-1], kept, out)
         if left is None:
             return right
         if right is None:
@@ -615,8 +562,9 @@ def partial_sweep_flops(n: int, i: int, r: int) -> int:
 
 
 def partial_sweep_flops_cached(n: int, i: int, r: int) -> int:
-    """All n partial networks in one sweep with prefix/suffix reuse, cold cache:
-    one full prefix chain, one full suffix chain, and n-2 cross joins."""
+    """All n partial networks of one sweep with prefix/suffix reuse: one full
+    prefix chain, one full suffix chain, and n-2 cross joins.  Reuse stays
+    within the sweep, so this is the count of every sweep."""
     cross = sum(
         2 * i ** (n - 1) * r ** (n - 1 + p * (n - 1 - p)) for p in range(1, n - 1)
     )

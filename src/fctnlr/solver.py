@@ -12,11 +12,13 @@ previous iterate off the observed set and restoring the observations exactly.
 
 The variants differ in three places.  The baseline rebuilds every partial
 network from scratch and composes the X-refresh tensor by the whole chain.
-The accelerated variant builds each partial network from prefix and suffix
-contractions shared through a :class:`~fctnlr.network.ReuseCache`, straight
-into the layout of its network matrix M (a view, not a copy); composes the
-X-refresh tensor from the last factor's M as ``X_(k) = A_(k) M``; and (by
-default) draws a fresh random visiting order every sweep.  Both take each
+The accelerated variant builds each partial network from a prefix chain over
+the factors already updated in the sweep and a suffix chain over those not
+yet updated, keeping both chains' intermediates until the sweep ends,
+straight into the layout of its network matrix M (a view, not a copy);
+composes the X-refresh tensor from the last factor's M as
+``X_(k) = A_(k) M``; and (by default) draws a fresh random visiting order
+every sweep.  Both take each
 factor's Gram matrix ``M M^T`` from the doubled network
 (:func:`~fctnlr.network.gram_except`) where
 :func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
@@ -27,7 +29,10 @@ Extrapolation is guarded by a monotone restart: a sweep whose objective ends
 above the previous one is redone without extrapolation from the factors it
 started from.  A sweep without extrapolation cannot raise the objective
 beyond roundoff (PAM decreases it), so one that does stops the run with
-:class:`~fctnlr.sylvester.NumericalFailure`.
+:class:`~fctnlr.sylvester.NumericalFailure`.  So does a largest factor norm
+that grows past ``1e10`` times its smallest value so far: the objective can
+keep falling while the factors run off along the gauge of the network
+(one factor scaled by c, another by 1/c), as with the as-printed penalty.
 """
 from __future__ import annotations
 
@@ -41,7 +46,6 @@ from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
     FctnRank,
-    ReuseCache,
     _compose_except_cached_labeled,
     compose,
     compose_except,
@@ -75,6 +79,10 @@ _GROW_NOISE = 1e-2
 # singular shift, rho 1e-8 with lam 0, data scaled by 1e6 and 1e-6) the
 # largest rise seen was 2.3e-17 of it
 _RISE_SLACK = 1e-9
+# the largest factor norm may grow to at most this multiple of its smallest
+# value so far in the run; beyond it the factors run off along the c, 1/c
+# gauge (the as-printed penalty is unbounded below there) while X stays put
+_GAUGE_GROWTH = 1e10
 
 
 # ---------- problem data ---------- #
@@ -145,15 +153,12 @@ class SolverConfig:
     extrapolation: tuple | None = None
     shuffle: bool = True
     seed: int = 0
-    cache_budget: int = 1 << 30
 
     def __post_init__(self):
         if not 0.0 < self.rho < math.inf:
             raise ValueError("rho must be finite and > 0")
         if not 0.0 <= self.eps < math.inf:
             raise ValueError("eps must be finite and >= 0")
-        if self.cache_budget < 0:
-            raise ValueError("cache_budget must be >= 0")
         for name in ("lam", "delta"):
             if not np.isfinite(np.asarray(getattr(self, name), dtype=np.float64)).all():
                 raise ValueError(f"{name} must be finite")
@@ -193,7 +198,6 @@ class IterationRecord:
     rel_change: float
     wall_ms: float
     flops: int
-    cache_hits: int
     rank: tuple
     mk_flops: int
     compose_flops: int
@@ -295,9 +299,7 @@ def _add_noise(f: FctnFactors, grown: FctnFactors, noises, scale: float) -> Fctn
     for k in range(f.n):
         rms = float(np.sqrt(np.mean(f.factor(k) ** 2)))
         out.append(grown.factor(k) + scale * rms * noises[k])
-    res = FctnFactors(out)
-    res.versions = list(grown.versions)
-    return res
+    return FctnFactors(out)
 
 
 # ---------- main loop ---------- #
@@ -326,31 +328,26 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     x = obs.values.copy(order="F")
     order = tuple(range(n))
     accelerated = cfg.algorithm == "afctnlr"
-    cache = ReuseCache(cfg.cache_budget)  # only the accelerated build consults it
 
     initial_objective = objective(x, f, laps, lams)
     result = SolverResult(x=x, factors=f, initial_objective=initial_objective)
     if not math.isfinite(initial_objective):
         raise NumericalFailure("initial objective is not finite")
     prev_obj = initial_objective
+    least_factor_norm = math.inf
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         flops0 = FLOPS.total
         mk0 = FLOPS.labeled("mk")
         comp0 = FLOPS.labeled("compose")
-        hits0 = cache.hits
 
         start = f.copy() if cfg.extrapolation is not None else None
-        x_new, obj, step_sq = _sweep(f, x, obs, order, cache, laps, lams, cfg, cfg.extrapolation)
+        x_new, obj, step_sq = _sweep(f, x, obs, order, laps, lams, cfg, cfg.extrapolation)
         rejected = start is not None and not obj <= prev_obj
-        if rejected:
-            # restart from the sweep's starting point; the fresh cache cannot
-            # serve contractions of the discarded factors, whose version
-            # stamps the redone sweep reuses
-            hits0 -= cache.hits  # keep the discarded sweep's hits
-            f, cache = start, ReuseCache(cfg.cache_budget)
-            x_new, obj, step_sq = _sweep(f, x, obs, order, cache, laps, lams, cfg, None)
+        if rejected:  # restart from the sweep's starting point
+            f = start
+            x_new, obj, step_sq = _sweep(f, x, obs, order, laps, lams, cfg, None)
         if not math.isfinite(obj):
             raise NumericalFailure(f"objective diverged at iteration {it}")
         x_sq = _sq(x_new)
@@ -372,13 +369,18 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         prev_obj = obj
 
         rank_during = tuple(f.rank.entries)
-        hits = cache.hits - hits0
         grown = False
         can_grow = cfg.rank_policy == "threshold" and f.rank.any_below(cap)
         if can_grow and rel < 10.0 * cfg.eps:
             f, prev_obj = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
-            cache = ReuseCache(cfg.cache_budget)
             grown = True
+        factor_norm = max(math.sqrt(_sq(f.factor(k))) for k in range(n))
+        least_factor_norm = min(least_factor_norm, factor_norm)
+        if factor_norm > _GAUGE_GROWTH * least_factor_norm:
+            raise NumericalFailure(
+                f"largest factor norm grew from {least_factor_norm:.6g} to "
+                f"{factor_norm:.6g} by iteration {it}"
+            )
 
         result.trace.append(
             IterationRecord(
@@ -387,15 +389,12 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
                 rel_change=rel,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 flops=FLOPS.total - flops0,
-                cache_hits=hits,
                 rank=rank_during,
                 mk_flops=FLOPS.labeled("mk") - mk0,
                 compose_flops=FLOPS.labeled("compose") - comp0,
                 step_sq=step_sq,
                 x_norm=math.sqrt(x_sq),
-                factor_norm=max(
-                    math.sqrt(_sq(f.factor(k))) for k in range(n)
-                ),
+                factor_norm=factor_norm,
                 rank_grown=grown,
                 extrapolation_rejected=rejected,
             )
@@ -413,17 +412,18 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     return result
 
 
-def _sweep(f, x, obs, order, cache, laps, lams, cfg, push):
+def _sweep(f, x, obs, order, laps, lams, cfg, push):
     """One PAM sweep: update every factor of ``f`` in place, in the visiting
     ``order``, extrapolating each by ``push`` (alpha, beta) when given, then
     refresh X.  Returns the new X, its objective and the summed squared
     factor steps."""
     n = f.n
     accelerated = cfg.algorithm == "afctnlr"
+    kept = {}  # the accelerated build's chain intermediates, for this sweep only
     step_sq = 0.0
     for k in order:
         if accelerated:
-            partial = _compose_except_cached_labeled(f, k, order, cache)
+            partial = _compose_except_cached_labeled(f, k, order, kept)
             m = property1_unfold(partial, k, n, matrix_labels(k, n))
         else:
             partial = compose_except(f, k)

@@ -96,7 +96,7 @@ def test_report_csv_structure(tmp_path):
     assert len(rows) == 8
     assert list(rows[0].keys()) == [
         "iteration", "objective", "rel_change", "wall_ms", "flops",
-        "cache_hits", "rank", "mk_flops", "compose_flops", "step_sq",
+        "rank", "mk_flops", "compose_flops", "step_sq",
         "x_norm", "factor_norm", "rank_grown", "extrapolation_rejected",
     ]
     assert [int(r["iteration"]) for r in rows] == list(range(1, 9))
@@ -177,6 +177,23 @@ def test_numeric_failure_exits_two(tmp_path, capsys):
                "--lambda", "1000000", "--max-iters", "5"])
     assert rc == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_gauge_runaway_exits_two(tmp_path, capsys):
+    """An as-printed run whose objective keeps falling while the factors run
+    off along the gauge must not print ``completed`` and exit 0."""
+    src = str(tmp_path / "in.fctn")
+    write_tensor(src, np.random.default_rng(0).standard_normal((8, 7, 6, 5)))
+    out = tmp_path / "out.fctn"
+    rc = main(["complete", "--input", src, "--output", str(out),
+               "--sr", "0.4", "--seed", "0", "--laplacian-sign", "as-printed",
+               "--lambda", "0.022", "--rho", "0.1", "--max-rank", "3",
+               "--max-iters", "150"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "factor norm" in captured.err
+    assert "completed" not in captured.out
+    assert not out.exists()
 
 
 def test_bench_stdout_smoke(capsys):

@@ -35,14 +35,6 @@ def test_non_finite_hyperparameter_exits_one(tmp_path, capsys, no_solve, flag, v
     assert not out.exists() and not saved.exists()
 
 
-def test_negative_cache_budget_exits_one(tmp_path, capsys, no_solve):
-    values = np.random.default_rng(1).standard_normal((5, 4, 3))
-    rc, out, saved = _complete(tmp_path, values, "--cache-budget=-1")
-    assert rc == 1
-    assert "cache_budget" in capsys.readouterr().err
-    assert not out.exists() and not saved.exists()
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_observation_exits_one(tmp_path, capsys, no_solve, bad):
     # every entry is bad, so whichever entries the mask keeps are

@@ -1,6 +1,6 @@
 """Tests for the factor network: rank table, factors, composition, the
-leave-one-out partial network, the reuse cache, and the contraction cost
-model."""
+leave-one-out partial network, the reuse of chain intermediates within a
+sweep, and the contraction cost model."""
 import numpy as np
 import pytest
 
@@ -8,7 +8,6 @@ from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
-    ReuseCache,
     _compose_except_cached_labeled,
     compose,
     compose_except,
@@ -62,10 +61,10 @@ def plain_m(f, k):
     return property1_unfold(compose_except(f, k), k, f.n)
 
 
-def cached_m(f, k, order, cache):
+def cached_m(f, k, order, kept):
     """Network matrix of factor k from the cached build: a view of it."""
     return property1_unfold(
-        _compose_except_cached_labeled(f, k, order, cache), k, f.n, matrix_labels(k, f.n)
+        _compose_except_cached_labeled(f, k, order, kept), k, f.n, matrix_labels(k, f.n)
     )
 
 
@@ -166,15 +165,14 @@ def test_factors_random_shapes_match_rank_table():
         assert f.factor(k).shape == rank.factor_shape(k, dims)
     assert f.dims == dims
     assert f.rank == rank
-    assert f.versions == [0, 0, 0]
 
 
-def test_factors_replace_bumps_version():
+def test_factors_replace_swaps_one_factor():
     f = random_network(2, n=3)
-    before = list(f.versions)
-    f.replace(1, f.factor(1) * 2.0)
-    assert f.versions[1] == before[1] + 1
-    assert f.versions[0] == before[0] and f.versions[2] == before[2]
+    before = [f.factor(k) for k in range(3)]
+    f.replace(1, before[1] * 2.0)
+    assert np.array_equal(f.factor(1), before[1] * 2.0)
+    assert f.factor(0) is before[0] and f.factor(2) is before[2]
     with pytest.raises(ValueError):
         f.replace(0, np.zeros((1, 1, 1)))
 
@@ -183,10 +181,9 @@ def test_factors_copy_is_decoupled():
     f = random_network(3, n=3)
     f.replace(0, f.factor(0) + 1.0)
     dup = f.copy()
-    assert dup.versions == f.versions
+    assert all(np.array_equal(dup.factor(k), f.factor(k)) for k in range(3))
     dup.replace(2, dup.factor(2) * 0.5)
     assert not np.array_equal(dup.factor(2), f.factor(2))
-    assert f.versions[2] != dup.versions[2]
 
 
 def test_factors_grow_embeds_old_block():
@@ -198,7 +195,6 @@ def test_factors_grow_embeds_old_block():
         sl = tuple(slice(0, s) for s in old.shape)
         assert np.array_equal(big.factor(k)[sl], old)
         assert big.factor(k).sum() == pytest.approx(old.sum())
-    assert big.versions == [1, 1, 1]
     # zero-filled growth composes to the same tensor
     assert np.allclose(compose(big), compose(f), rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
@@ -313,10 +309,10 @@ def _check_network_matrix_orders(f, orders):
     canonical composition."""
     full = compose(f)
     for order in orders:
-        cache = ReuseCache()
+        kept = {}  # one sweep per order
         for k in order:
             want = plain_m(f, k)
-            arr = _compose_except_cached_labeled(f, k, order, cache)
+            arr = _compose_except_cached_labeled(f, k, order, kept)
             m = property1_unfold(arr, k, f.n, matrix_labels(k, f.n))
             assert np.shares_memory(m, arr)
             assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
@@ -345,92 +341,84 @@ def test_network_matrix_any_label_order_other_orders(n):
 # ---------- cached partial builds ---------- #
 
 
+def _sweep_builds(f, order, rng):
+    """The builds of one sweep in ``order``: each factor's cached network
+    matrix checked against the plain one, then the factor replaced, as the
+    solver does after its solve."""
+    kept = {}
+    for k in order:
+        got = cached_m(f, k, order, kept)
+        want = plain_m(f, k)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        f.replace(k, f.factor(k) * rng.uniform(0.5, 1.5))
+
+
 def test_cached_equals_plain_cold_and_warm():
+    # the first build of a sweep starts cold, later ones reuse its chains
     f = random_network(11, n=4)
-    cache = ReuseCache()
-    order = (0, 1, 2, 3)
-    for sweep in range(3):
-        for k in order:
-            got = cached_m(f, k, order, cache)
-            want = plain_m(f, k)
-            err = np.linalg.norm(got - want) / np.linalg.norm(want)
-            assert err <= 1e-12
-        # update a factor mid-stream so later sweeps exercise stale entries
-        f.replace(sweep, f.factor(sweep) * 1.01)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        _sweep_builds(f, (0, 1, 2, 3), rng)
 
 
 def test_cached_equals_plain_shuffled_orders():
     f = random_network(12, n=5, max_extent=3, max_rank=2)
-    cache = ReuseCache()
     rng = np.random.default_rng(0)
     order = tuple(range(5))
-    for sweep in range(4):
-        for k in order:
-            got = cached_m(f, k, order, cache)
-            want = plain_m(f, k)
-            err = np.linalg.norm(got - want) / np.linalg.norm(want)
-            assert err <= 1e-12
+    for _ in range(4):
+        _sweep_builds(f, order, rng)
         order = shuffle_order(order, rng)
 
 
+def _build_flops(f, k, order, kept):
+    FLOPS.reset()
+    _compose_except_cached_labeled(f, k, order, kept)
+    return FLOPS.labeled("mk")
+
+
 def test_cache_shares_suffix_between_first_two_positions():
-    # visiting 0 then 1 recomputes the tail pair 2-3 only once
-    f = random_network(13, n=4)
-    cache = ReuseCache()
+    # visiting 0 then 1, the second build reuses the suffix pair 2-3 and
+    # costs only the join of factor 0 with it
+    n, i, r = 4, 5, 2
+    rng = np.random.default_rng(13)
+    f = FctnFactors.random((i,) * n, FctnRank.uniform(n, r), rng)
     order = (0, 1, 2, 3)
-    _compose_except_cached_labeled(f, 0, order, cache)
-    assert cache.hits == 0
-    _compose_except_cached_labeled(f, 1, order, cache)
-    assert cache.hits == 1
+    kept = {}
+    _compose_except_cached_labeled(f, 0, order, kept)
+    f.replace(0, rng.standard_normal(f.factor(0).shape))
+    assert _build_flops(f, 1, order, kept) == 2 * i**3 * r**5
+    assert _build_flops(f, 1, order, {}) == partial_chain_flops(n, i, r)
+    want = plain_m(f, 1)
+    assert np.linalg.norm(cached_m(f, 1, order, kept) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cache_shares_prefix_between_last_two_positions():
-    f = random_network(14, n=4)
-    cache = ReuseCache()
+    # visiting 2 then 3, the second build extends the kept prefix 0-1 by the
+    # updated factor 2 only
+    n, i, r = 4, 5, 2
+    rng = np.random.default_rng(14)
+    f = FctnFactors.random((i,) * n, FctnRank.uniform(n, r), rng)
     order = (0, 1, 2, 3)
-    _compose_except_cached_labeled(f, 2, order, cache)
-    hits0 = cache.hits
-    _compose_except_cached_labeled(f, 3, order, cache)
-    assert cache.hits == hits0 + 1
+    kept = {}
+    _compose_except_cached_labeled(f, 2, order, kept)
+    f.replace(2, rng.standard_normal(f.factor(2).shape))
+    assert _build_flops(f, 3, order, kept) == 2 * i**3 * r**5
+    assert _build_flops(f, 3, order, {}) == partial_chain_flops(n, i, r)
+    want = plain_m(f, 3)
+    assert np.linalg.norm(cached_m(f, 3, order, kept) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_cache_version_invalidation():
-    f = random_network(15, n=4)
-    cache = ReuseCache()
-    order = (0, 1, 2, 3)
-    for k in order:
-        _compose_except_cached_labeled(f, k, order, cache)
-    f.replace(3, f.factor(3) * -0.5)
-    # subsets containing factor 3 are now stale and must be rebuilt
-    got = cached_m(f, 0, order, cache)
-    want = plain_m(f, 0)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
-
-
-def test_cache_zero_budget_degrades_to_recompute():
-    f = random_network(16, n=4)
-    cache = ReuseCache(budget_bytes=0)
-    order = (0, 1, 2, 3)
-    for k in order:
-        got = cached_m(f, k, order, cache)
-        want = plain_m(f, k)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
-    assert cache.hits == 0
-    assert cache.nbytes == 0
-
-
-def test_cache_store_and_lookup_bookkeeping():
-    cache = ReuseCache(budget_bytes=1 << 20)
-    arr = np.ones((4, 4))
-    cache.store((1, 2), (0, 0), arr, [("i", 1), ("i", 2)])
-    assert cache.nbytes == arr.nbytes
-    got = cache.lookup((1, 2), (0, 0))
-    assert got is not None and np.array_equal(got[0], arr)
-    assert cache.hits == 1
-    # version mismatch evicts lazily and counts a miss
-    assert cache.lookup((1, 2), (0, 1)) is None
-    assert cache.misses == 1
-    assert cache.nbytes == 0
+@pytest.mark.parametrize("n, i, r", [(4, 5, 2), (5, 4, 2)])
+def test_run_reuse_is_the_same_every_sweep(n, i, r):
+    """Chains are reused within a sweep only, so every shuffled sweep of
+    afctnlr does the partial-network work of the cost model, no more and no
+    less."""
+    dims = (i,) * n
+    truth = np.random.default_rng(1).standard_normal(dims)
+    obs = Observation.from_dense(truth, sample_mask(dims, 0.4, 1))
+    res = run(obs, SolverConfig(eps=0.0, max_iters=8, max_rank=r, initial_rank=r,
+                                rank_policy="fixed", algorithm="afctnlr", seed=1))
+    assert [rec.mk_flops for rec in res.trace] == [partial_sweep_flops_cached(n, i, r)] * 8
 
 
 def test_shuffle_order_deterministic_and_uniform():
@@ -472,9 +460,9 @@ def test_cost_model_matches_measured_counters():
     assert FLOPS.labeled("mk") == partial_sweep_flops(n, i, r)
 
     FLOPS.reset()
-    cache = ReuseCache()
+    kept = {}
     for k in range(n):
-        _compose_except_cached_labeled(f, k, tuple(range(n)), cache)
+        _compose_except_cached_labeled(f, k, tuple(range(n)), kept)
     assert FLOPS.labeled("mk") == partial_sweep_flops_cached(n, i, r)
 
     FLOPS.reset()

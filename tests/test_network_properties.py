@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
-    ReuseCache,
     _compose_except_cached_labeled,
     compose,
     compose_except,
@@ -41,10 +40,10 @@ def test_cached_build_is_the_network_matrix(case):
     rng = np.random.default_rng(seed)
     f = FctnFactors.random(dims, rank, rng)
     n = f.n
-    cache = ReuseCache()
     for order in orders:  # one sweep per order
+        kept = {}
         for k in order:
-            partial = _compose_except_cached_labeled(f, k, order, cache)
+            partial = _compose_except_cached_labeled(f, k, order, kept)
             m = property1_unfold(partial, k, n, matrix_labels(k, n))
             assert np.shares_memory(m, partial)
             assert _close(m, property1_unfold(compose_except(f, k), k, n))

@@ -215,7 +215,6 @@ def test_increase_rank_embeds_and_perturbs():
         assert np.array_equal(grown.factor(k)[sl], old)
         new_mass = np.linalg.norm(grown.factor(k)) ** 2 - np.linalg.norm(old) ** 2
         assert new_mass > 0.0
-    assert grown.versions == [v + 1 for v in f.versions]
 
 
 def test_increase_rank_at_cap_is_identity_data():
@@ -253,12 +252,6 @@ def test_config_rejects_non_finite_hyperparameters(bad):
         for value in (bad, [0.3, bad, 0.3]):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})
-
-
-def test_config_rejects_negative_cache_budget():
-    with pytest.raises(ValueError, match="cache_budget"):
-        SolverConfig(cache_budget=-1)
-    assert SolverConfig(cache_budget=0).cache_budget == 0
 
 
 def test_run_rejects_inconsistent_config():
@@ -350,8 +343,6 @@ def test_run_identity_schedule_variants_agree():
     # the cached build does strictly less contraction work per sweep
     assert accel.trace[0].mk_flops < base.trace[0].mk_flops
     assert accel.trace[0].compose_flops < base.trace[0].compose_flops
-    assert sum(r.cache_hits for r in accel.trace) > 0
-    assert all(r.cache_hits == 0 for r in base.trace)
 
 
 def test_run_shuffled_schedule_still_descends():
@@ -446,7 +437,7 @@ def test_run_extrapolation_example_converges(algorithm):
 @pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
 def test_run_rejected_sweeps_redo_the_plain_sweep(algorithm, monkeypatch):
     """With every extrapolated sweep rejected the run is the plain run, bit
-    for bit: the redo starts from the saved factors with a fresh cache."""
+    for bit: the redo starts from the saved factors and builds its own chains."""
     truth, obs = small_problem(26, dims=(6, 5, 4, 3))
     common = dict(eps=0.0, max_iters=6, max_rank=2, initial_rank=2,
                   rank_policy="fixed", algorithm=algorithm, seed=2)
@@ -501,15 +492,17 @@ def test_run_unchanged_negative_objective_is_not_a_rise(monkeypatch):
     assert res.objective == pytest.approx(res.initial_objective, rel=1e-12)
 
 
-def test_run_growth_sweep_counts_its_own_cache_hits():
-    """The sweep that grows the rank reports the hits of the cache it used,
-    not of the fresh one made for the grown table."""
-    truth, obs = small_problem(28, dims=(8, 7, 6, 5))
-    res = run(obs, SolverConfig(algorithm="afctnlr", eps=1e-3, max_rank=3,
-                                max_iters=60, seed=0))
-    grown = [rec for rec in res.trace if rec.rank_grown]
-    assert grown
-    assert all(rec.cache_hits > 0 for rec in res.trace)
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_run_gauge_runaway_is_a_numerical_failure(algorithm):
+    """With the as-printed penalty the objective is unbounded below along the
+    gauge (one factor scaled by c, another by 1/c): every sweep lowers it
+    while the largest factor norm grows from 4 towards 1e150 and X stays
+    put.  The run must stop with a numeric failure, not complete."""
+    truth, obs = small_problem(0, dims=(8, 7, 6, 5))
+    cfg = SolverConfig(laplacian_sign="as-printed", lam=0.022, rho=0.1,
+                       max_rank=3, max_iters=150, algorithm=algorithm)
+    with pytest.raises(NumericalFailure, match="factor norm"):
+        run(obs, cfg)
 
 
 def test_factor_update_scale_homogeneity():
