@@ -34,8 +34,6 @@ from .solver import (
     Observation,
     SolverConfig,
     SolverResult,
-    extrapolate,
-    increase_rank,
     objective,
     run,
     update_x,
@@ -68,11 +66,9 @@ __all__ = [
     "compose_except",
     "contract",
     "eig_gram",
-    "extrapolate",
     "gfold",
     "gram_except",
     "gunfold",
-    "increase_rank",
     "mode_fold",
     "mode_unfold",
     "objective",

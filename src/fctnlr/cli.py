@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import fileio, metrics
-from .bench import BenchConfig, run_bench
+from .bench import CSV_FIELDS, BenchConfig, run_bench
 from .metrics import quality_report
 from .solver import IterationRecord, Observation, SolverConfig, run
 from .sylvester import NumericalFailure
@@ -56,13 +56,6 @@ def _parse_rank(text: str, n: int):
     )
 
 
-def _parse_pair(text: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fctnlr",
@@ -98,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="starting bond table (default: all ones)")
     pc.add_argument("--rank-policy", choices=("threshold", "fixed"),
                     default="threshold")
-    pc.add_argument("--extrapolation", default=None, metavar="ALPHA,BETA",
-                    help="factor extrapolation weights, e.g. 0.6,0.5")
     pc.add_argument("--laplacian-sign",
                     choices=("positive-definite", "as-printed"),
                     default="positive-definite")
@@ -158,9 +149,6 @@ def _cmd_complete(args) -> int:
         rank_policy=args.rank_policy,
         algorithm=args.algorithm,
         laplacian_sign=args.laplacian_sign,
-        extrapolation=(
-            _parse_pair(args.extrapolation) if args.extrapolation is not None else None
-        ),
         shuffle=not args.no_shuffle,
         seed=args.seed,
     )
@@ -191,8 +179,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     res = run_bench(cfg)
-    from .bench import CSV_FIELDS
-
     if args.out:
         fileio.write_report_csv(args.out, res.rows(), CSV_FIELDS)
         for alg in ("fctnlr", "afctnlr"):

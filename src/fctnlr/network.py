@@ -99,9 +99,6 @@ class FctnRank:
     def entries(self) -> tuple:
         return self._tri
 
-    def to_vector(self) -> list[int]:
-        return list(self._tri)
-
     def factor_shape(self, k: int, dims) -> tuple:
         """Shape of factor ``k``: bonds in slot order, physical extent at slot k."""
         dims = tuple(int(d) for d in dims)

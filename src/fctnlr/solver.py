@@ -25,14 +25,12 @@ factor's Gram matrix ``M M^T`` from the doubled network
 dense product.  Bonds grow by one when the relative change falls below
 ``10 * eps``.
 
-Extrapolation is guarded by a monotone restart: a sweep whose objective ends
-above the previous one is redone without extrapolation from the factors it
-started from.  A sweep without extrapolation cannot raise the objective
-beyond roundoff (PAM decreases it), so one that does stops the run with
-:class:`~fctnlr.sylvester.NumericalFailure`.  So does a largest factor norm
-that grows past ``1e10`` times its smallest value so far: the objective can
-keep falling while the factors run off along the gauge of the network
-(one factor scaled by c, another by 1/c), as with the as-printed penalty.
+A sweep cannot raise the objective beyond roundoff (PAM decreases it), so
+one that does stops the run with :class:`~fctnlr.sylvester.NumericalFailure`.
+So does a largest factor norm that grows past ``1e10`` times its smallest
+value so far: the objective can keep falling while the factors run off along
+the gauge of the network (one factor scaled by c, another by 1/c), as with
+the as-printed penalty.
 """
 from __future__ import annotations
 
@@ -63,8 +61,6 @@ __all__ = [
     "Observation",
     "SolverConfig",
     "SolverResult",
-    "extrapolate",
-    "increase_rank",
     "objective",
     "run",
     "update_x",
@@ -73,9 +69,9 @@ __all__ = [
 _ALGORITHMS = ("fctnlr", "afctnlr")
 _RANK_POLICIES = ("fixed", "threshold")
 _GROW_NOISE = 1e-2
-# a sweep without extrapolation may raise the objective by at most this share
-# of (|objective| + ||X||^2), the scale of its summation roundoff; over 25k
-# such sweeps (the test suite, the benchmark workloads, as-printed runs near a
+# a sweep may raise the objective by at most this share of
+# (|objective| + ||X||^2), the scale of its summation roundoff; over 25k
+# sweeps (the test suite, the benchmark workloads, as-printed runs near a
 # singular shift, rho 1e-8 with lam 0, data scaled by 1e6 and 1e-6) the
 # largest rise seen was 2.3e-17 of it
 _RISE_SLACK = 1e-9
@@ -138,6 +134,11 @@ def _per_mode(value, n: int, name: str) -> tuple:
     return seq
 
 
+def _rank_spec(value) -> np.ndarray:
+    """A rank spec (an int, a bond list or a table) as an array of entries."""
+    return np.asarray(value.entries if isinstance(value, FctnRank) else value)
+
+
 @dataclass
 class SolverConfig:
     lam: object = 0.35
@@ -150,7 +151,6 @@ class SolverConfig:
     rank_policy: str = "threshold"
     algorithm: str = "fctnlr"
     laplacian_sign: str = "positive-definite"
-    extrapolation: tuple | None = None
     shuffle: bool = True
     seed: int = 0
 
@@ -162,19 +162,24 @@ class SolverConfig:
         for name in ("lam", "delta"):
             if not np.isfinite(np.asarray(getattr(self, name), dtype=np.float64)).all():
                 raise ValueError(f"{name} must be finite")
+        if (np.asarray(self.lam, dtype=np.float64) < 0.0).any():
+            raise ValueError("lam must be >= 0")
+        if not (np.asarray(self.delta, dtype=np.float64) > 0.0).all():
+            raise ValueError("delta must be > 0")
+        cap = _rank_spec(self.max_rank)
+        start = cap if self.initial_rank is None else _rank_spec(self.initial_rank)
+        if (cap < 1).any() or (start < 1).any():
+            raise ValueError("rank entries must be >= 1")
+        # tables of different lengths are refused against the order in run()
+        comparable = start.shape == cap.shape or 0 in (start.ndim, cap.ndim)
+        if comparable and (start > cap).any():
+            raise ValueError("initial rank exceeds max_rank")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.rank_policy not in _RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {_RANK_POLICIES}")
-        if self.extrapolation is not None:
-            alpha, beta = self.extrapolation
-            if not 0.0 < alpha < 1.0:
-                raise ValueError("extrapolation weight alpha must lie in (0, 1)")
-            if not 0.2 < beta < 0.8:
-                raise ValueError("old-iterate shrink beta must lie in (0.2, 0.8)")
-            self.extrapolation = (float(alpha), float(beta))
 
 
 @dataclass
@@ -188,9 +193,6 @@ class IterationRecord:
     across that boundary are against the post-growth value, not this one.
     ``x_norm`` and ``factor_norm`` record the iterate magnitudes (the latter
     the largest factor Frobenius norm) for boundedness diagnostics.
-    ``extrapolation_rejected`` marks that the extrapolated sweep raised the
-    objective and was redone without extrapolation; the record describes the
-    redone sweep, but its counters and ``wall_ms`` cover both attempts.
     """
 
     iteration: int
@@ -205,7 +207,6 @@ class IterationRecord:
     x_norm: float = math.nan
     factor_norm: float = math.nan
     rank_grown: bool = False
-    extrapolation_rejected: bool = False
 
 
 @dataclass
@@ -266,20 +267,6 @@ def update_x(composed, x_prev, obs: Observation, rho: float) -> np.ndarray:
     return out
 
 
-def extrapolate(a_new, a_old, alpha: float, beta: float) -> np.ndarray:
-    """Asymmetric momentum: push past the fresh iterate by alpha times the
-    step measured against a beta-shrunk old iterate."""
-    return a_new + alpha * (a_new - beta * a_old)
-
-
-def increase_rank(f: FctnFactors, cap: FctnRank, rng: np.random.Generator, noise_scale: float = _GROW_NOISE):
-    """Grow every below-cap bond by one: zero-padded embedding plus white
-    noise on the new entries, scaled per factor by ``noise_scale`` times the
-    RMS of the old entries.  Returns the grown factors; with zero noise the
-    composed tensor is unchanged."""
-    return _add_noise(f, *_grow_parts(f, cap, rng), noise_scale)
-
-
 def _grow_parts(f: FctnFactors, cap: FctnRank, rng: np.random.Generator):
     """Zero-padded embedding plus unit noise masks for the new entries."""
     new_rank = f.rank.increment_below(cap)
@@ -310,8 +297,6 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     dims = obs.dims
     lams = _per_mode(cfg.lam, n, "lam")
     deltas = _per_mode(cfg.delta, n, "delta")
-    if any(v < 0 for v in lams):
-        raise ValueError("lam must be >= 0")
     laps = [CirculantLaplacian(dims[k], deltas[k], cfg.laplacian_sign) for k in range(n)]
 
     cap = FctnRank.from_spec(n, cfg.max_rank)
@@ -320,8 +305,6 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         if cfg.initial_rank is not None
         else FctnRank.uniform(n, 1)
     )
-    if any(a > b for a, b in zip(rank.entries, cap.entries)):
-        raise ValueError("initial rank exceeds max_rank")
 
     rng = np.random.default_rng(cfg.seed)
     f = FctnFactors.random(dims, rank, rng)
@@ -342,12 +325,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         mk0 = FLOPS.labeled("mk")
         comp0 = FLOPS.labeled("compose")
 
-        start = f.copy() if cfg.extrapolation is not None else None
-        x_new, obj, step_sq = _sweep(f, x, obs, order, laps, lams, cfg, cfg.extrapolation)
-        rejected = start is not None and not obj <= prev_obj
-        if rejected:  # restart from the sweep's starting point
-            f = start
-            x_new, obj, step_sq = _sweep(f, x, obs, order, laps, lams, cfg, None)
+        x_new, obj, step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
         if not math.isfinite(obj):
             raise NumericalFailure(f"objective diverged at iteration {it}")
         x_sq = _sq(x_new)
@@ -396,7 +374,6 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
                 x_norm=math.sqrt(x_sq),
                 factor_norm=factor_norm,
                 rank_grown=grown,
-                extrapolation_rejected=rejected,
             )
         )
 
@@ -412,11 +389,10 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     return result
 
 
-def _sweep(f, x, obs, order, laps, lams, cfg, push):
+def _sweep(f, x, obs, order, laps, lams, cfg):
     """One PAM sweep: update every factor of ``f`` in place, in the visiting
-    ``order``, extrapolating each by ``push`` (alpha, beta) when given, then
-    refresh X.  Returns the new X, its objective and the summed squared
-    factor steps."""
+    ``order``, then refresh X.  Returns the new X, its objective and the
+    summed squared factor steps."""
     n = f.n
     accelerated = cfg.algorithm == "afctnlr"
     kept = {}  # the accelerated build's chain intermediates, for this sweep only
@@ -437,8 +413,6 @@ def _sweep(f, x, obs, order, laps, lams, cfg, push):
         if doubled_gram_pays(f.rank, f.dims, k):
             pair = SpectralPair.from_gram(gram_except(f, k))
         a_new = solve_factor(prob, pair)
-        if push is not None:
-            a_new = extrapolate(a_new, a_prev, *push)
         step_sq += _sq(a_new - a_prev)
         f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
     # the last factor's network matrix holds every other factor as updated

@@ -1,13 +1,16 @@
 """End-to-end tests for the command line interface, run in process."""
+import argparse
 import csv
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fctnlr import metrics
 from fctnlr.bench import CSV_FIELDS
-from fctnlr.cli import main
+from fctnlr.cli import REPORT_FIELDS, build_parser, main
 from fctnlr.fileio import (
     read_tensor,
     sample_mask,
@@ -97,13 +100,36 @@ def test_report_csv_structure(tmp_path):
     assert list(rows[0].keys()) == [
         "iteration", "objective", "rel_change", "wall_ms", "flops",
         "rank", "mk_flops", "compose_flops", "step_sq",
-        "x_norm", "factor_norm", "rank_grown", "extrapolation_rejected",
+        "x_norm", "factor_norm", "rank_grown",
     ]
     assert [int(r["iteration"]) for r in rows] == list(range(1, 9))
     objectives = [float(r["objective"]) for r in rows]
     assert all(np.isfinite(objectives))
     assert all("|" in r["rank"] for r in rows)
     assert all(int(r["flops"]) > 0 for r in rows)
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index(f"### {title}\n")
+    end = text.find("\n#", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_readme_lists_report_columns_and_complete_options():
+    """The README's `complete` section names the --report columns in order
+    and every long option of the subcommand."""
+    section = _readme_section("complete")
+    listed = re.search(r"one column per\s+`IterationRecord` field:\s+`([^`]*)`", section)
+    assert listed is not None
+    assert [c.strip() for c in listed.group(1).split(",")] == REPORT_FIELDS
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [o for a in sub.choices["complete"]._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"]
+    assert len(options) > 10
+    missing = [o for o in options if not re.search(rf"(?<![\w-]){o}(?![\w-])", section)]
+    assert missing == []
 
 
 def test_repeated_runs_are_reproducible(tmp_path):
@@ -144,17 +170,17 @@ def test_saved_mask_reruns_identically(tmp_path):
 
 
 def test_extrapolation_flag(tmp_path, capsys):
+    """Factor extrapolation is gone: asking for it is a usage error (exit 1)
+    that writes no output."""
     src = str(tmp_path / "in.fctn")
     write_tensor(src, _truth(7))
-    out = str(tmp_path / "out.fctn")
-    common = ["complete", "--input", src, "--output", out,
-              "--sr", "0.4", "--max-iters", "6"]
-    assert main(common + ["--extrapolation", "0.5,0.5"]) == 0
-    capsys.readouterr()
-    assert main(common + ["--extrapolation", "0.5"]) == 1
-    assert "error" in capsys.readouterr().err
-    assert main(common + ["--extrapolation", "1.5,0.5"]) == 1
-    capsys.readouterr()
+    out = tmp_path / "out.fctn"
+    with pytest.raises(SystemExit) as err:
+        main(["complete", "--input", src, "--output", str(out),
+              "--sr", "0.4", "--max-iters", "6", "--extrapolation", "0.5,0.5"])
+    assert err.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rank_table_parsing(tmp_path, capsys):

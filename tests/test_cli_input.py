@@ -43,3 +43,21 @@ def test_non_finite_observation_exits_one(tmp_path, capsys, no_solve, bad):
     assert "finite" in capsys.readouterr().err
     assert not out.exists() and not saved.exists()
 
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--lambda", "-1"],
+        ["--delta", "0"],
+        ["--initial-rank", "3", "--max-rank", "2"],
+        ["--max-rank", "0"],
+    ],
+    ids=["negative-lambda", "zero-delta", "initial-above-max-rank", "zero-rank"],
+)
+def test_out_of_range_hyperparameter_exits_one(tmp_path, capsys, no_solve, extra):
+    values = np.random.default_rng(0).standard_normal((4, 4, 3))
+    rc, out, saved = _complete(tmp_path, values, *extra)
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()

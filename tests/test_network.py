@@ -88,7 +88,6 @@ def test_rank_table_upper_triangle_layout():
     # symmetric access
     assert r[3, 1] == r[1, 3] == 5
     assert r.entries == (1, 2, 3, 4, 5, 6)
-    assert r.to_vector() == [1, 2, 3, 4, 5, 6]
 
 
 def test_rank_table_validation():

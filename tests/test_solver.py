@@ -10,8 +10,8 @@ from fctnlr.network import FctnFactors, FctnRank, compose
 from fctnlr.solver import (
     Observation,
     SolverConfig,
-    extrapolate,
-    increase_rank,
+    _add_noise,
+    _grow_parts,
     objective,
     run,
     update_x,
@@ -169,30 +169,6 @@ def test_update_x_homogeneous_in_scale():
     assert np.allclose(b, c * a, rtol=1e-12, atol=1e-12)
 
 
-# ---------- extrapolation ---------- #
-
-
-def test_extrapolate_arithmetic():
-    a_new = np.full((2, 2), 2.0)
-    a_old = np.full((2, 2), 2.0)
-    out = extrapolate(a_new, a_old, 0.5, 0.5)
-    assert np.allclose(out, 2.5)
-    nearly = extrapolate(a_new, a_old, 1e-12, 0.5)
-    assert np.allclose(nearly, a_new, atol=1e-11)
-
-
-def test_extrapolation_parameter_ranges():
-    SolverConfig(extrapolation=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        SolverConfig(extrapolation=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        SolverConfig(extrapolation=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        SolverConfig(extrapolation=(0.5, 0.2))
-    with pytest.raises(ValueError):
-        SolverConfig(extrapolation=(0.5, 0.8))
-
-
 # ---------- rank growth ---------- #
 
 
@@ -200,15 +176,17 @@ def test_increase_rank_zero_noise_preserves_composition():
     rng = np.random.default_rng(10)
     f = FctnFactors.random((4, 3, 5), FctnRank.uniform(3, 1), rng)
     before = compose(f)
-    grown = increase_rank(f, FctnRank.uniform(3, 2), np.random.default_rng(0), 0.0)
-    assert grown.rank == FctnRank.uniform(3, 2)
+    cap = FctnRank.uniform(3, 2)
+    grown = _add_noise(f, *_grow_parts(f, cap, np.random.default_rng(0)), 0.0)
+    assert grown.rank == cap
     assert np.array_equal(compose(grown), before)
 
 
 def test_increase_rank_embeds_and_perturbs():
     rng = np.random.default_rng(11)
     f = FctnFactors.random((5, 4, 3), FctnRank.uniform(3, 1), rng)
-    grown = increase_rank(f, FctnRank.uniform(3, 2), np.random.default_rng(1), 1e-2)
+    cap = FctnRank.uniform(3, 2)
+    grown = _add_noise(f, *_grow_parts(f, cap, np.random.default_rng(1)), 1e-2)
     for k in range(3):
         old = f.factor(k)
         sl = tuple(slice(0, s) for s in old.shape)
@@ -221,7 +199,7 @@ def test_increase_rank_at_cap_is_identity_data():
     rng = np.random.default_rng(12)
     cap = FctnRank.uniform(3, 2)
     f = FctnFactors.random((4, 3, 5), cap, rng)
-    same = increase_rank(f, cap, np.random.default_rng(2), 1e-2)
+    same = _add_noise(f, *_grow_parts(f, cap, np.random.default_rng(2)), 1e-2)
     for k in range(3):
         assert np.array_equal(same.factor(k), f.factor(k))
 
@@ -240,6 +218,15 @@ def test_config_validation():
         SolverConfig(algorithm="sgd")
     with pytest.raises(ValueError):
         SolverConfig(rank_policy="oracle")
+    with pytest.raises(ValueError, match="lam"):
+        SolverConfig(lam=[0.3, -0.1, 0.3])
+    with pytest.raises(ValueError, match="delta"):
+        SolverConfig(delta=0.0)
+    with pytest.raises(ValueError, match="rank"):
+        SolverConfig(max_rank=0)
+    with pytest.raises(ValueError, match="rank"):
+        SolverConfig(max_rank=FctnRank.uniform(3, 1), initial_rank=[1, 2, 1])
+    SolverConfig(max_rank=[2, 3, 2], initial_rank=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -390,69 +377,9 @@ def test_run_eps_stop_waits_for_growth():
     assert res.factors.rank == FctnRank.uniform(3, 2)
 
 
-def test_run_extrapolation_path_executes():
-    truth, obs = small_problem(23, dims=(6, 5, 4), sr=0.5)
-    common = dict(eps=0.0, max_iters=30, max_rank=2, rank_policy="fixed",
-                  initial_rank=2, seed=5)
-    plain = run(obs, SolverConfig(**common))
-    pushed = run(obs, SolverConfig(extrapolation=(0.5, 0.5), **common))
-    assert np.isfinite(pushed.objective)
-    assert not np.allclose(pushed.x, plain.x)
-    assert np.array_equal(pushed.x[obs.mask], truth[obs.mask])
-
-
-def _rises(res):
-    objs = [res.initial_objective] + [rec.objective for rec in res.trace]
-    return sum(1 for a, b in zip(objs, objs[1:]) if b > a + 1e-9 * abs(a))
-
-
-@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
-def test_run_extrapolation_never_raises_the_objective(algorithm):
-    """The acceptance-05 instance with extrapolation on: sweeps whose
-    extrapolated objective rose are redone without it and flagged."""
-    dims = (10, 10, 3, 6)
-    truth = np.random.default_rng(0).standard_normal(dims)
-    obs = Observation.from_dense(truth, sample_mask(dims, 0.3, 0))
-    cfg = SolverConfig(eps=0.0, max_iters=120, max_rank=2, initial_rank=2,
-                       rank_policy="fixed", algorithm=algorithm, seed=0,
-                       extrapolation=(0.6, 0.5))
-    res = run(obs, cfg)
-    assert len(res.trace) == 120
-    assert _rises(res) == 0
-    rejected = [rec.extrapolation_rejected for rec in res.trace]
-    assert any(rejected) and not all(rejected)
-
-
-@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
-def test_run_extrapolation_example_converges(algorithm):
-    """Kept unconditionally, extrapolated sweeps drove this instance's
-    objective to ~1e80 within 500 sweeps; guarded, the run converges."""
-    truth = np.random.default_rng(0).standard_normal((6, 6, 4))
-    obs = Observation.from_dense(truth, sample_mask((6, 6, 4), 0.3, 0))
-    res = run(obs, SolverConfig(algorithm=algorithm, extrapolation=(0.6, 0.5)))
-    assert res.converged
-    assert _rises(res) == 0
-
-
-@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
-def test_run_rejected_sweeps_redo_the_plain_sweep(algorithm, monkeypatch):
-    """With every extrapolated sweep rejected the run is the plain run, bit
-    for bit: the redo starts from the saved factors and builds its own chains."""
-    truth, obs = small_problem(26, dims=(6, 5, 4, 3))
-    common = dict(eps=0.0, max_iters=6, max_rank=2, initial_rank=2,
-                  rank_policy="fixed", algorithm=algorithm, seed=2)
-    plain = run(obs, SolverConfig(**common))
-    monkeypatch.setattr(solver_module, "extrapolate", lambda a_new, *_: 1e3 * a_new)
-    pushed = run(obs, SolverConfig(extrapolation=(0.5, 0.5), **common))
-    assert all(rec.extrapolation_rejected for rec in pushed.trace)
-    assert not any(rec.extrapolation_rejected for rec in plain.trace)
-    assert np.array_equal(pushed.x, plain.x)
-    assert [r.objective for r in pushed.trace] == [r.objective for r in plain.trace]
-
-
 def test_run_rising_objective_is_a_numerical_failure(monkeypatch):
-    """Without extrapolation PAM cannot raise the objective; a sweep that does
-    stops the run instead of ending it as completed."""
+    """A PAM sweep cannot raise the objective; a sweep that does stops the
+    run instead of ending it as completed."""
     truth, obs = small_problem(27)
     solve = solver_module.solve_factor
     monkeypatch.setattr(solver_module, "solve_factor", lambda p, pair: 10.0 * solve(p, pair))
