@@ -197,9 +197,6 @@ class FctnFactors:
             )
         self._arrays[k] = arr
 
-    def copy(self) -> "FctnFactors":
-        return FctnFactors([a.copy(order="F") for a in self._arrays])
-
     def grow(self, new_rank: FctnRank) -> "FctnFactors":
         """Zero-padded embedding into a larger rank table (entrywise >= current)."""
         old = self.rank

@@ -10,6 +10,17 @@ factors in the current visiting order (each solve is exact and proximally
 damped by rho), then refreshes X by blending the composed tensor with the
 previous iterate off the observed set and restoring the observations exactly.
 
+The data side touches X as few times as its arithmetic needs.  Each factor
+reads X once, through the data product ``X_(k) M^T``
+(:func:`~fctnlr.sylvester.data_product`), which views X in place instead of
+unfolding it wherever the layouts allow.  The X refresh is one residual pass
+(:func:`refresh_x`): with r = composed - X, off the observed set the new
+iterate is X + r/(1+rho), so the data term of the objective, the step
+``||X_new - X||`` and the new iterate all come from r and one gather on the
+observed set, and ``||X||`` carries over from the sweep before.
+:func:`update_x` and :func:`objective` compute the same quantities directly
+and stay as their reference.
+
 The variants differ in three places.  The baseline rebuilds every partial
 network from scratch and composes the X-refresh tensor by the whole chain.
 The accelerated variant builds each partial network from a prefix chain over
@@ -53,7 +64,13 @@ from .network import (
     property1_unfold,
     shuffle_order,
 )
-from .sylvester import FactorSubproblem, NumericalFailure, SpectralPair, solve_factor
+from .sylvester import (
+    FactorSubproblem,
+    NumericalFailure,
+    SpectralPair,
+    data_product,
+    solve_factor,
+)
 from .tensor import FLOPS, mode_fold, mode_unfold
 
 __all__ = [
@@ -62,6 +79,7 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "objective",
+    "refresh_x",
     "run",
     "update_x",
 ]
@@ -247,17 +265,21 @@ def objective(x, f: FctnFactors, laps, lams, obs: Observation | None = None, com
         raise ValueError("x disagrees with the observed entries")
     if composed is None:
         composed = compose(f)
-    data = 0.5 * _sq(x - composed)
+    return 0.5 * _sq(x - composed) + _penalty(f, laps, lams)
+
+
+def _penalty(f: FctnFactors, laps, lams) -> float:
+    """The smoothing term of the objective, sum_k lam_k/2 tr(A_k^T L_k A_k)."""
     reg = 0.0
     for k in range(f.n):
         reg += 0.5 * lams[k] * laps[k].trace_penalty(mode_unfold(f.factor(k), k))
-    return data + reg
+    return reg
 
 
 def update_x(composed, x_prev, obs: Observation, rho: float) -> np.ndarray:
     """Proximally damped refresh: off the observed set average the composed
     network with the previous iterate, on it restore the observations bit for
-    bit."""
+    bit.  The solver runs :func:`refresh_x`; this is its reference."""
     out = np.empty(x_prev.shape, dtype=np.float64, order="F")
     np.multiply(x_prev, rho, out=out)
     out += composed
@@ -265,6 +287,36 @@ def update_x(composed, x_prev, obs: Observation, rho: float) -> np.ndarray:
     fi = obs.flat_index
     out.ravel(order="K")[fi] = obs.values.ravel(order="K")[fi]
     return out
+
+
+def refresh_x(composed: np.ndarray, x: np.ndarray, obs: Observation, rho: float):
+    """:func:`update_x` in one residual pass, written over ``composed``.
+
+    X must agree with the observations bit for bit on the observed set, as
+    the solver's iterates do; the new iterate then does too.  Returns
+    ``(x_new, data, step_sq)``: the new iterate (in ``composed``'s buffer,
+    F-ordered), the data term ``1/2 ||x_new - composed||^2`` of the
+    objective, and ``||x_new - x||^2``.
+
+    With r = composed - x: on the observed set x_new = x, so the data term
+    there is ``1/2 ||P_Omega r||^2`` (one gather) and the step is 0; off it
+    x_new = x + r/(1+rho), so x_new - composed = -rho/(1+rho) r and
+    x_new - x = r/(1+rho), both from ``||P_Omega^c r||^2``.  r is set to -0.0
+    on the observed set, and x + (-0.0) is x bit for bit (+0.0 would turn an
+    observed -0.0 into +0.0), so no scatter of the observations is needed.
+    """
+    r = np.asfortranarray(composed)
+    flat = r.reshape(-1, order="F")
+    fi = obs.flat_index
+    np.subtract(r, x, out=r)
+    on = np.take(flat, fi)
+    on_sq = float(np.dot(on, on))
+    flat[fi] = -0.0
+    off_sq = float(np.dot(flat, flat))
+    r *= 1.0 / (1.0 + rho)
+    r += x
+    shrink = rho / (1.0 + rho)
+    return r, 0.5 * (shrink * shrink * off_sq + on_sq), off_sq / (1.0 + rho) ** 2
 
 
 def _grow_parts(f: FctnFactors, cap: FctnRank, rng: np.random.Generator):
@@ -317,6 +369,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     if not math.isfinite(initial_objective):
         raise NumericalFailure("initial objective is not finite")
     prev_obj = initial_objective
+    x_sq = _sq(x)
     least_factor_norm = math.inf
 
     for it in range(1, cfg.max_iters + 1):
@@ -325,24 +378,24 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         mk0 = FLOPS.labeled("mk")
         comp0 = FLOPS.labeled("compose")
 
-        x_new, obj, step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
+        x_new, obj, step_sq, x_step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
         if not math.isfinite(obj):
             raise NumericalFailure(f"objective diverged at iteration {it}")
+        base = math.sqrt(x_sq)
         x_sq = _sq(x_new)
         if obj > prev_obj + _RISE_SLACK * (abs(prev_obj) + x_sq):
             raise NumericalFailure(
                 f"objective rose from {prev_obj:.10g} to {obj:.10g} at iteration {it}"
             )
 
-        diff = math.sqrt(_sq(x_new - x))
-        base = math.sqrt(_sq(x))
+        diff = math.sqrt(x_step_sq)
         if diff == 0.0:
             rel = 0.0
         elif base == 0.0:
             rel = math.inf
         else:
             rel = diff / base
-        step_sq += diff * diff
+        step_sq += x_step_sq
         x = x_new
         prev_obj = obj
 
@@ -391,8 +444,8 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
 
 def _sweep(f, x, obs, order, laps, lams, cfg):
     """One PAM sweep: update every factor of ``f`` in place, in the visiting
-    ``order``, then refresh X.  Returns the new X, its objective and the
-    summed squared factor steps."""
+    ``order``, then refresh X.  Returns the new X, its objective, the summed
+    squared factor steps and the squared X step."""
     n = f.n
     accelerated = cfg.algorithm == "afctnlr"
     kept = {}  # the accelerated build's chain intermediates, for this sweep only
@@ -404,10 +457,9 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         else:
             partial = compose_except(f, k)
             m = property1_unfold(partial, k, n)
-        x_k = mode_unfold(x, k)
         a_prev = mode_unfold(f.factor(k), k)
         prob = FactorSubproblem(
-            x_k=x_k, m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho
+            xm=data_product(x, k, m), m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho
         )
         pair = None  # solve_factor forms the dense M M^T
         if doubled_gram_pays(f.rank, f.dims, k):
@@ -417,8 +469,8 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
     # the last factor's network matrix holds every other factor as updated
     composed = compose(f, k, m) if accelerated else compose(f)
-    x_new = update_x(composed, x, obs, cfg.rho)
-    return x_new, objective(x_new, f, laps, lams, composed=composed), step_sq
+    x_new, data, x_step_sq = refresh_x(composed, x, obs, cfg.rho)
+    return x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
 
 
 def _grow_with_continuity(f, cap, rng, laps, lams, x, pre_objective):

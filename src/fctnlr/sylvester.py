@@ -8,6 +8,11 @@ whose stationarity condition is the two-sided linear system
 
     lam L A + A (M M^T) + rho A = X_(k) M^T + rho A_prev.
 
+X enters only through the data product ``X_(k) M^T`` (q x s), which
+:func:`data_product` forms from X as stored, without the mode-k unfolding
+wherever the layouts allow; :class:`FactorSubproblem` carries that product,
+so the solve itself never sees X.
+
 Both coefficient operators diagonalize: L in the unitary DFT basis (it is
 circulant) and the Gram matrix ``M M^T`` by a symmetric eigendecomposition.
 Transforming the right-hand side into the joint eigenbasis turns the system
@@ -28,17 +33,19 @@ pair and :func:`solve_factor` forms the dense product through
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .laplacian import CirculantLaplacian
-from .tensor import FLOPS
+from .tensor import FLOPS, mode_unfold
 
 __all__ = [
     "FactorSubproblem",
     "NumericalFailure",
     "SpectralPair",
+    "data_product",
     "eig_gram",
     "solve_factor",
 ]
@@ -78,16 +85,105 @@ def eig_gram(m: np.ndarray) -> SpectralPair:
     return SpectralPair.from_gram(g)
 
 
+# Route of the data product for a middle mode.  X is viewed as (a, I_k, b)
+# and M^T as (a, b, s); the batched route runs one (I_k x a)(a x s) GEMM per
+# slice v of b, the copy route unfolds X and runs one GEMM.  Timed per factor
+# with FCTN_THREADS=1 on a 2-core x86 host, each the median of three
+# interleaved medians of 3 (ms, copy / batched; C: M C-ordered, as afctnlr
+# builds it; F: M F-ordered, as fctnlr's):
+#
+#   shape       R  k     a     b     C: copy  batched   F: copy  batched
+#   128^3       4  1   128   128        9.94     5.53      8.78     2.50
+#   64x64x3x32  3  1    64    96        1.51     1.13      1.60     0.89
+#   64x64x3x32  3  2  4096    32        5.28     1.82      3.95     2.95
+#   40^4        4  1    40  1600       20.79    21.71     17.75    11.95
+#   40^4        4  2  1600    40       20.15    15.25     20.16    14.58
+#   32^4        3  1    32  1024        6.85     3.92      6.25     3.05
+#   24^4        3  1    24   576        1.88     1.40      1.44     0.97
+#   20^4        4  1    20   400        1.26     1.49      1.23     0.94
+#   16^5        3  1    16  4096       16.96    33.47     13.82    14.36
+#   16^5        3  2   256   256       16.68    14.67     13.16    10.78
+#   12^4        4  1    12   144        0.20     0.28      0.17     0.20
+#   8^6         2  1     8  4096        1.75     2.64      1.27     1.32
+#   8^6         2  2    64   512        2.46     1.23      1.65     0.79
+#   6^6         2  1     6  1296        0.39     0.66      0.33     0.47
+#
+# Inside a sweep, where M is the freshly built network matrix, the C-ordered
+# batched route lost at 16^5 k=2 (13.4-15.0 against 10.2-12.0 ms per sweep
+# over three 4-sweep runs) while winning at k=3 (8.2-9.5 against 11.0-28.3);
+# the F-ordered one won at every middle mode of 16^5 and 40^4.
+#
+# The batched route loses where a is short: each of its b GEMMs then has too
+# small an inner extent to amortise its call.  A C-ordered M, whose slices
+# stride by p from column to column, touches s pages per slice, so it also
+# needs few slices against a long a.
+_CHUNK_BYTES = 2 << 20  # bytes of per-slice products held at once
+
+
+def _batched_pays(a: int, b: int, m: np.ndarray) -> bool:
+    """Whether the batched route beats the copy for a middle mode (the
+    timings above)."""
+    if m.flags.c_contiguous:
+        return a >= 1024 or (a >= 64 and b <= 128)
+    return a >= 24
+
+
+def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
+    """The data product ``X_(k) M^T`` (q x s) of the tensor ``x`` and factor
+    k's network matrix ``m`` (s x p), metered under ``proj`` at ``2 q p s``
+    FLOPs on every route.
+
+    X is read through its F-ordered view as (a, I_k, b), with a the product
+    of the extents before mode k and b of those after it; M's columns run
+    over the same (a, b) pairs, first index fastest.  For a = 1 or b = 1 (k
+    first or last) that view is X_(k) or its transpose, and one GEMM on it
+    gives the product.  For a middle mode where :func:`_batched_pays`, the
+    product is the sum over the slices v of b of ``X[:, :, v]^T M_v^T``,
+    batched over a few MB of slices at a time: no copy of X either way.
+    Otherwise X_(k) is unfolded (one copy of X) and multiplied by ``m.T``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    q, s = x.shape[k], m.shape[0]
+    a, b = math.prod(x.shape[:k]), math.prod(x.shape[k + 1 :])
+    if m.shape[1] != a * b:
+        raise ValueError(f"m has {m.shape[1]} columns, expected {a * b}")
+    with FLOPS.scoped("proj"):
+        FLOPS.add(2 * q * a * b * s)
+        if a == 1:
+            return x.reshape((q, b), order="F") @ m.T
+        if b == 1:
+            return x.reshape((a, q), order="F").T @ m.T
+        if not _batched_pays(a, b, m):
+            return mode_unfold(x, k) @ m.T
+        x3 = x.reshape((a, q, b), order="F")
+        mt3 = m.T.reshape((a, b, s), order="F")
+        chunk = max(1, min(b, _CHUNK_BYTES // (8 * q * s)))
+        y = np.zeros((q, s))
+        buf = np.empty((chunk, q, s))
+        for lo in range(0, b, chunk):
+            hi = min(b, lo + chunk)
+            part = buf[: hi - lo]
+            np.matmul(
+                x3[:, :, lo:hi].transpose(2, 1, 0),
+                mt3[:, lo:hi, :].transpose(1, 0, 2),
+                out=part,
+            )
+            y += part.sum(axis=0)
+        return y
+
+
 @dataclass
 class FactorSubproblem:
     """One factor update in matrix form.
 
-    ``x_k``: mode-k unfolding of the current tensor, q x p.
+    ``xm``: the data product ``X_(k) M^T`` (:func:`data_product`), q x s;
+    the tensor X enters the subproblem only through it.
     ``m``: partial-network unfolding, s x p (its rows pair with A's columns).
     ``a_prev``: previous factor unfolding, q x s (proximal anchor).
     """
 
-    x_k: np.ndarray
+    xm: np.ndarray
     m: np.ndarray
     a_prev: np.ndarray
     lap: CirculantLaplacian
@@ -95,15 +191,14 @@ class FactorSubproblem:
     rho: float
 
     def __post_init__(self):
-        self.x_k = np.asarray(self.x_k, dtype=np.float64)
+        self.xm = np.asarray(self.xm, dtype=np.float64)
         self.m = np.asarray(self.m, dtype=np.float64)
         self.a_prev = np.asarray(self.a_prev, dtype=np.float64)
-        q, p = self.x_k.shape
-        s = self.m.shape[0]
-        if self.m.shape[1] != p:
-            raise ValueError(f"m has {self.m.shape[1]} columns, expected {p}")
-        if self.a_prev.shape != (q, s):
-            raise ValueError(f"a_prev has shape {self.a_prev.shape}, expected {(q, s)}")
+        q, s = self.a_prev.shape
+        if self.m.ndim != 2 or self.m.shape[0] != s:
+            raise ValueError(f"m has shape {self.m.shape}, expected {s} rows")
+        if self.xm.shape != (q, s):
+            raise ValueError(f"xm has shape {self.xm.shape}, expected {(q, s)}")
         if self.lap.n != q:
             raise ValueError(f"operator size {self.lap.n} does not match q={q}")
         if self.lam < 0.0:
@@ -116,11 +211,7 @@ def solve_factor(p: FactorSubproblem, pair: SpectralPair | None = None) -> np.nd
     """Solve the subproblem exactly via the joint diagonalization."""
     if pair is None:
         pair = eig_gram(p.m)
-    q, s = p.a_prev.shape
-    with FLOPS.scoped("proj"):
-        y = p.x_k @ p.m.T
-        FLOPS.add(2 * q * p.x_k.shape[1] * s)
-    y = y + p.rho * p.a_prev
+    y = p.xm + p.rho * p.a_prev
 
     t = p.lam * p.lap.eigenvalues[:, None] + pair.phi[None, :] + p.rho
     if float(np.min(t)) <= _T_FLOOR:
@@ -131,4 +222,3 @@ def solve_factor(p: FactorSubproblem, pair: SpectralPair | None = None) -> np.nd
     w = p.lap.apply_F(y @ pair.c)
     a = p.lap.apply_FH(w / t) @ pair.c.T
     return np.ascontiguousarray(a.real)
-

@@ -24,6 +24,6 @@ def solve_factor_dense(p: FactorSubproblem) -> np.ndarray:
         + p.lam * np.kron(np.eye(s), p.lap.dense())
         + p.rho * np.eye(q * s)
     )
-    rhs = p.x_k @ p.m.T + p.rho * p.a_prev
+    rhs = p.xm + p.rho * p.a_prev
     vec = np.linalg.solve(big, rhs.reshape(q * s, order="F"))
     return vec.reshape((q, s), order="F")

@@ -218,7 +218,7 @@ def test_03_factor_solve_dense_equivalence():
         x_k = rng.standard_normal((q, p))
         m = rng.standard_normal((s, p))
         a_prev = rng.standard_normal((q, s))
-        prob = FactorSubproblem(x_k=x_k, m=m, a_prev=a_prev, lap=lap, lam=lam, rho=rho)
+        prob = FactorSubproblem(xm=x_k @ m.T, m=m, a_prev=a_prev, lap=lap, lam=lam, rho=rho)
         a = solve_factor(prob)
 
         ldense = _band_stencil(q, delta, "positive-definite")

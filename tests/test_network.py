@@ -176,15 +176,6 @@ def test_factors_replace_swaps_one_factor():
         f.replace(0, np.zeros((1, 1, 1)))
 
 
-def test_factors_copy_is_decoupled():
-    f = random_network(3, n=3)
-    f.replace(0, f.factor(0) + 1.0)
-    dup = f.copy()
-    assert all(np.array_equal(dup.factor(k), f.factor(k)) for k in range(3))
-    dup.replace(2, dup.factor(2) * 0.5)
-    assert not np.array_equal(dup.factor(2), f.factor(2))
-
-
 def test_factors_grow_embeds_old_block():
     rng = np.random.default_rng(4)
     f = FctnFactors.random((3, 4, 2), FctnRank.uniform(3, 1), rng)

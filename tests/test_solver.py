@@ -12,7 +12,9 @@ from fctnlr.solver import (
     SolverConfig,
     _add_noise,
     _grow_parts,
+    _penalty,
     objective,
+    refresh_x,
     run,
     update_x,
 )
@@ -167,6 +169,77 @@ def test_update_x_homogeneous_in_scale():
     a = update_x(composed, x_prev, obs, 0.1)
     b = update_x(c * composed, c * x_prev, scaled, 0.1)
     assert np.allclose(b, c * a, rtol=1e-12, atol=1e-12)
+
+
+# ---------- fused X refresh ---------- #
+
+
+def refresh_case(seed, dims=(6, 5, 4)):
+    """An observation with two observed -0.0 entries, factors, and an
+    iterate that agrees with the observations bit for bit."""
+    _, obs = small_problem(seed, dims)
+    values = obs.values.copy(order="F")
+    values.ravel(order="F")[obs.flat_index[:2]] = -0.0
+    obs = Observation(values=values, mask=obs.mask)
+    rng = np.random.default_rng(seed)
+    f = FctnFactors.random(dims, FctnRank.uniform(3, 2), rng)
+    x = np.asfortranarray(rng.standard_normal(dims))
+    x[obs.mask] = obs.values[obs.mask]
+    laps = [CirculantLaplacian(d, 0.5) for d in dims]
+    return obs, f, x, laps, [0.35, 0.2, 0.5]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view("u8")
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0, 1e-6])
+def test_refresh_x_matches_update_x_and_objective(rho):
+    for seed in range(5):
+        obs, f, x, laps, lams = refresh_case(40 + seed)
+        composed = compose(f)
+        x_new, data, step_sq = refresh_x(composed.copy(order="F"), x, obs, rho)
+        ref = update_x(composed, x, obs, rho)
+        off = ~obs.mask
+        assert np.linalg.norm(x_new[off] - ref[off]) <= 1e-14 * np.linalg.norm(ref[off])
+        assert np.array_equal(bits(x_new[obs.mask]), bits(obs.values[obs.mask]))
+        assert np.array_equal(bits(x_new[obs.mask]), bits(ref[obs.mask]))
+        assert np.signbit(x_new.ravel(order="F")[obs.flat_index[:2]]).all()
+        assert x_new.flags.f_contiguous
+        want = objective(x_new, f, laps, lams, obs=obs, composed=composed)
+        assert data + _penalty(f, laps, lams) == pytest.approx(want, rel=1e-12)
+        assert step_sq == pytest.approx(float(np.sum((x_new - x) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_sweep_objective_matches_oracle(algorithm):
+    """A sweep's fused objective equals the objective recomputed from its
+    iterate and its updated factors."""
+    obs, f, _, laps, lams = refresh_case(50)
+    cfg = SolverConfig(algorithm=algorithm, lam=lams, rho=0.1)
+    x = obs.values.copy(order="F")
+    for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
+        x_new, obj, _, x_step_sq = solver_module._sweep(f, x, obs, order, laps, lams, cfg)
+        assert obj == pytest.approx(objective(x_new, f, laps, lams, obs=obs), rel=1e-12)
+        assert x_step_sq == pytest.approx(float(np.sum((x_new - x) ** 2)), rel=1e-12)
+        x = x_new
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_run_rel_change_and_x_norm_match_direct_recomputation(algorithm):
+    """rel_change's numerator comes from the refresh's residual and its
+    denominator from the previous sweep's norm; both equal their direct
+    recomputation from the iterates of runs cut after 1..4 sweeps."""
+    _, obs = small_problem(31)
+    base = dict(eps=0.0, max_rank=2, initial_rank=2, rank_policy="fixed",
+                algorithm=algorithm, seed=4)
+    xs = [obs.values] + [run(obs, SolverConfig(max_iters=t, **base)).x for t in range(1, 5)]
+    trace = run(obs, SolverConfig(max_iters=4, **base)).trace
+    for t, rec in enumerate(trace):
+        prev, new = xs[t], xs[t + 1]
+        want = np.linalg.norm(new - prev) / np.linalg.norm(prev)
+        assert rec.rel_change == pytest.approx(want, rel=1e-12)
+        assert rec.x_norm == pytest.approx(np.linalg.norm(new), rel=1e-12)
 
 
 # ---------- rank growth ---------- #
@@ -443,9 +516,9 @@ def test_factor_update_scale_homogeneity():
     m = rng.standard_normal((s, p))
     a = rng.standard_normal((q, s))
     lap = CirculantLaplacian(q, 0.5)
-    base = solve_factor(FactorSubproblem(x_k=x, m=m, a_prev=a, lap=lap, lam=0.35, rho=0.1))
+    base = solve_factor(FactorSubproblem(xm=x @ m.T, m=m, a_prev=a, lap=lap, lam=0.35, rho=0.1))
     scaled = solve_factor(
-        FactorSubproblem(x_k=c * x, m=m, a_prev=c * a, lap=lap, lam=0.35, rho=0.1)
+        FactorSubproblem(xm=(c * x) @ m.T, m=m, a_prev=c * a, lap=lap, lam=0.35, rho=0.1)
     )
     assert np.allclose(scaled, c * base, rtol=1e-12, atol=1e-12)
 

@@ -1,4 +1,6 @@
-"""Tests for the closed-form factor subproblem solve and its dense oracle."""
+"""Tests for the closed-form factor subproblem solve and its dense oracle.
+The subproblem carries the data product X_(k) M^T, so each instance here
+draws a data matrix x and hands the solver ``x @ m.T``."""
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ def random_problem(seed, q=None, s=None, p=None, lam=None, rho=None):
     lam = float(rng.uniform(0.05, 1.0)) if lam is None else lam
     rho = float(rng.uniform(0.05, 0.5)) if rho is None else rho
     lap = CirculantLaplacian(q, float(rng.uniform(0.2, 0.8)))
+    x = rng.standard_normal((q, p))
+    m = rng.standard_normal((s, p))
     return FactorSubproblem(
-        x_k=rng.standard_normal((q, p)),
-        m=rng.standard_normal((s, p)),
+        xm=x @ m.T,
+        m=m,
         a_prev=rng.standard_normal((q, s)),
         lap=lap,
         lam=lam,
@@ -26,7 +30,8 @@ def random_problem(seed, q=None, s=None, p=None, lam=None, rho=None):
 
 
 def subproblem_objective(a, p):
-    fit = 0.5 * np.linalg.norm(a @ p.m - p.x_k) ** 2
+    """The subproblem's objective less the constant 1/2 ||X_(k)||^2."""
+    fit = 0.5 * np.linalg.norm(a @ p.m) ** 2 - float(np.sum(a * p.xm))
     reg = 0.5 * p.lam * p.lap.trace_penalty(a)
     prox = 0.5 * p.rho * np.linalg.norm(a - p.a_prev) ** 2
     return fit + reg + prox
@@ -36,9 +41,10 @@ def test_pure_proximal_fixed_point():
     # with no data term and no smoothing the anchor is already optimal
     rng = np.random.default_rng(0)
     q, s, p = 5, 3, 7
+    m = np.zeros((s, p))
     prob = FactorSubproblem(
-        x_k=rng.standard_normal((q, p)),
-        m=np.zeros((s, p)),
+        xm=rng.standard_normal((q, p)) @ m.T,
+        m=m,
         a_prev=rng.standard_normal((q, s)),
         lap=CirculantLaplacian(q, 0.5),
         lam=0.0,
@@ -54,7 +60,7 @@ def test_vanishing_damping_recovers_least_squares():
     m = rng.standard_normal((s, p))
     x = rng.standard_normal((q, p))
     prob = FactorSubproblem(
-        x_k=x,
+        xm=x @ m.T,
         m=m,
         a_prev=rng.standard_normal((q, s)),
         lap=CirculantLaplacian(q, 0.5),
@@ -71,7 +77,7 @@ def test_scalar_closed_form():
     ell = float(lap.dense()[0, 0])
     x, m, a, lam, rho = 1.7, 0.8, -0.4, 0.35, 0.1
     prob = FactorSubproblem(
-        x_k=np.array([[x]]),
+        xm=np.array([[x * m]]),
         m=np.array([[m]]),
         a_prev=np.array([[a]]),
         lap=lap,
@@ -99,7 +105,7 @@ def test_stationarity_residual():
         a = solve_factor(prob)
         gram = prob.m @ prob.m.T
         lhs = a @ gram + prob.lam * prob.lap.matvec(a) + prob.rho * a
-        rhs = prob.x_k @ prob.m.T + prob.rho * prob.a_prev
+        rhs = prob.xm + prob.rho * prob.a_prev
         res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
         assert res <= 1e-8, f"seed {seed}: {res}"
 
@@ -118,7 +124,7 @@ def test_column_permutation_invariance():
     prob = random_problem(77, q=5, s=3, p=9)
     perm = rng.permutation(9)
     shuffled = FactorSubproblem(
-        x_k=prob.x_k[:, perm],
+        xm=prob.xm,
         m=prob.m[:, perm],
         a_prev=prob.a_prev,
         lap=prob.lap,
@@ -166,7 +172,7 @@ def test_flipped_sign_guard_raises():
     rng = np.random.default_rng(7)
     q, s, p = 4, 2, 6
     prob = FactorSubproblem(
-        x_k=rng.standard_normal((q, p)),
+        xm=rng.standard_normal((q, s)),
         m=np.zeros((s, p)),
         a_prev=rng.standard_normal((q, s)),
         lap=CirculantLaplacian(q, 0.5, "as-printed"),
@@ -180,27 +186,29 @@ def test_flipped_sign_guard_raises():
 def test_subproblem_validation():
     rng = np.random.default_rng(8)
     q, s, p = 4, 3, 6
-    x = rng.standard_normal((q, p))
     m = rng.standard_normal((s, p))
+    xm = rng.standard_normal((q, p)) @ m.T
     a = rng.standard_normal((q, s))
     lap = CirculantLaplacian(q, 0.5)
     with pytest.raises(ValueError):
-        FactorSubproblem(x_k=x, m=rng.standard_normal((s, p + 1)), a_prev=a, lap=lap, lam=0.1, rho=0.1)
+        FactorSubproblem(xm=xm, m=rng.standard_normal((s + 1, p)), a_prev=a, lap=lap, lam=0.1, rho=0.1)
     with pytest.raises(ValueError):
-        FactorSubproblem(x_k=x, m=m, a_prev=rng.standard_normal((q, s + 1)), lap=lap, lam=0.1, rho=0.1)
+        FactorSubproblem(xm=xm, m=m, a_prev=rng.standard_normal((q, s + 1)), lap=lap, lam=0.1, rho=0.1)
     with pytest.raises(ValueError):
-        FactorSubproblem(x_k=x, m=m, a_prev=a, lap=CirculantLaplacian(q + 1, 0.5), lam=0.1, rho=0.1)
+        FactorSubproblem(xm=xm[:, :-1], m=m, a_prev=a, lap=lap, lam=0.1, rho=0.1)
     with pytest.raises(ValueError):
-        FactorSubproblem(x_k=x, m=m, a_prev=a, lap=lap, lam=-0.1, rho=0.1)
+        FactorSubproblem(xm=xm, m=m, a_prev=a, lap=CirculantLaplacian(q + 1, 0.5), lam=0.1, rho=0.1)
     with pytest.raises(ValueError):
-        FactorSubproblem(x_k=x, m=m, a_prev=a, lap=lap, lam=0.1, rho=0.0)
+        FactorSubproblem(xm=xm, m=m, a_prev=a, lap=lap, lam=-0.1, rho=0.1)
+    with pytest.raises(ValueError):
+        FactorSubproblem(xm=xm, m=m, a_prev=a, lap=lap, lam=0.1, rho=0.0)
 
 
 def test_dense_oracle_size_guard():
     rng = np.random.default_rng(9)
     q, s, p = 70, 60, 80
     prob = FactorSubproblem(
-        x_k=rng.standard_normal((q, p)),
+        xm=rng.standard_normal((q, s)),
         m=rng.standard_normal((s, p)),
         a_prev=rng.standard_normal((q, s)),
         lap=CirculantLaplacian(q, 0.5),
