@@ -464,13 +464,16 @@ def _chain_labels(members, n: int) -> list:
 def _chain_partial(f: FctnFactors, seq, kept: dict, target):
     """Contract the factors listed in ``seq`` left to right into one labeled
     tensor, its modes in ``target`` order when given, starting from the
-    longest prefix held in ``kept`` (keyed by its sorted factor tuple).  Every
-    intermediate is written in :func:`_chain_labels` layout; a suffix chain
-    is the prefix chain of the reversed sequence (same keys and layouts).
+    longest prefix held in ``kept`` (keyed by its sorted factor tuple), which
+    it takes out of ``kept``.  Every intermediate is written in
+    :func:`_chain_labels` layout; a suffix chain is the prefix chain of the
+    reversed sequence (same keys and layouts).
 
     Multi-factor intermediates are kept except those spanning all but one
-    factor: only shorter prefix/suffix runs of the same sweep can be asked
-    for again, so keeping the full-size ones would only hold memory.
+    factor, which no later position of the sweep asks for.  Every kept one is
+    asked for exactly once (see :func:`_compose_except_cached_labeled`), so
+    taking it out when it is used leaves ``kept`` holding only what is still
+    to be used.
     """
     n = f.n
     if not seq:
@@ -480,7 +483,7 @@ def _chain_partial(f: FctnFactors, seq, kept: dict, target):
     arr, labels = f.factor(seq[0]), factor_labels(seq[0], n)
     base = 0
     for idx in range(len(prefixes) - 1, -1, -1):
-        got = kept.get(tuple(sorted(prefixes[idx])))
+        got = kept.pop(tuple(sorted(prefixes[idx])), None)
         if got is not None:
             arr, labels = got
             base = idx + 1
@@ -506,9 +509,15 @@ def _compose_except_cached_labeled(f: FctnFactors, k: int, order, kept: dict) ->
     ``kept`` belongs to one sweep, which builds every factor once in
     ``order`` and replaces factor k only after its own build.  So a prefix
     chain holds only factors already replaced and a suffix chain only factors
-    not yet replaced, and neither changes before the sweep ends: no entry can
-    go stale.  Start each sweep from an empty dict.  The benchmark's tracer
-    hooks this name, so it is renamed only with the next benchmark change."""
+    not yet replaced, and neither changes before it is used.  Each entry is
+    used exactly once and taken out of ``kept`` then: the prefix over
+    ``order[:p]`` (built at position p) by position p+1, the suffix over
+    ``order[j:]`` (built at position 0) by position j-1.  So after position
+    p, ``kept`` holds the prefix over ``order[:p]`` and the suffixes over
+    ``order[j:]`` for j >= p+2, each only if it spans 2 to n-2 factors, and it
+    is empty when the sweep ends.  Start each sweep from an empty dict.  The
+    benchmark's tracer hooks this name, so it is renamed only with the next
+    benchmark change."""
     n = f.n
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(n)):

@@ -25,16 +25,20 @@ The variants differ in three places.  The baseline rebuilds every partial
 network from scratch and composes the X-refresh tensor by the whole chain.
 The accelerated variant builds each partial network from a prefix chain over
 the factors already updated in the sweep and a suffix chain over those not
-yet updated, keeping both chains' intermediates until the sweep ends,
-straight into the layout of its network matrix M (a view, not a copy);
-composes the X-refresh tensor from the last factor's M as
+yet updated, keeping each chain intermediate until the one later build that
+uses it, straight into the layout of its network matrix M (a view, not a
+copy); composes the X-refresh tensor from the last factor's M as
 ``X_(k) = A_(k) M``; and (by default) draws a fresh random visiting order
-every sweep.  Both take each
-factor's Gram matrix ``M M^T`` from the doubled network
-(:func:`~fctnlr.network.gram_except`) where
+every sweep.  Both take each factor's Gram matrix ``M M^T`` from the doubled
+network (:func:`~fctnlr.network.gram_except`) where
 :func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
 dense product.  Bonds grow by one when the relative change falls below
 ``10 * eps``.
+
+A sweep holds one network matrix M at a time: the previous factor's M and
+its subproblem are freed before the next M is built, and ``fctnlr`` frees
+the last one before composing the whole chain.  Besides it a sweep holds
+the chain intermediates still to be used (``afctnlr``) and X-sized arrays.
 
 A sweep cannot raise the objective beyond roundoff (PAM decreases it), so
 one that does stops the run with :class:`~fctnlr.sylvester.NumericalFailure`.
@@ -451,24 +455,27 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     kept = {}  # the accelerated build's chain intermediates, for this sweep only
     step_sq = 0.0
     for k in order:
-        if accelerated:
-            partial = _compose_except_cached_labeled(f, k, order, kept)
-            m = property1_unfold(partial, k, n, matrix_labels(k, n))
+        m = prob = pair = None  # the previous factor's, freed before the next build
+        if accelerated:  # M is a view of the partial network
+            m = property1_unfold(
+                _compose_except_cached_labeled(f, k, order, kept), k, n, matrix_labels(k, n)
+            )
         else:
-            partial = compose_except(f, k)
-            m = property1_unfold(partial, k, n)
+            m = property1_unfold(compose_except(f, k), k, n)
         a_prev = mode_unfold(f.factor(k), k)
         prob = FactorSubproblem(
             xm=data_product(x, k, m), m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho
         )
-        pair = None  # solve_factor forms the dense M M^T
         if doubled_gram_pays(f.rank, f.dims, k):
             pair = SpectralPair.from_gram(gram_except(f, k))
-        a_new = solve_factor(prob, pair)
+        a_new = solve_factor(prob, pair)  # with no pair it forms the dense M M^T
         step_sq += _sq(a_new - a_prev)
         f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
-    # the last factor's network matrix holds every other factor as updated
-    composed = compose(f, k, m) if accelerated else compose(f)
+    if accelerated:  # the last factor's network matrix holds every other factor as updated
+        composed = compose(f, k, m)
+    else:
+        m = prob = None  # compose's chain builds without them
+        composed = compose(f)
     x_new, data, x_step_sq = refresh_x(composed, x, obs, cfg.rho)
     return x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
 
