@@ -2,13 +2,23 @@
 circulant smoothing penalty.
 
 Set ``FCTN_THREADS`` before the first import to cap the BLAS thread pools the
-numeric kernels run on.
+numeric kernels run on.  The cap is read when numpy loads its BLAS, so it
+applies only if this package is imported before numpy; otherwise the import
+warns (``RuntimeWarning``) that it cannot apply.
 """
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 _threads = _os.environ.get("FCTN_THREADS", "").strip()
 if _threads.isdigit() and int(_threads) > 0:
-    # must happen before numpy loads its BLAS; no effect if numpy is already in
+    if "numpy" in _sys.modules:
+        _warnings.warn(
+            f"FCTN_THREADS={_threads} cannot cap the BLAS threads: numpy was "
+            "imported before fctnlr",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",

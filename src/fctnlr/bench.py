@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import sample_mask
-from .network import (
-    compose_flops,
-    compose_from_partial_flops,
-    factor_matmul_flops,
-    partial_sweep_flops,
-    partial_sweep_flops_cached,
-)
+from .network import sweep_flops
 from .solver import Observation, SolverConfig, run
 
 __all__ = ["BenchConfig", "BenchResult", "parse_shape", "run_bench"]
@@ -97,6 +91,8 @@ class BenchResult:
     mk_iter1: dict = field(default_factory=dict)
     compose_iter1: dict = field(default_factory=dict)
     factor_matmul_iter1: dict = field(default_factory=dict)
+    proj_iter1: dict = field(default_factory=dict)
+    gram_iter1: dict = field(default_factory=dict)
     totals: dict = field(default_factory=dict)
     predicted: dict = field(default_factory=dict)
 
@@ -132,24 +128,17 @@ class BenchResult:
                     "total_flops": self.totals[alg],
                 }
             )
-        pred_mk = {
-            "fctnlr": self.predicted["mk_plain"],
-            "afctnlr": self.predicted["mk_cached"],
-        }
-        pred_compose = {
-            "fctnlr": self.predicted["compose_chain"],
-            "afctnlr": self.predicted["compose_from_partial"],
-        }
         for alg in ("fctnlr", "afctnlr"):
+            pred = self.predicted[alg]
             out.append(
                 {
                     "kind": "predicted",
                     "algorithm": alg,
                     "repeat": "",
                     "wall_ms": "",
-                    "mk_flops_iter1": pred_mk[alg],
-                    "compose_flops_iter1": pred_compose[alg],
-                    "factor_matmul_flops_iter1": self.predicted["factor_matmuls"],
+                    "mk_flops_iter1": pred["mk"],
+                    "compose_flops_iter1": pred["compose"],
+                    "factor_matmul_flops_iter1": pred["proj"] + pred["gram"],
                     "total_flops": "",
                 }
             )
@@ -177,13 +166,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
 
     result = BenchResult(config=cfg)
     n, i, r = cfg.order, cfg.extent, cfg.rank
-    result.predicted = {
-        "mk_plain": partial_sweep_flops(n, i, r),
-        "mk_cached": partial_sweep_flops_cached(n, i, r),
-        "compose_chain": compose_flops(n, i, r),
-        "compose_from_partial": compose_from_partial_flops(n, i, r),
-        "factor_matmuls": factor_matmul_flops(n, i, r),
-    }
+    result.predicted = {alg: sweep_flops(n, i, r, alg) for alg in ("fctnlr", "afctnlr")}
 
     algs = ("fctnlr", "afctnlr")
     configs = {
@@ -218,5 +201,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
         result.factor_matmul_iter1[alg] = (
             first.flops - first.mk_flops - first.compose_flops
         )
+        result.proj_iter1[alg] = first.proj_flops
+        result.gram_iter1[alg] = first.gram_flops
         result.totals[alg] = sum(rec.flops for rec in res.trace)
     return result

@@ -1,0 +1,233 @@
+"""Data products from kept X-environments.
+
+An ``afctnlr`` sweep whose factors before the last all take the
+doubled-network Gram needs no network matrix M before the last position,
+only each factor's data product ``X_(k) M^T``.  Those products come from
+environments: X contracted with the factors not yet updated (kept from the
+first position of the sweep, as ALS in the tensor-train format keeps its
+interfaces), then with the factors already updated.  The contractions run on
+the labeled tensors of :mod:`fctnlr.network`, each result laid out so that
+the step reading it needs no copy.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+from .network import (
+    FctnFactors,
+    FctnRank,
+    _bond,
+    _contract_labeled,
+    _to_label_order,
+    factor_labels,
+)
+from .tensor import FLOPS
+
+__all__ = ["env_data_product", "env_product_plan"]
+
+
+def _touching(labels, j: int) -> set:
+    """The modes among ``labels`` that a contraction with factor j takes:
+    its physical mode and its bonds."""
+    return {lab for lab in labels if j in lab[1:]}
+
+
+def _contiguous(target, group) -> bool:
+    pos = sorted(target.index(lab) for lab in group)
+    return pos[-1] - pos[0] == len(pos) - 1
+
+
+def _step_layout(labels, extents, shared, factor, keep):
+    """Result layout for contracting a large tensor, its modes ``labels`` in
+    memory order, with a factor (modes ``factor`` in memory order) over the
+    modes ``shared``; every set in ``keep`` (at most two) must come out
+    contiguous, as a later step contracts it.
+
+    The result is laid out as [rows, gap, factor, rest], or as [factor,
+    rows] when rows are all of the tensor's remaining modes: rows are a run
+    of the tensor's modes adjacent in its memory, so
+    the GEMM reads the tensor in place (see :func:`~fctnlr.tensor.contract`'s
+    ``split``), and gap and rest are batched.  A kept set straddles the
+    boundary before the factor's modes or the one after them.  Returns
+    ``(cost, target, split)`` for the fewest batched GEMMs and then, if it
+    can, a layout that reads the (small) factor in place too; None when no
+    such layout keeps every set contiguous."""
+    own = [lab for lab in labels if lab not in shared]
+    new = [lab for lab in factor if lab not in shared]
+    # the GEMM needs a unit stride in its rows or in the contracted modes
+    first = next((lab for lab in labels if extents[lab] > 1), labels[0])
+    at = {lab: t for t, lab in enumerate(labels)}
+    slot = {lab: t for t, lab in enumerate(factor)}
+    best = None
+    for a in range(len(own)):
+        for b in range(a, len(own)):
+            if b > a and at[own[b]] != at[own[b - 1]] + 1:
+                break
+            run = own[a : b + 1]
+            rest = [lab for lab in own if lab not in run]
+            batched = math.prod(extents[lab] for lab in rest)
+            if first not in shared and first not in run or best is not None and batched > best[0][0]:
+                continue
+            for side in itertools.permutations(range(len(keep))):
+                head = keep[side[0]] if side else set()
+                tail = keep[side[1]] if len(side) > 1 else set()
+                start = [lab for lab in new if lab in head]
+                end = [lab for lab in new if lab in tail]
+                mid = [lab for lab in new if lab not in head and lab not in tail]
+                gap = [lab for lab in rest if lab in head]
+                after = [lab for lab in rest if lab in tail]
+                after += [lab for lab in rest if lab not in head and lab not in tail]
+                found = [(run + gap + start + mid + end + after, len(run))]
+                if len(side) < 2 and not rest:  # the GEMM's columns are then all of own
+                    found.append((mid + start + run, None))
+                for target, split in found:
+                    if not all(_contiguous(target, group) for group in keep):
+                        continue
+                    mine = [slot[lab] for lab in target if lab in slot]
+                    copied = bool(mine) and mine != list(range(mine[0], mine[0] + len(mine)))
+                    if best is None or (batched, copied) < best[0]:
+                        best = (batched, copied), tuple(target), split
+    return best
+
+
+def _leading_split(labels, extents, shared, target):
+    """How many leading modes of ``target`` (a small result's layout) the
+    GEMM can take as its rows straight from the large tensor: the longest
+    prefix of its modes adjacent in the tensor's memory in that order, or
+    None when that leaves the GEMM without a unit stride."""
+    at = {lab: t for t, lab in enumerate(labels)}
+    first = next((lab for lab in labels if extents[lab] > 1), labels[0])
+    split = 0
+    while split < len(target) and target[split] in at and (
+        split == 0 or at[target[split]] == at[target[split - 1]] + 1
+    ):
+        split += 1
+    if split and (first in shared or first in target[:split]):
+        return split
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
+    """Steps of the environment route of a sweep in ``order``: entry p lists,
+    for the factor at position p < n-1, the contractions
+    ``(j, target, split, flops)`` that take factor j into the running tensor.
+
+    Position 0 starts from X and takes ``order[n-1], ..., order[1]``; after
+    ``order[j]`` it holds the environment E_j (X contracted with
+    ``order[j:]``), and the last of them is the data product of
+    ``order[0]``.  Position p starts from E_{p+1} and takes the already
+    updated ``order[:p]`` one at a time.  Every step's result is laid out
+    (:func:`_step_layout`) so that the steps reading it find the modes they
+    contract in one block: E_j (j >= 2) for the next step of position 0,
+    which contracts ``order[j-1]``, and for the first step of position j-1,
+    whose factor is picked among ``order[:j-1]`` as the one the cheapest such
+    layout serves; each later step of position p picks its factor the same
+    way.  The pick changes only roundoff and, for unequal extents, FLOPs."""
+    n = rank.n
+    extents = {("i", j): int(dims[j]) for j in range(n)}
+    extents.update({_bond(a, b): rank[a, b] for a in range(n) for b in range(a + 1, n)})
+
+    def step(labels, j, tiers, final=None):
+        """Contract factor j, laid out for the cheapest (keep, pick) option of
+        the first tier that has a copy-free layout; the last tier keeps
+        nothing, which every tensor admits, and the step that reads a set
+        left scattered copies its operand.  A position's last step writes
+        its product in ``final``, M's row order, where that reads the
+        tensor in place."""
+        shared = _touching(labels, j)
+        split = None if final is None else _leading_split(labels, extents, shared, final)
+        target, pick = final, None
+        for tier in [] if split else tiers:
+            plans = [(_step_layout(labels, extents, shared, factor_labels(j, n), keep), pick)
+                     for keep, pick in tier]
+            plans = [got for got in plans if got[0] is not None]
+            if plans:
+                (_, target, split), pick = min(plans, key=lambda got: got[0][0])
+                break
+        size = math.prod(extents[lab] for lab in target)
+        flops = 2 * size * math.prod(extents[lab] for lab in shared)
+        return (j, target, split, flops), pick
+
+    def column(labels, j, w):
+        """The modes of factor w that the contraction after factor j's takes."""
+        return _touching(labels, w) | {_bond(j, w)}
+
+    def product(k):
+        """M's row order of factor k's data product."""
+        return tuple([("i", k)] + [_bond(j, k) for j in range(n) if j != k])
+
+    firsts, envs, steps = {}, {}, []
+    labels = tuple(("i", j) for j in range(n))
+    for left in range(n - 1, 0, -1):
+        j = order[left]
+        tiers, final = [[([], None)]], product(order[0])
+        if left >= 2:
+            nxt = column(labels, j, order[left - 1])
+            tiers = [[([nxt, column(labels, j, w)], w) for w in order[: left - 1]],
+                     [([nxt], order[left - 2])], [([], order[left - 2])]]
+            final = None
+        got, firsts[left] = step(labels, j, tiers, final)
+        steps.append(got)
+        labels = envs[left] = got[1]
+    schedule = [tuple(steps)]
+    for p in range(1, n - 1):
+        labels, steps = envs[p + 1], []
+        todo, w = list(order[:p]), firsts[p + 1]
+        while w is not None:
+            todo.remove(w)
+            last = todo[-1] if todo else None
+            tiers = [[([column(labels, w, v)], v) for v in todo], [([], last)]]
+            got, w = step(labels, w, tiers, None if todo else product(order[p]))
+            steps.append(got)
+            labels = got[1]
+        schedule.append(tuple(steps))
+    return tuple(schedule)
+
+
+def env_product_plan(rank: FctnRank, dims, order) -> tuple:
+    """FLOPs of :func:`env_data_product` at each position ``0..n-2`` of a
+    sweep in ``order``: the same contractions, sized, not run."""
+    schedule = _schedule(rank, tuple(int(d) for d in dims), tuple(int(v) for v in order))
+    return tuple(sum(st[3] for st in steps) for steps in schedule)
+
+
+def env_data_product(f: FctnFactors, k: int, order, x: np.ndarray, envs: dict) -> np.ndarray:
+    """The data product ``X_(k) M^T`` (q x s, M's row order) of the factor k
+    at position p < n-1 of a sweep in ``order``, from kept X-environments
+    instead of M, metered under ``proj`` (:func:`_schedule`).
+
+    Position 0 contracts X with ``order[n-1], ..., order[1]`` and keeps each
+    environment E_j (j >= 2) in ``envs``; position p takes E_{p+1} out of
+    ``envs`` and contracts it with the factors ``order[:p]``, which the sweep
+    has updated by then.  So ``envs`` is used the way the accelerated build
+    uses its chains
+    (:func:`~fctnlr.network._compose_except_cached_labeled`): within one
+    sweep that replaces factor k only after its own product, each entry
+    once, and empty when position n-2 is done.  The layouts let no step
+    copy X or an environment (only the small factors), and each position's
+    last step writes its product in M's row order wherever that reads its
+    tensor in place."""
+    n = f.n
+    order = tuple(int(v) for v in order)
+    pos = order.index(k)
+    if pos == n - 1:
+        raise ValueError("the last position of a sweep takes its data product from M")
+    with FLOPS.scoped("proj"):
+        if pos == 0:
+            arr, labels = x, [("i", j) for j in range(n)]
+        else:
+            arr, labels = envs.pop(pos + 1)
+        for j, target, split, _ in _schedule(f.rank, f.dims, order)[pos]:
+            arr, labels = _contract_labeled(
+                arr, labels, f.factor(j), factor_labels(j, n), target, split
+            )
+            if pos == 0 and order.index(j) >= 2:
+                envs[order.index(j)] = arr, labels
+        rest = [j for j in range(n) if j != k]
+        arr = _to_label_order(arr, labels, [("i", k)] + [_bond(j, k) for j in rest])
+    return arr.reshape((f.dims[k], -1), order="F")

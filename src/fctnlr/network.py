@@ -9,7 +9,9 @@ it by a plain chain in canonical order (:func:`compose_except`); the
 accelerated build joins a prefix chain over the factors already updated in
 the sweep with a suffix chain over those not yet updated, reusing both
 chains' intermediates within the sweep, and writes it in :func:`matrix_labels`
-order, so its network matrix is a view.
+order, so its network matrix is a view.  Where no network matrix is needed
+but its data product ``X_(k) M^T``, that product comes from kept
+X-environments instead (:mod:`fctnlr.environment`).
 The Gram matrix ``M M^T`` of that network matrix comes from the doubled
 network (:func:`gram_except`) wherever :func:`doubled_gram_pays` finds that
 cheaper than the dense product of M with itself.
@@ -249,10 +251,11 @@ def partial_labels(k: int, n: int) -> list:
     return out
 
 
-def _contract_labeled(a, la, b, lb, target=None):
+def _contract_labeled(a, la, b, lb, target=None, split=None):
     """Contract over every label shared by the two operands.  The result's
     modes follow ``target`` when given (written in that layout directly),
-    else a's free labels then b's."""
+    else a's free labels then b's; ``split`` is passed to
+    :func:`~fctnlr.tensor.contract`."""
     shared = [lab for lab in la if lab in lb]
     if not shared:
         raise ValueError("operands share no bond")
@@ -261,7 +264,7 @@ def _contract_labeled(a, la, b, lb, target=None):
     lz = [lab for lab in la if lab not in shared] + [lab for lab in lb if lab not in shared]
     if target is None:
         return contract(a, b, am, bm), lz
-    z = contract(a, b, am, bm, [lz.index(lab) for lab in target])
+    z = contract(a, b, am, bm, [lz.index(lab) for lab in target], split)
     return z, list(target)
 
 
@@ -545,9 +548,15 @@ def shuffle_order(prev, rng: np.random.Generator) -> tuple:
 # ---------- contraction cost model (uniform extents and ranks) ---------- #
 
 
+def _merge_flops(n: int, i: int, r: int, t: int) -> int:
+    """The t-th step of a chain: t merged factors (or X contracted with all
+    but t + 1 of them) meet one more factor."""
+    return 2 * i ** (t + 1) * r ** (t * (n - t) + n - 1 - t)
+
+
 def compose_flops(n: int, i: int, r: int) -> int:
     """Chain composition of the full network: sum of the n-1 merge steps."""
-    return sum(2 * i ** (t + 1) * r ** (t * (n - t) + n - 1 - t) for t in range(1, n))
+    return sum(_merge_flops(n, i, r, t) for t in range(1, n))
 
 
 def compose_from_partial_flops(n: int, i: int, r: int) -> int:
@@ -556,7 +565,19 @@ def compose_from_partial_flops(n: int, i: int, r: int) -> int:
 
 def partial_chain_flops(n: int, i: int, r: int) -> int:
     """One plain partial network around a factor (n-2 merge steps)."""
-    return sum(2 * i ** (t + 1) * r ** (t * (n - t) + n - 1 - t) for t in range(1, n - 1))
+    return sum(_merge_flops(n, i, r, t) for t in range(1, n - 1))
+
+
+def env_proj_flops(n: int, i: int, r: int) -> int:
+    """Per-sweep data products of the environment route
+    (:func:`fctnlr.environment.env_data_product`, then ``X_(k) M^T`` at the
+    last position).  Position 0 runs a chain over X and n-1 factors, which
+    costs what composing the network does; position p (0 < p < n-1) the
+    first p steps of a chain; the last position one data product.  So merge
+    step t (:func:`_merge_flops`) runs n - t times for t < n-1, and step n-1
+    (the size of a data product) twice."""
+    steps = sum((n - t) * _merge_flops(n, i, r, t) for t in range(1, n - 1))
+    return steps + 2 * _merge_flops(n, i, r, n - 1)
 
 
 def partial_sweep_flops(n: int, i: int, r: int) -> int:
@@ -583,14 +604,29 @@ def gram_except_flops(n: int, i: int, r: int) -> int:
     return (n - 1) * 2 * i * r ** (2 * (n - 1)) + partial_chain_flops(n, 1, r * r)
 
 
-def factor_matmul_flops(n: int, i: int, r: int) -> int:
-    """Per-sweep cost of the factor-update products, summed over all n
-    factors: the data term X_(k) M^T, 2 * I^n * R^(n-1) per factor, and the
-    Gram matrix M M^T by the route the solver takes (:func:`doubled_gram_pays`):
-    the doubled network (:func:`gram_except_flops`) or the dense product,
-    2 * I^(n-1) * R^(2(n-1)) per factor."""
-    if doubled_gram_pays(FctnRank.uniform(n, r), (i,) * n, 0):
-        gram = gram_except_flops(n, i, r)
-    else:
-        gram = 2 * i ** (n - 1) * r ** (2 * (n - 1))
-    return n * (2 * i**n * r ** (n - 1) + gram)
+def sweep_flops(n: int, i: int, r: int, algorithm: str) -> dict:
+    """Per-sweep FLOPs of one solver sweep by label (``mk``, ``compose``,
+    ``proj``, ``gram``) at extent i and rank r, by the routes the solver
+    takes.  Each factor's Gram comes from the doubled network
+    (:func:`gram_except_flops`) where :func:`doubled_gram_pays` says so, else
+    from the dense product, 2 * I^(n-1) * R^(2(n-1)).  ``fctnlr`` builds
+    every partial network plainly, takes each data product X_(k) M^T
+    (2 * I^n * R^(n-1)) from it and composes by the whole chain;
+    ``afctnlr`` composes from the last M and takes the environment route
+    (one plain partial network, :func:`env_proj_flops`) where every Gram
+    comes from the doubled network, else the prefix/suffix build."""
+    doubled = doubled_gram_pays(FctnRank.uniform(n, r), (i,) * n, 0)
+    gram = gram_except_flops(n, i, r) if doubled else 2 * i ** (n - 1) * r ** (2 * (n - 1))
+    out = {
+        "mk": partial_sweep_flops(n, i, r),
+        "compose": compose_flops(n, i, r),
+        "proj": n * compose_from_partial_flops(n, i, r),
+        "gram": n * gram,
+    }
+    if algorithm == "afctnlr":
+        out["compose"] = compose_from_partial_flops(n, i, r)
+        if doubled:
+            out["mk"], out["proj"] = partial_chain_flops(n, i, r), env_proj_flops(n, i, r)
+        else:
+            out["mk"] = partial_sweep_flops_cached(n, i, r)
+    return out

@@ -21,24 +21,37 @@ observed set, and ``||X||`` carries over from the sweep before.
 :func:`update_x` and :func:`objective` compute the same quantities directly
 and stay as their reference.
 
-The variants differ in three places.  The baseline rebuilds every partial
-network from scratch and composes the X-refresh tensor by the whole chain.
-The accelerated variant builds each partial network from a prefix chain over
-the factors already updated in the sweep and a suffix chain over those not
-yet updated, keeping each chain intermediate until the one later build that
-uses it, straight into the layout of its network matrix M (a view, not a
-copy); composes the X-refresh tensor from the last factor's M as
-``X_(k) = A_(k) M``; and (by default) draws a fresh random visiting order
-every sweep.  Both take each factor's Gram matrix ``M M^T`` from the doubled
-network (:func:`~fctnlr.network.gram_except`) where
+The variants differ in how they get each factor's network matrix and data
+product, in how they compose the X-refresh tensor and in their visiting
+order.  The baseline rebuilds every partial network from scratch, takes
+every data product from it and composes the X-refresh tensor by the whole
+chain.  The accelerated variant composes the
+X-refresh tensor from the last factor's M as ``X_(k) = A_(k) M``, (by
+default) draws a fresh random visiting order every sweep, and gets its data
+products and network matrices by one of two routes.  Where every factor
+before the last in the visiting order takes the doubled-network Gram, a
+factor before the last needs no M at all: its data product comes from kept
+X-environments (:func:`~fctnlr.environment.env_data_product`; the first
+position contracts X with the other factors one at a time and keeps each
+intermediate for the one later position that reads it, as ALS in the
+tensor-train format keeps its interfaces), and only the last factor builds
+M, as one plain chain.  A sweep then reads X three times (the first
+position's chain, the last data product and the composition) instead of
+n + 1.  Elsewhere each factor builds its M from a prefix chain over the
+factors already updated in the sweep and a suffix chain over those not yet
+updated, keeping each chain intermediate until the one later build that
+uses it, straight into the layout of M (a view, not a copy).  Both variants
+take each factor's Gram matrix ``M M^T`` from the doubled network
+(:func:`~fctnlr.network.gram_except`) where
 :func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
 dense product.  Bonds grow by one when the relative change falls below
 ``10 * eps``.
 
-A sweep holds one network matrix M at a time: the previous factor's M and
-its subproblem are freed before the next M is built, and ``fctnlr`` frees
-the last one before composing the whole chain.  Besides it a sweep holds
-the chain intermediates still to be used (``afctnlr``) and X-sized arrays.
+A sweep holds at most one network matrix M at a time: the previous factor's
+M and its subproblem are freed before the next M is built, and ``fctnlr``
+frees the last one before composing the whole chain.  Besides it a sweep
+holds the chain intermediates or X-environments still to be used
+(``afctnlr``) and X-sized arrays.
 
 A sweep cannot raise the objective beyond roundoff (PAM decreases it), so
 one that does stops the run with :class:`~fctnlr.sylvester.NumericalFailure`.
@@ -55,6 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .environment import env_data_product
 from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
@@ -214,7 +228,10 @@ class IterationRecord:
     was enlarged after this iteration's X update, so objective comparisons
     across that boundary are against the post-growth value, not this one.
     ``x_norm`` and ``factor_norm`` record the iterate magnitudes (the latter
-    the largest factor Frobenius norm) for boundedness diagnostics.
+    the largest factor Frobenius norm) for boundedness diagnostics.  The
+    FLOPs of the sweep split by phase: ``mk_flops`` (partial networks),
+    ``compose_flops``, ``proj_flops`` (data products) and ``gram_flops``
+    (Gram matrices) sum to ``flops``.
     """
 
     iteration: int
@@ -225,6 +242,8 @@ class IterationRecord:
     rank: tuple
     mk_flops: int
     compose_flops: int
+    proj_flops: int
+    gram_flops: int
     step_sq: float
     x_norm: float = math.nan
     factor_norm: float = math.nan
@@ -381,6 +400,8 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         flops0 = FLOPS.total
         mk0 = FLOPS.labeled("mk")
         comp0 = FLOPS.labeled("compose")
+        proj0 = FLOPS.labeled("proj")
+        gram0 = FLOPS.labeled("gram")
 
         x_new, obj, step_sq, x_step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
         if not math.isfinite(obj):
@@ -427,6 +448,8 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
                 rank=rank_during,
                 mk_flops=FLOPS.labeled("mk") - mk0,
                 compose_flops=FLOPS.labeled("compose") - comp0,
+                proj_flops=FLOPS.labeled("proj") - proj0,
+                gram_flops=FLOPS.labeled("gram") - gram0,
                 step_sq=step_sq,
                 x_norm=math.sqrt(x_sq),
                 factor_norm=factor_norm,
@@ -452,19 +475,28 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     squared factor steps and the squared X step."""
     n = f.n
     accelerated = cfg.algorithm == "afctnlr"
+    # the environment route needs no M before the last position, so every
+    # factor before it must take its Gram from the doubled network
+    env_route = accelerated and all(doubled_gram_pays(f.rank, f.dims, k) for k in order[:-1])
     kept = {}  # the accelerated build's chain intermediates, for this sweep only
+    envs = {}  # the environment route's X-environments, for this sweep only
     step_sq = 0.0
-    for k in order:
-        m = prob = pair = None  # the previous factor's, freed before the next build
-        if accelerated:  # M is a view of the partial network
+    for pos, k in enumerate(order):
+        m = prob = pair = xm = None  # the previous factor's, freed before the next build
+        if env_route and pos < n - 1:
+            xm = env_data_product(f, k, order, x, envs)
+        elif accelerated:  # M is a view of the partial network
+            # the environment route builds its one M whole and keeps no chain
             m = property1_unfold(
-                _compose_except_cached_labeled(f, k, order, kept), k, n, matrix_labels(k, n)
+                _compose_except_cached_labeled(f, k, order, {} if env_route else kept),
+                k, n, matrix_labels(k, n),
             )
         else:
             m = property1_unfold(compose_except(f, k), k, n)
         a_prev = mode_unfold(f.factor(k), k)
         prob = FactorSubproblem(
-            xm=data_product(x, k, m), m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho
+            xm=data_product(x, k, m) if xm is None else xm,
+            m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho,
         )
         if doubled_gram_pays(f.rank, f.dims, k):
             pair = SpectralPair.from_gram(gram_except(f, k))

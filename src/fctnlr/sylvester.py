@@ -179,12 +179,13 @@ class FactorSubproblem:
 
     ``xm``: the data product ``X_(k) M^T`` (:func:`data_product`), q x s;
     the tensor X enters the subproblem only through it.
-    ``m``: partial-network unfolding, s x p (its rows pair with A's columns).
+    ``m``: partial-network unfolding, s x p (its rows pair with A's columns),
+    or None when the solve is given the spectral pair of ``M M^T``.
     ``a_prev``: previous factor unfolding, q x s (proximal anchor).
     """
 
     xm: np.ndarray
-    m: np.ndarray
+    m: np.ndarray | None
     a_prev: np.ndarray
     lap: CirculantLaplacian
     lam: float
@@ -192,11 +193,12 @@ class FactorSubproblem:
 
     def __post_init__(self):
         self.xm = np.asarray(self.xm, dtype=np.float64)
-        self.m = np.asarray(self.m, dtype=np.float64)
         self.a_prev = np.asarray(self.a_prev, dtype=np.float64)
         q, s = self.a_prev.shape
-        if self.m.ndim != 2 or self.m.shape[0] != s:
-            raise ValueError(f"m has shape {self.m.shape}, expected {s} rows")
+        if self.m is not None:
+            self.m = np.asarray(self.m, dtype=np.float64)
+            if self.m.ndim != 2 or self.m.shape[0] != s:
+                raise ValueError(f"m has shape {self.m.shape}, expected {s} rows")
         if self.xm.shape != (q, s):
             raise ValueError(f"xm has shape {self.xm.shape}, expected {(q, s)}")
         if self.lap.n != q:
@@ -208,8 +210,11 @@ class FactorSubproblem:
 
 
 def solve_factor(p: FactorSubproblem, pair: SpectralPair | None = None) -> np.ndarray:
-    """Solve the subproblem exactly via the joint diagonalization."""
+    """Solve the subproblem exactly via the joint diagonalization.  Without
+    ``pair`` the Gram matrix is formed from ``p.m``, which must then be set."""
     if pair is None:
+        if p.m is None:
+            raise ValueError("a subproblem without m needs the spectral pair of M M^T")
         pair = eig_gram(p.m)
     y = p.xm + p.rho * p.a_prev
 

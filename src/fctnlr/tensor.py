@@ -223,7 +223,7 @@ def _gemm_operand(a: np.ndarray, own, shared, batch, own_fast: bool) -> np.ndarr
     return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=False)
 
 
-def contract(x: np.ndarray, y: np.ndarray, x_modes, y_modes, out_modes=None) -> np.ndarray:
+def contract(x: np.ndarray, y: np.ndarray, x_modes, y_modes, out_modes=None, split=None) -> np.ndarray:
     """Contract ``x`` and ``y`` over the paired mode sequences.
 
     Pair t matches ``x_modes[t]`` with ``y_modes[t]``; the result keeps x's
@@ -234,8 +234,12 @@ def contract(x: np.ndarray, y: np.ndarray, x_modes, y_modes, out_modes=None) -> 
     run of result modes that belongs to one operand and the run after it
     (from the other) span the rows and columns of a GEMM, batched over the
     remaining modes, so no permutation of the result is ever materialized.
-    Operands are copied only when their layout does not already present
-    those matrices.  Adds ``2 * rows * shared * cols`` to ``FLOPS``.
+    ``split`` instead ends the rows at that many leading result modes; the
+    operand's modes between them and the other operand's first run are then
+    batched too, which lets a layout keep modes of both operands side by
+    side without copying either.  Operands are copied only when their layout
+    does not already present those matrices.  Adds
+    ``2 * rows * shared * cols`` to ``FLOPS``.
     """
     x = _as_array(x)
     y = _as_array(y)
@@ -258,25 +262,43 @@ def contract(x: np.ndarray, y: np.ndarray, x_modes, y_modes, out_modes=None) -> 
         free = [free[p] for p in _check_perm(out_modes, len(free))]
     ops, pairs = (x, y), (xm, ym)
 
-    # rows: the leading run of result modes owned by one operand; cols: the
-    # run after it, owned by the other; batch: every slower result mode
+    # rows: the leading run of result modes owned by one operand (or its
+    # first ``split``); cols: the next run, owned by the other; batch: every
+    # other result mode
     lead = free[0][0] if free else 0
     r = next((t for t, (o, _) in enumerate(free) if o != lead), len(free))
-    c = next((t for t in range(r, len(free)) if free[t][0] == lead), len(free))
-    batch = free[c:][::-1]  # np.matmul stacks slowest first
+    if split is not None:
+        r = min(r, int(split))
+    g = next((t for t in range(r, len(free)) if free[t][0] != lead), len(free))
+    c = next((t for t in range(g, len(free)) if free[t][0] == lead), len(free))
+    batch = (free[r:g] + free[c:])[::-1]  # np.matmul stacks slowest first
     av = _gemm_operand(
         ops[lead], [m for _, m in free[:r]], pairs[lead],
         [m if o == lead else None for o, m in batch], own_fast=True,
     )
     bv = _gemm_operand(
-        ops[1 - lead], [m for _, m in free[r:c]], pairs[1 - lead],
+        ops[1 - lead], [m for _, m in free[g:c]], pairs[1 - lead],
         [m if o != lead else None for o, m in batch], own_fast=False,
     )
-    # each stacked (cols x rows) product is C-contiguous, so rows run fastest;
-    # the stack is allocated C-ordered too (a ufunc would follow the inputs)
-    mat = np.empty(np.broadcast_shapes(bv.shape[:-2], av.shape[:-2]) + (bv.shape[-2], av.shape[-1]))
-    np.matmul(bv, av, out=mat)
     shared = math.prod(x.shape[m] for m in xm)
-    FLOPS.add(2 * mat.size * shared)
     out_shape = tuple(ops[o].shape[m] for o, m in free)
-    return mat.reshape(-1).reshape(out_shape, order="F")
+    FLOPS.add(2 * math.prod(out_shape) * shared)
+    if g == r:
+        # each stacked (cols x rows) product is C-contiguous, so rows run
+        # fastest; the stack is allocated C-ordered too (a ufunc would follow
+        # the inputs)
+        mat = np.empty(np.broadcast_shapes(bv.shape[:-2], av.shape[:-2]) + (bv.shape[-2], av.shape[-1]))
+        np.matmul(bv, av, out=mat)
+        return mat.reshape(-1).reshape(out_shape, order="F")
+    # batch modes between rows and cols: the products go into a strided view
+    # of the result, rows still unit-strided
+    out = np.empty(out_shape, order="F")
+    pos = {mode: t for t, mode in enumerate(free)}
+    view = np.lib.stride_tricks.as_strided(
+        out,
+        [out_shape[pos[b]] for b in batch] + [bv.shape[-2], av.shape[-1]],
+        [out.strides[pos[b]] for b in batch] + [out.strides[g], out.itemsize],
+        writeable=True,
+    )
+    np.matmul(bv, av, out=view)
+    return out

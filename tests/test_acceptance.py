@@ -362,13 +362,26 @@ def test_08_acceleration_direction():
     mk_acc = res.mk_iter1["afctnlr"]
     cp_base = res.compose_iter1["fctnlr"]
     cp_acc = res.compose_iter1["afctnlr"]
+    # the data products, the Gram matrices and each variant's whole first
+    # sweep, so that work moved between phases cannot pass
+    pj_base = res.proj_iter1["fctnlr"]
+    pj_acc = res.proj_iter1["afctnlr"]
+    total_base = mk_base + cp_base + res.factor_matmul_iter1["fctnlr"]
+    total_acc = mk_acc + cp_acc + res.factor_matmul_iter1["afctnlr"]
     flops_ok = (
         mk_base == 537395200
-        and mk_acc == 530841600
+        and mk_acc == 134348800
         and cp_base == 462028800
         and cp_acc == 327680000
+        and pj_base == 1310720000
+        and pj_acc == 927334400
+        and res.gram_iter1["fctnlr"] == res.gram_iter1["afctnlr"] == 20709376
+        and total_base == 2330853376
+        and total_acc == 1410072576
         and mk_acc < mk_base
         and cp_acc < cp_base
+        and pj_acc < pj_base
+        and total_acc < total_base
     )
     ratio = res.speedup()
     wall_ok = ratio <= 0.95
@@ -377,7 +390,9 @@ def test_08_acceleration_direction():
         "accelerated variant does strictly less contraction work",
         flops_ok and wall_ok,
         f"partial-network flops {mk_base} vs {mk_acc}, composition flops "
-        f"{cp_base} vs {cp_acc}, median wall ratio {ratio:.4f} vs bound 0.95; "
+        f"{cp_base} vs {cp_acc}, data-product flops {pj_base} vs {pj_acc}, "
+        f"sweep flops {total_base} vs {total_acc}, "
+        f"median wall ratio {ratio:.4f} vs bound 0.95; "
         f"the 10-30 percent wall-clock band is hardware dependent and is "
         f"reported, not asserted",
     )

@@ -3,11 +3,13 @@ import pytest
 
 from fctnlr.bench import CSV_FIELDS, BenchConfig, parse_shape, run_bench
 from fctnlr.network import (
+    FctnRank,
     compose_flops,
     compose_from_partial_flops,
-    factor_matmul_flops,
+    doubled_gram_pays,
     partial_sweep_flops,
     partial_sweep_flops_cached,
+    sweep_flops,
 )
 
 
@@ -53,6 +55,8 @@ def test_run_bench_counts_match_cost_model():
     res = run_bench(cfg)
 
     n, i, r = 4, 6, 2
+    # the dense Gram route here, so afctnlr builds every M
+    assert not doubled_gram_pays(FctnRank.uniform(n, r), (i,) * n, 0)
     assert res.mk_iter1["fctnlr"] == partial_sweep_flops(n, i, r)
     assert res.mk_iter1["afctnlr"] == partial_sweep_flops_cached(n, i, r)
     assert res.compose_iter1["fctnlr"] == compose_flops(n, i, r)
@@ -60,17 +64,19 @@ def test_run_bench_counts_match_cost_model():
     assert res.mk_iter1["afctnlr"] < res.mk_iter1["fctnlr"]
     assert res.compose_iter1["afctnlr"] < res.compose_iter1["fctnlr"]
 
-    shared = factor_matmul_flops(n, i, r)
+    # the data products, and the dense Grams of this shape
+    shared = n * (2 * i**n * r ** (n - 1) + 2 * i ** (n - 1) * r ** (2 * (n - 1)))
     assert res.factor_matmul_iter1["fctnlr"] == shared
     assert res.factor_matmul_iter1["afctnlr"] == shared
 
     assert res.totals["afctnlr"] < res.totals["fctnlr"]
 
-    assert res.predicted["mk_plain"] == partial_sweep_flops(n, i, r)
-    assert res.predicted["mk_cached"] == partial_sweep_flops_cached(n, i, r)
-    assert res.predicted["compose_chain"] == compose_flops(n, i, r)
-    assert res.predicted["compose_from_partial"] == compose_from_partial_flops(n, i, r)
-    assert res.predicted["factor_matmuls"] == shared
+    for alg in ("fctnlr", "afctnlr"):
+        pred = res.predicted[alg]
+        assert pred == sweep_flops(n, i, r, alg)
+        assert pred["mk"] == res.mk_iter1[alg]
+        assert pred["compose"] == res.compose_iter1[alg]
+        assert pred["proj"] + pred["gram"] == shared
 
 
 def test_run_bench_rows_layout():

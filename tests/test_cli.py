@@ -99,7 +99,7 @@ def test_report_csv_structure(tmp_path):
     assert len(rows) == 8
     assert list(rows[0].keys()) == [
         "iteration", "objective", "rel_change", "wall_ms", "flops",
-        "rank", "mk_flops", "compose_flops", "step_sq",
+        "rank", "mk_flops", "compose_flops", "proj_flops", "gram_flops", "step_sq",
         "x_norm", "factor_norm", "rank_grown",
     ]
     assert [int(r["iteration"]) for r in rows] == list(range(1, 9))
@@ -250,13 +250,16 @@ def test_bench_out_file_and_flop_integers(tmp_path, capsys):
     measured = {r["algorithm"]: r for r in rows if r["kind"] == "measured"}
     predicted = {r["algorithm"]: r for r in rows if r["kind"] == "predicted"}
     assert int(measured["fctnlr"]["mk_flops_iter1"]) == 16329600
-    assert int(measured["afctnlr"]["mk_flops_iter1"]) == 15940800
+    # afctnlr takes the environment route here: one plain partial network
+    assert int(measured["afctnlr"]["mk_flops_iter1"]) == 4082400
     assert int(measured["fctnlr"]["compose_flops_iter1"]) == 12722400
     assert int(measured["afctnlr"]["compose_flops_iter1"]) == 8640000
     for alg in ("fctnlr", "afctnlr"):
         assert measured[alg]["mk_flops_iter1"] == predicted[alg]["mk_flops_iter1"]
         assert (measured[alg]["compose_flops_iter1"]
                 == predicted[alg]["compose_flops_iter1"])
+        assert (measured[alg]["factor_matmul_flops_iter1"]
+                == predicted[alg]["factor_matmul_flops_iter1"])
 
 
 def test_import_frames_command(tmp_path, capsys):

@@ -55,3 +55,20 @@ def test_every_exported_name_resolves(name):
 )
 def test_every_hooked_name_exists(owner, attr):
     assert callable(getattr(owner, attr, None))
+
+
+@pytest.mark.parametrize("first, warns", [("fctnlr", False), ("numpy", True)])
+def test_thread_cap_warns_when_numpy_came_first(first, warns):
+    """FCTN_THREADS caps the BLAS pools only if fctnlr is imported before
+    numpy; the other order says so instead of running uncapped silently."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, FCTN_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    code = f"import {first}, fctnlr, numpy"
+    proc = subprocess.run([sys.executable, "-W", "always", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ("RuntimeWarning" in proc.stderr and "FCTN_THREADS=1" in proc.stderr) == warns

@@ -14,8 +14,8 @@ from fctnlr.network import (
     compose_flops,
     compose_from_partial_flops,
     doubled_gram_pays,
+    env_proj_flops,
     factor_labels,
-    factor_matmul_flops,
     gram_except,
     gram_except_flops,
     matrix_labels,
@@ -25,6 +25,7 @@ from fctnlr.network import (
     partial_sweep_flops_cached,
     property1_unfold,
     shuffle_order,
+    sweep_flops,
 )
 from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.tensor import FLOPS, mode_unfold
@@ -468,7 +469,8 @@ def test_cost_model_matches_measured_counters():
 def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
     """One solver sweep outside order four: each factor's Gram takes the
     route the cost rule picks, the gram-labelled FLOPs are that route's
-    closed form and the factor-update products the rest."""
+    closed form, and every phase's FLOPs are the cost model's, afctnlr's
+    on the doubled shapes those of the environment route."""
     dims = (i,) * n
     assert all(doubled_gram_pays(FctnRank.uniform(n, r), dims, k) == doubled
                for k in range(n))
@@ -482,7 +484,13 @@ def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
     per_factor = gram_except_flops(n, i, r) if doubled else 2 * i ** (n - 1) * r ** (2 * (n - 1))
     assert FLOPS.labeled("gram") == n * per_factor
     assert FLOPS.labeled("unlabeled") == 0
-    assert sweep.flops - sweep.mk_flops - sweep.compose_flops == factor_matmul_flops(n, i, r)
+    pred = sweep_flops(n, i, r, algorithm)
+    assert {lab: getattr(sweep, f"{lab}_flops") for lab in pred} == pred
+    if algorithm == "fctnlr" or not doubled:
+        assert pred["proj"] == n * compose_from_partial_flops(n, i, r)
+    else:
+        assert pred["mk"] == partial_chain_flops(n, i, r)
+        assert pred["proj"] == env_proj_flops(n, i, r)
 
 
 def test_doubled_gram_route_follows_cost():
@@ -515,8 +523,31 @@ def test_cost_model_closed_forms_order_four():
         assert compose_from_partial_flops(4, i, r) == 2 * i**4 * r**3
         assert gram_except_flops(4, i, r) == 6 * i * r**6 + 4 * r**10
     # the Gram term is the route's: dense M M^T at 5^4 R=2, else the doubled network
-    assert factor_matmul_flops(4, 5, 2) == 4 * (2 * 5**4 * 2**3 + 2 * 5**3 * 2**6)
+    assert sweep_flops(4, 5, 2, "fctnlr")["gram"] == 4 * 2 * 5**3 * 2**6
     for i, r in [(20, 3), (40, 4)]:
-        assert factor_matmul_flops(4, i, r) == 4 * (2 * i**4 * r**3 + gram_except_flops(4, i, r))
+        assert sweep_flops(4, i, r, "fctnlr")["gram"] == 4 * gram_except_flops(4, i, r)
+        assert sweep_flops(4, i, r, "fctnlr")["proj"] == 4 * 2 * i**4 * r**3
     # the dense Gram GEMM cost 4 * 2 * 40^3 * 4^6 = 2,097,152,000 per sweep here
     assert 4 * gram_except_flops(4, 40, 4) == 20_709_376
+    # the environment route: position 0 chains X through three factors, the
+    # middle two positions take one and two chain steps, the last one data
+    # product
+    for i, r in [(5, 2), (20, 3), (40, 4)]:
+        assert env_proj_flops(4, i, r) == 6 * i**2 * r**5 + 4 * i**3 * r**5 + 4 * i**4 * r**3
+    assert sweep_flops(4, 40, 4, "afctnlr") == {
+        "mk": 134_348_800, "compose": 327_680_000, "proj": 927_334_400, "gram": 20_709_376}
+    assert sweep_flops(4, 40, 4, "fctnlr") == {
+        "mk": 537_395_200, "compose": 462_028_800, "proj": 1_310_720_000, "gram": 20_709_376}
+
+
+@pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
+def test_sweep_phases_sum_to_the_sweep(algorithm):
+    """Every FLOP of a sweep carries one of the four phase labels, on the
+    environment route and off it (rank growth included)."""
+    for dims, r in [((20,) * 4, 3), ((6, 5, 4), 2)]:
+        truth = np.random.default_rng(4).standard_normal(dims)
+        obs = Observation.from_dense(truth, sample_mask(dims, 0.4, 4))
+        res = run(obs, SolverConfig(eps=1e-3, max_iters=6, max_rank=r, initial_rank=1,
+                                    algorithm=algorithm, seed=4))
+        for rec in res.trace:
+            assert rec.mk_flops + rec.compose_flops + rec.gram_flops + rec.proj_flops == rec.flops

@@ -1,7 +1,10 @@
-"""Property tests of the accelerated partial-network build and of the
-doubled-network Gram matrix over random network orders, extents, rank tables
-and visiting orders."""
+"""Property tests of the accelerated partial-network build, of the data
+products from kept X-environments and of the doubled-network Gram matrix over
+random network orders, extents, rank tables and visiting orders."""
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,8 @@ from fctnlr.network import (
     matrix_labels,
     property1_unfold,
 )
+from fctnlr.environment import env_data_product, env_product_plan
+from fctnlr.sylvester import data_product
 from fctnlr.tensor import FLOPS, mode_unfold
 from oracles import gram_dense
 
@@ -102,3 +107,59 @@ def test_doubled_network_gram_is_the_dense_gram(case):
         assert _close(got, want)
         # the route choice sizes the same chain without running it
         assert FLOPS.labeled("gram") == FLOPS.total == gram_except_plan(rank, dims, k)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_n=6))
+def test_environment_products_match_the_network_matrix(net):
+    """Over a sweep that replaces each factor after its own product, every
+    position before the last gets ``X_(k) M^T`` from the kept environments
+    (M from the plain build, as the factors are then), with the planned
+    ``proj`` FLOPs, and no environment is left when the sweep is done."""
+    dims, rank, orders, seed = net
+    n = rank.n
+    rng = np.random.default_rng(seed)
+    f = FctnFactors.random(dims, rank, rng)
+    x = np.asfortranarray(rng.standard_normal(tuple(dims)))
+    for order in orders:
+        order = tuple(order)
+        envs = {}
+        plan = env_product_plan(rank, dims, order)
+        for pos, k in enumerate(order[:-1]):
+            before = FLOPS.labeled("proj")
+            got = env_data_product(f, k, order, x, envs)
+            assert FLOPS.labeled("proj") - before == plan[pos]
+            want = data_product(x, k, property1_unfold(compose_except(f, k), k, n))
+            assert _close(got, want)
+            f.replace(k, rng.standard_normal(f.factor(k).shape))
+        assert envs == {}
+
+
+@pytest.mark.parametrize("n, extent, every", [(3, 5, 1), (4, 4, 1), (5, 3, 1), (6, 3, 12)])
+def test_environment_steps_copy_no_environment(n, extent, every):
+    """Over every visiting order (every 12th at order 6), the environment
+    steps read X and each environment in place: the only operands they copy
+    are factors."""
+    import fctnlr.tensor as tensor_module
+
+    rng = np.random.default_rng(n)
+    f = FctnFactors.random((extent,) * n, FctnRank.uniform(n, 2), rng)
+    x = np.asfortranarray(rng.standard_normal((extent,) * n))
+    copied = []
+    real = tensor_module.gunfold
+
+    def spy(a, perm, split):
+        out = real(a, perm, split)
+        if not np.may_share_memory(out, a) and not any(a is f.factor(j) for j in range(n)):
+            copied.append(a.shape)
+        return out
+
+    tensor_module.gunfold = spy
+    try:
+        for order in list(itertools.permutations(range(n)))[::every]:
+            envs = {}
+            for k in order[:-1]:
+                env_data_product(f, k, order, x, envs)
+    finally:
+        tensor_module.gunfold = real
+    assert copied == []

@@ -142,6 +142,19 @@ def test_precomputed_spectral_pair():
     assert np.allclose(solve_factor(prob, pair), solve_factor(prob), atol=1e-13)
 
 
+def test_subproblem_without_m_needs_the_spectral_pair():
+    """With the spectral pair given, the solve needs no M; without one it
+    refuses a subproblem that has none."""
+    import dataclasses
+
+    prob = random_problem(34)
+    pair = eig_gram(prob.m)
+    bare = dataclasses.replace(prob, m=None)
+    assert np.array_equal(solve_factor(bare, pair), solve_factor(prob, pair))
+    with pytest.raises(ValueError):
+        solve_factor(bare)
+
+
 def test_eig_gram_identity_and_zero():
     pair = eig_gram(np.eye(4))
     assert np.allclose(pair.phi, np.ones(4), atol=1e-12)

@@ -219,6 +219,34 @@ def test_contract_out_modes_layout():
     assert np.isclose(float(contract(v[::-1], v, [0], [0])), float(v[::-1] @ v), rtol=1e-14)
 
 
+def test_contract_split_batches_the_modes_before_the_other_run():
+    """With ``split``, the lead operand's modes between the rows and the
+    other operand's run are batched: any such layout matches einsum, comes
+    out F-contiguous, and neither operand is copied."""
+    rng = np.random.default_rng(15)
+    x = np.asfortranarray(rng.standard_normal((3, 4, 5, 6)))
+    y = np.asfortranarray(rng.standard_normal((5, 2, 7)))
+    want = np.einsum("abcd,cef->abdef", x, y)
+    copies = []
+    import fctnlr.tensor as tensor_module
+
+    real = tensor_module.gunfold
+
+    def spy(*args):
+        copies.append(args[0].shape)
+        return real(*args)
+
+    tensor_module.gunfold = spy
+    try:
+        for perm, split in [([0, 2, 3, 1, 4], 1), ([0, 1, 2, 3, 4], 1), ([0, 2, 3, 4, 1], 1)]:
+            z = contract(x, y, [2], [0], perm, split)
+            assert z.flags["F_CONTIGUOUS"]
+            assert np.allclose(z, want.transpose(perm), rtol=1e-12, atol=1e-14)
+    finally:
+        tensor_module.gunfold = real
+    assert copies == []
+
+
 def test_contract_validation():
     x = np.zeros((2, 3))
     y = np.zeros((3, 2))
