@@ -4,12 +4,14 @@ Factor ``k`` is an order-N array whose mode ``k`` is the physical mode (extent
 ``I_k``) and whose mode ``j != k`` is the bond shared with factor ``j`` (extent
 ``R[j,k]``).  Composing all factors (contracting every bond) yields the dense
 order-N tensor.  The partial network around ``k`` (everything contracted except
-factor ``k``) is the workhorse of the alternating solver.  The baseline builds
-it by a plain chain in canonical order (:func:`compose_except`); the
-accelerated build joins a prefix chain over the factors already updated in
-the sweep with a suffix chain over those not yet updated, reusing both
-chains' intermediates within the sweep, and writes it in :func:`matrix_labels`
-order, so its network matrix is a view.  Where no network matrix is needed
+factor ``k``) is the workhorse of the alternating solver.  Both variants
+build it through one labeled chain (:func:`_chain_partial`) that writes it in
+:func:`matrix_labels` order, so its network matrix is a view.  The baseline
+runs the plain ascending chain over the other factors
+(:func:`compose_except`); the accelerated build joins a prefix chain over the
+factors already updated in the sweep with a suffix chain over those not yet
+updated, reusing both chains' intermediates within the sweep.  Composition
+runs the same chain over every factor.  Where no network matrix is needed
 but its data product ``X_(k) M^T``, that product comes from kept
 X-environments instead (:mod:`fctnlr.environment`).
 The Gram matrix ``M M^T`` of that network matrix comes from the doubled
@@ -38,7 +40,6 @@ __all__ = [
     "factor_labels",
     "gram_except",
     "matrix_labels",
-    "partial_labels",
     "property1_unfold",
     "shuffle_order",
 ]
@@ -236,21 +237,6 @@ def matrix_labels(k: int, n: int) -> list:
     return [("i", j) for j in rest] + [_bond(j, k) for j in rest]
 
 
-def partial_labels(k: int, n: int) -> list:
-    """Canonical mode order of the partial network around k: for each remaining
-    factor j ascending, the pair (physical, bond-to-k) when j < k and
-    (bond-to-k, physical) when j > k."""
-    out = []
-    for j in range(n):
-        if j == k:
-            continue
-        if j < k:
-            out += [("i", j), ("r", j, k)]
-        else:
-            out += [("r", k, j), ("i", j)]
-    return out
-
-
 def _contract_labeled(a, la, b, lb, target=None, split=None):
     """Contract over every label shared by the two operands.  The result's
     modes follow ``target`` when given (written in that layout directly),
@@ -281,68 +267,57 @@ def _to_label_order(arr, labels, target):
 def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -> np.ndarray:
     """Contract the whole network into the dense tensor (modes 0..n-1).
 
-    Given ``m``, the network matrix of factor ``k`` (:func:`property1_unfold`
-    of the partial network around k, built from the other factors as they
-    are now), the chain is skipped: the tensor is the single product
-    ``X_(k) = A_(k) m``, 2 * I^n * R^(n-1) FLOPs in the uniform case,
+    Without ``m`` the factors are chained in ascending order
+    (:func:`_chain_partial`), every intermediate laid out for the step that
+    reads it and the last written straight into the natural layout.  Given
+    ``m``, the network matrix of factor ``k`` (:func:`property1_unfold` of the
+    partial network around k, built from the other factors as they are now),
+    the chain is skipped: the tensor is the single product
+    ``X_(k) = A_(k) m``, 2 * I^n * R^(n-1) FLOPs in the uniform case, also
     written straight into the natural layout.
     """
     n = f.n
     target = [("i", j) for j in range(n)]
     with FLOPS.scoped("compose"):
-        if m is not None:
-            a_k = f.factor(k)
-            rest = [j for j in range(n) if j != k]
-            extents = [f.dims[j] for j in rest] + [a_k.shape[j] for j in rest]
-            # m.T is the partial network with its physical modes leading; a
-            # view when m is C-ordered, as property1_unfold leaves it
-            mt = np.reshape(m.T, extents, order="F")
-            return _contract_labeled(mt, matrix_labels(k, n), a_k, factor_labels(k, n), target)[0]
-        arr, labels = f.factor(0), factor_labels(0, n)
-        for j in range(1, n):
-            arr, labels = _contract_labeled(arr, labels, f.factor(j), factor_labels(j, n))
-        return _to_label_order(arr, labels, target)
+        if m is None:
+            return _chain_partial(f, tuple(range(n)), {}, target)[0]
+        a_k = f.factor(k)
+        rest = [j for j in range(n) if j != k]
+        extents = [f.dims[j] for j in rest] + [a_k.shape[j] for j in rest]
+        # m.T is the partial network with its physical modes leading; a view
+        # when m is C-ordered, as property1_unfold leaves it
+        mt = np.reshape(m.T, extents, order="F")
+        return _contract_labeled(mt, matrix_labels(k, n), a_k, factor_labels(k, n), target)[0]
 
 
 def compose_except(f: FctnFactors, k: int) -> np.ndarray:
-    """Partial network around factor k, modes in canonical pair order.
-
-    Plain left-to-right chain over the remaining factors in ascending index
-    order; no intermediate is kept.
-    """
-    n = f.n
-    rest = [j for j in range(n) if j != k]
+    """Partial network around factor k in :func:`matrix_labels` order, so its
+    network matrix is a view: the plain chain over the remaining factors in
+    ascending order (:func:`_chain_partial`), no intermediate kept."""
+    rest = tuple(j for j in range(f.n) if j != k)
     with FLOPS.scoped("mk"):
-        arr, labels = f.factor(rest[0]), factor_labels(rest[0], n)
-        for j in rest[1:]:
-            arr, labels = _contract_labeled(arr, labels, f.factor(j), factor_labels(j, n))
-        return _to_label_order(arr, labels, partial_labels(k, n))
+        return _chain_partial(f, rest, {}, matrix_labels(k, f.n))[0]
 
 
-def property1_unfold(partial: np.ndarray, k: int, n: int, labels=None) -> np.ndarray:
-    """Matricize the partial network around k into its network matrix M: rows
-    run over factor k's bond modes (ascending partner) and columns over the
-    remaining physical modes (ascending factor), both first-index-fastest.
+def property1_unfold(partial: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Network matrix M of the partial network around k, a C-ordered view of
+    it: rows run over factor k's bond modes (ascending partner) and columns
+    over the remaining physical modes (ascending factor), both
+    first-index-fastest.
 
     With ``X_(k)`` the mode-k unfolding of the composed tensor and ``A_(k)``
-    that of factor k, the network identity reads ``X_(k) = A_(k) @ M``.
-    ``labels`` names the partial's modes when they are not in the canonical
-    :func:`partial_labels` order; the reordering is folded into the one
-    unfolding pass, which leaves M F-ordered.  A partial stored F-contiguously
-    in :func:`matrix_labels` order needs no pass at all: M is then a C-ordered
-    view of it.
+    that of factor k, the network identity reads ``X_(k) = A_(k) @ M``.  The
+    partial must be stored F-contiguously in :func:`matrix_labels` order, as
+    both builds write it; any other layout would need a copy, so it is
+    refused.
     """
-    labels = partial_labels(k, n) if labels is None else list(labels)
-    if partial.ndim != 2 * (n - 1) or len(labels) != partial.ndim:
+    if partial.ndim != 2 * (n - 1):
         raise ValueError(
             f"partial network has order {partial.ndim}, expected {2 * (n - 1)}"
         )
-    rest = [j for j in range(n) if j != k]
-    rows = [labels.index(_bond(j, k)) for j in rest]
-    cols = [labels.index(("i", j)) for j in rest]
-    if cols + rows == list(range(partial.ndim)) and partial.flags.f_contiguous:
-        return gunfold(partial, cols + rows, n - 1).T
-    return gunfold(partial, rows + cols, n - 1)
+    if not partial.flags.f_contiguous:
+        raise ValueError("partial network is not F-contiguous in matrix_labels order")
+    return gunfold(partial, range(partial.ndim), n - 1).T
 
 
 def _twin(bond) -> tuple:

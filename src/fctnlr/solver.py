@@ -23,25 +23,27 @@ and stay as their reference.
 
 The variants differ in how they get each factor's network matrix and data
 product, in how they compose the X-refresh tensor and in their visiting
-order.  The baseline rebuilds every partial network from scratch, takes
-every data product from it and composes the X-refresh tensor by the whole
-chain.  The accelerated variant composes the
-X-refresh tensor from the last factor's M as ``X_(k) = A_(k) M``, (by
-default) draws a fresh random visiting order every sweep, and gets its data
-products and network matrices by one of two routes.  Where every factor
-before the last in the visiting order takes the doubled-network Gram, a
-factor before the last needs no M at all: its data product comes from kept
-X-environments (:func:`~fctnlr.environment.env_data_product`; the first
-position contracts X with the other factors one at a time and keeps each
-intermediate for the one later position that reads it, as ALS in the
-tensor-train format keeps its interfaces), and only the last factor builds
-M, as one plain chain.  A sweep then reads X three times (the first
-position's chain, the last data product and the composition) instead of
-n + 1.  Elsewhere each factor builds its M from a prefix chain over the
-factors already updated in the sweep and a suffix chain over those not yet
-updated, keeping each chain intermediate until the one later build that
-uses it, straight into the layout of M (a view, not a copy).  Both variants
-take each factor's Gram matrix ``M M^T`` from the doubled network
+order.  Both build a partial network through the same labeled chain, in
+:func:`~fctnlr.network.matrix_labels` layout, so its network matrix M is a
+view of it, never a copy.  The baseline rebuilds every partial network from
+scratch by the plain ascending chain, takes every data product from it and
+composes the X-refresh tensor by the whole chain.  The accelerated variant
+composes the X-refresh tensor from the last factor's M as
+``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order every
+sweep, and gets its data products and network matrices by one of two
+routes.  Where every factor before the last in the visiting order takes the
+doubled-network Gram, a factor before the last needs no M at all: its data
+product comes from kept X-environments
+(:func:`~fctnlr.environment.env_data_product`; the first position contracts
+X with the other factors one at a time and keeps each intermediate for the
+one later position that reads it, as ALS in the tensor-train format keeps
+its interfaces), and only the last factor builds M, as one plain chain.  A
+sweep then reads X three times (the first position's chain, the last data
+product and the composition) instead of n + 1.  Elsewhere each factor builds
+its M from a prefix chain over the factors already updated in the sweep and
+a suffix chain over those not yet updated, keeping each chain intermediate
+until the one later build that uses it.  Both variants take each factor's
+Gram matrix ``M M^T`` from the doubled network
 (:func:`~fctnlr.network.gram_except`) where
 :func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
 dense product.  Bonds grow by one when the relative change falls below
@@ -78,7 +80,6 @@ from .network import (
     compose_except,
     doubled_gram_pays,
     gram_except,
-    matrix_labels,
     property1_unfold,
     shuffle_order,
 )
@@ -485,11 +486,10 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         m = prob = pair = xm = None  # the previous factor's, freed before the next build
         if env_route and pos < n - 1:
             xm = env_data_product(f, k, order, x, envs)
-        elif accelerated:  # M is a view of the partial network
+        elif accelerated:
             # the environment route builds its one M whole and keeps no chain
             m = property1_unfold(
-                _compose_except_cached_labeled(f, k, order, {} if env_route else kept),
-                k, n, matrix_labels(k, n),
+                _compose_except_cached_labeled(f, k, order, {} if env_route else kept), k, n
             )
         else:
             m = property1_unfold(compose_except(f, k), k, n)

@@ -87,45 +87,52 @@ def eig_gram(m: np.ndarray) -> SpectralPair:
 
 # Route of the data product for a middle mode.  X is viewed as (a, I_k, b)
 # and M^T as (a, b, s); the batched route runs one (I_k x a)(a x s) GEMM per
-# slice v of b, the copy route unfolds X and runs one GEMM.  Timed per factor
-# with FCTN_THREADS=1 on a 2-core x86 host, each the median of three
-# interleaved medians of 3 (ms, copy / batched; C: M C-ordered, as afctnlr
-# builds it; F: M F-ordered, as fctnlr's):
+# slice v of b, the copy route unfolds X and runs one GEMM.  Both builds
+# leave M C-ordered (a view of the partial network).  Timed per factor with
+# FCTN_THREADS=1 on a 2-core x86 host, each the median of three interleaved
+# medians of 3 (ms):
 #
-#   shape       R  k     a     b     C: copy  batched   F: copy  batched
-#   128^3       4  1   128   128        9.94     5.53      8.78     2.50
-#   64x64x3x32  3  1    64    96        1.51     1.13      1.60     0.89
-#   64x64x3x32  3  2  4096    32        5.28     1.82      3.95     2.95
-#   40^4        4  1    40  1600       20.79    21.71     17.75    11.95
-#   40^4        4  2  1600    40       20.15    15.25     20.16    14.58
-#   32^4        3  1    32  1024        6.85     3.92      6.25     3.05
-#   24^4        3  1    24   576        1.88     1.40      1.44     0.97
-#   20^4        4  1    20   400        1.26     1.49      1.23     0.94
-#   16^5        3  1    16  4096       16.96    33.47     13.82    14.36
-#   16^5        3  2   256   256       16.68    14.67     13.16    10.78
-#   12^4        4  1    12   144        0.20     0.28      0.17     0.20
-#   8^6         2  1     8  4096        1.75     2.64      1.27     1.32
-#   8^6         2  2    64   512        2.46     1.23      1.65     0.79
-#   6^6         2  1     6  1296        0.39     0.66      0.33     0.47
+#   shape       R  k     a     b     copy  batched
+#   128^3       4  1   128   128     9.94     5.53
+#   64x64x3x32  3  1    64    96     1.51     1.13
+#   64x64x3x32  3  2  4096    32     5.28     1.82
+#   40^4        4  1    40  1600    20.79    21.71
+#   40^4        4  2  1600    40    20.15    15.25
+#   32^4        3  1    32  1024     6.85     3.92
+#   24^4        3  1    24   576     1.88     1.40
+#   20^4        4  1    20   400     1.26     1.49
+#   16^5        3  1    16  4096    16.96    33.47
+#   16^5        3  2   256   256    16.68    14.67
+#   12^4        4  1    12   144     0.20     0.28
+#   8^6         2  1     8  4096     1.75     2.64
+#   8^6         2  2    64   512     2.46     1.23
+#   6^6         2  1     6  1296     0.39     0.66
 #
-# Inside a sweep, where M is the freshly built network matrix, the C-ordered
-# batched route lost at 16^5 k=2 (13.4-15.0 against 10.2-12.0 ms per sweep
-# over three 4-sweep runs) while winning at k=3 (8.2-9.5 against 11.0-28.3);
-# the F-ordered one won at every middle mode of 16^5 and 40^4.
+# Inside a sweep, where M is the freshly built network matrix, the batched
+# route lost at 16^5 k=2 (13.4-15.0 against 10.2-12.0 ms per sweep over
+# three 4-sweep runs) while winning at k=3 (8.2-9.5 against 11.0-28.3).
 #
 # The batched route loses where a is short: each of its b GEMMs then has too
-# small an inner extent to amortise its call.  A C-ordered M, whose slices
-# stride by p from column to column, touches s pages per slice, so it also
-# needs few slices against a long a.
+# small an inner extent to amortise its call.  M's slices stride by p from
+# column to column, so each touches s pages; the route also needs few slices
+# against a long a.
+#
+# For the last mode (b = 1), a C-ordered M's one GEMM runs faster as
+# (M X_(k)^T)^T than as X_(k) M^T where I_k < s, and slower where I_k > s
+# (ms, same host, median of three medians of 5):
+#
+#   shape       R  k     I_k     s     (M X^T)^T   X M^T
+#   16^5        3  4      16    81          4.34    6.13
+#   8^6         2  5       8    32          0.70    0.93
+#   40^4        4  3      40    64          6.23    6.46
+#   128^3       4  2     128    16          2.25    1.57
 _CHUNK_BYTES = 2 << 20  # bytes of per-slice products held at once
 
 
-def _batched_pays(a: int, b: int, m: np.ndarray) -> bool:
+def _batched_pays(a: int, b: int) -> bool:
     """Whether the batched route beats the copy for a middle mode (the
     timings above)."""
-    if m.flags.c_contiguous:
-        return a >= 1024 or (a >= 64 and b <= 128)
-    return a >= 24
+    return a >= 1024 or (a >= 64 and b <= 128)
 
 
 def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
@@ -137,7 +144,8 @@ def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
     of the extents before mode k and b of those after it; M's columns run
     over the same (a, b) pairs, first index fastest.  For a = 1 or b = 1 (k
     first or last) that view is X_(k) or its transpose, and one GEMM on it
-    gives the product.  For a middle mode where :func:`_batched_pays`, the
+    gives the product (for k last, as ``(M X_(k)^T)^T`` where that is faster,
+    see the timings above).  For a middle mode where :func:`_batched_pays`, the
     product is the sum over the slices v of b of ``X[:, :, v]^T M_v^T``,
     batched over a few MB of slices at a time: no copy of X either way.
     Otherwise X_(k) is unfolded (one copy of X) and multiplied by ``m.T``.
@@ -153,8 +161,11 @@ def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
         if a == 1:
             return x.reshape((q, b), order="F") @ m.T
         if b == 1:
-            return x.reshape((a, q), order="F").T @ m.T
-        if not _batched_pays(a, b, m):
+            xv = x.reshape((a, q), order="F")
+            if m.flags.c_contiguous and q < s:
+                return (m @ xv).T
+            return xv.T @ m.T
+        if not _batched_pays(a, b):
             return mode_unfold(x, k) @ m.T
         x3 = x.reshape((a, q, b), order="F")
         mt3 = m.T.reshape((a, b, s), order="F")

@@ -10,30 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fctnlr.sylvester as sylvester
-from fctnlr.network import (
-    FctnFactors,
-    FctnRank,
-    _compose_except_cached_labeled,
-    compose_except,
-    matrix_labels,
-    property1_unfold,
-)
+from fctnlr.network import FctnFactors, FctnRank, compose_except, property1_unfold
 from fctnlr.sylvester import data_product
 from fctnlr.tensor import FLOPS, mode_unfold
 
 
 def network_matrix(f, k, layout):
-    """Factor k's network matrix as each variant builds it: afctnlr's
-    C-ordered view of a partial built in matrix_labels order, or fctnlr's
-    F-ordered unfolding of the canonical partial (at n = 2 that unfolding is
-    a C-ordered view; it is laid out F-ordered here to keep both layouts)."""
-    n = f.n
-    if layout == "C":
-        partial = _compose_except_cached_labeled(f, k, tuple(range(n)), {})
-        m = property1_unfold(partial, k, n, matrix_labels(k, n))
-        assert m.flags.c_contiguous
-        return m
-    return np.asfortranarray(property1_unfold(compose_except(f, k), k, n))
+    """Factor k's network matrix C-ordered, the view of the partial network
+    that both variants build, or copied F-ordered: data_product takes either
+    layout."""
+    m = property1_unfold(compose_except(f, k), k, f.n)
+    assert m.flags.c_contiguous
+    return m if layout == "C" else np.asfortranarray(m)
 
 
 @st.composite
@@ -57,7 +45,7 @@ def test_data_product_is_the_unfolded_product(case):
     x = np.asfortranarray(rng.standard_normal(dims))
     patches = {"_CHUNK_BYTES": chunk or sylvester._CHUNK_BYTES}
     if batched is not None:
-        patches["_batched_pays"] = lambda a, b, m: batched
+        patches["_batched_pays"] = lambda a, b: batched
     with mock.patch.multiple(sylvester, **patches):
         for k in range(f.n):
             for layout in ("C", "F"):

@@ -20,7 +20,6 @@ from fctnlr.network import (
     gram_except_flops,
     matrix_labels,
     partial_chain_flops,
-    partial_labels,
     partial_sweep_flops,
     partial_sweep_flops_cached,
     property1_unfold,
@@ -29,32 +28,7 @@ from fctnlr.network import (
 )
 from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.tensor import FLOPS, mode_unfold
-
-
-def nested_sum_compose(f):
-    """Element-by-element evaluation of the network: for every output index,
-    sum over all joint bond indices the product of one entry per factor.
-    Deliberately loop-based so it shares nothing with the library path."""
-    n = f.n
-    dims = f.dims
-    rank = f.rank
-    bonds = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sizes = [rank[i, j] for i, j in bonds]
-    out = np.zeros(dims)
-    for el in np.ndindex(*dims):
-        acc = 0.0
-        for rv in np.ndindex(*sizes):
-            assign = dict(zip(bonds, rv))
-            term = 1.0
-            for k in range(n):
-                idx = tuple(
-                    el[k] if j == k else assign[(min(j, k), max(j, k))]
-                    for j in range(n)
-                )
-                term *= f.factor(k)[idx]
-            acc += term
-        out[el] = acc
-    return out
+from oracles import nested_sum_compose, network_matrix
 
 
 def plain_m(f, k):
@@ -64,9 +38,7 @@ def plain_m(f, k):
 
 def cached_m(f, k, order, kept):
     """Network matrix of factor k from the cached build: a view of it."""
-    return property1_unfold(
-        _compose_except_cached_labeled(f, k, order, kept), k, f.n, matrix_labels(k, f.n)
-    )
+    return property1_unfold(_compose_except_cached_labeled(f, k, order, kept), k, f.n)
 
 
 def random_network(seed, n=None, max_extent=4, max_rank=3):
@@ -200,9 +172,9 @@ def test_factor_labels_slot_order():
     assert factor_labels(0, 2) == [("i", 0), ("r", 0, 1)]
 
 
-def test_partial_labels_pair_order():
-    assert partial_labels(1, 3) == [("i", 0), ("r", 0, 1), ("r", 1, 2), ("i", 2)]
-    assert partial_labels(0, 3) == [("r", 0, 1), ("i", 1), ("r", 0, 2), ("i", 2)]
+def test_matrix_labels_physical_then_bonds():
+    assert matrix_labels(1, 3) == [("i", 0), ("i", 2), ("r", 0, 1), ("r", 1, 2)]
+    assert matrix_labels(0, 3) == [("i", 1), ("i", 2), ("r", 0, 1), ("r", 0, 2)]
 
 
 # ---------- composition ---------- #
@@ -237,18 +209,19 @@ def test_compose_matches_nested_sum():
 def test_compose_except_two_factors_returns_the_other():
     rng = np.random.default_rng(7)
     f = FctnFactors.random((4, 5), FctnRank.uniform(2, 3), rng)
-    # the single remaining factor is already in canonical pair order
+    # the single remaining factor, its physical mode first: factor 0 as it
+    # is, factor 1 transposed
     assert np.array_equal(compose_except(f, 1), f.factor(0))
-    assert np.array_equal(compose_except(f, 0), f.factor(1))
+    assert np.array_equal(compose_except(f, 0), f.factor(1).T)
 
 
 def test_compose_except_matches_einsum_oracle():
-    """Pin down the canonical mode order of the order-6 partial network for
-    n=4, k=2 with an explicit einsum over the other three factors."""
+    """Pin down the matrix_labels mode order of the order-6 partial network
+    for n=4, k=2 with an explicit einsum over the other three factors."""
     f = random_network(8, n=4)
     m = compose_except(f, 2)
     f0, f1, f3 = f.factor(0), f.factor(1), f.factor(3)
-    want = np.einsum("adef,dbgh,fhmc->aebgmc", f0, f1, f3)
+    want = np.einsum("adef,dbgh,fhmc->abcegm", f0, f1, f3)
     assert m.shape == want.shape
     assert np.allclose(m, want, rtol=1e-12, atol=1e-13)
 
@@ -296,15 +269,15 @@ def test_compose_from_partial_flop_count():
 
 def _check_network_matrix_orders(f, orders):
     """Every visiting order of the cached build yields, as a view of the
-    build, the canonical network matrix and, through compose(f, k, m), the
-    canonical composition."""
+    build, the einsum oracle's network matrix and, through compose(f, k, m),
+    the chain's composition."""
     full = compose(f)
     for order in orders:
         kept = {}  # one sweep per order
         for k in order:
-            want = plain_m(f, k)
+            want = network_matrix(f, k)
             arr = _compose_except_cached_labeled(f, k, order, kept)
-            m = property1_unfold(arr, k, f.n, matrix_labels(k, f.n))
+            m = property1_unfold(arr, k, f.n)
             assert np.shares_memory(m, arr)
             assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
             got = compose(f, k, m)
@@ -313,8 +286,8 @@ def _check_network_matrix_orders(f, orders):
 
 
 def test_compose_from_partial_view_any_label_order():
-    """The cached build's network matrix must match the canonical one under
-    any visiting order, and compose back to the canonical composition."""
+    """The cached build's network matrix must match the oracle's under any
+    visiting order, and compose back to the chain's composition."""
     f = random_network(10, n=4)
     _check_network_matrix_orders(f, [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)])
 

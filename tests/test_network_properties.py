@@ -1,7 +1,9 @@
-"""Property tests of the accelerated partial-network build, of the data
-products from kept X-environments and of the doubled-network Gram matrix over
-random network orders, extents, rank tables and visiting orders."""
+"""Property tests of the plain and the accelerated partial-network builds,
+of the chain composition, of the data products from kept X-environments and
+of the doubled-network Gram matrix over random network orders, extents, rank
+tables and visiting orders, against the einsum and nested-sum oracles."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,13 +18,11 @@ from fctnlr.network import (
     compose_except,
     gram_except,
     gram_except_plan,
-    matrix_labels,
     property1_unfold,
 )
 from fctnlr.environment import env_data_product, env_product_plan
-from fctnlr.sylvester import data_product
 from fctnlr.tensor import FLOPS, mode_unfold
-from oracles import gram_dense
+from oracles import gram_dense, nested_sum_compose, network_matrix
 
 
 @st.composite
@@ -35,8 +35,61 @@ def networks(draw, max_n=5):
     return dims, FctnRank(n, tri), [tuple(o) for o in orders], draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def small_networks(draw):
+    """Networks small enough for the nested-sum oracle, whose cost is the
+    number of entries times the number of joint bond indices."""
+    n = draw(st.integers(2, 6))
+    dims = draw(st.lists(st.integers(1, 4 if n < 6 else 3), min_size=n, max_size=n))
+    top = 3 if n < 5 else 2
+    tri = draw(st.lists(st.integers(1, top), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return dims, FctnRank(n, tri), draw(st.integers(0, 2**32 - 1))
+
+
 def _close(got, want):
     return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _chain_flops(f, seq):
+    """FLOPs of chaining the factors in ``seq`` left to right, counted from
+    the modes each step meets: twice the product of the extents of both
+    operands' modes together."""
+    n = f.n
+    extent = {}
+    for j in range(n):
+        for p in range(n):
+            extent[("i", j) if p == j else frozenset((j, p))] = f.factor(j).shape[p]
+
+    def modes(j):
+        return {("i", j)} | {frozenset((j, p)) for p in range(n) if p != j}
+
+    held, flops = modes(seq[0]), 0
+    for j in seq[1:]:
+        flops += 2 * math.prod(extent[mode] for mode in held | modes(j))
+        held ^= modes(j)
+    return flops
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_networks())
+def test_plain_build_and_composition_match_the_oracles(case):
+    """The plain build's network matrix is a view of the partial network and
+    equals the einsum oracle's, at the FLOPs of the plain ascending chain;
+    the chain composition equals the nested sum, at the FLOPs of its chain."""
+    dims, rank, seed = case
+    f = FctnFactors.random(dims, rank, np.random.default_rng(seed))
+    n = f.n
+    for k in range(n):
+        before = FLOPS.labeled("mk")
+        partial = compose_except(f, k)
+        assert FLOPS.labeled("mk") - before == _chain_flops(f, [j for j in range(n) if j != k])
+        m = property1_unfold(partial, k, n)
+        assert np.shares_memory(m, partial)
+        assert _close(m, network_matrix(f, k))
+    before = FLOPS.labeled("compose")
+    full = compose(f)
+    assert FLOPS.labeled("compose") - before == _chain_flops(f, list(range(n)))
+    assert _close(full, nested_sum_compose(f))
 
 
 class _Hoard(dict):
@@ -84,9 +137,9 @@ def test_cached_build_is_the_network_matrix(case):
             partial = _compose_except_cached_labeled(f, k, order, kept)
             assert FLOPS.labeled("mk") - before == want_flops[t]
             assert set(kept) == _asked_for_after(order, t)
-            m = property1_unfold(partial, k, n, matrix_labels(k, n))
+            m = property1_unfold(partial, k, n)
             assert np.shares_memory(m, partial)
-            assert _close(m, property1_unfold(compose_except(f, k), k, n))
+            assert _close(m, network_matrix(f, k))
             assert _close(mode_unfold(f[k], k) @ m, mode_unfold(compose(f), k))
             # as in a sweep: the solved factor replaces k before the next build
             f.replace(k, rng.standard_normal(f[k].shape))
@@ -100,7 +153,7 @@ def test_doubled_network_gram_is_the_dense_gram(case):
     f = FctnFactors.random(dims, rank, np.random.default_rng(seed))
     n = f.n
     for k in range(n):
-        want = gram_dense(property1_unfold(compose_except(f, k), k, n))
+        want = gram_dense(network_matrix(f, k))
         FLOPS.reset()
         got = gram_except(f, k)
         assert got.shape == want.shape
@@ -114,7 +167,7 @@ def test_doubled_network_gram_is_the_dense_gram(case):
 def test_environment_products_match_the_network_matrix(net):
     """Over a sweep that replaces each factor after its own product, every
     position before the last gets ``X_(k) M^T`` from the kept environments
-    (M from the plain build, as the factors are then), with the planned
+    (M from the einsum oracle, as the factors are then), with the planned
     ``proj`` FLOPs, and no environment is left when the sweep is done."""
     dims, rank, orders, seed = net
     n = rank.n
@@ -129,7 +182,7 @@ def test_environment_products_match_the_network_matrix(net):
             before = FLOPS.labeled("proj")
             got = env_data_product(f, k, order, x, envs)
             assert FLOPS.labeled("proj") - before == plan[pos]
-            want = data_product(x, k, property1_unfold(compose_except(f, k), k, n))
+            want = mode_unfold(x, k) @ network_matrix(f, k).T
             assert _close(got, want)
             f.replace(k, rng.standard_normal(f.factor(k).shape))
         assert envs == {}
