@@ -1,13 +1,17 @@
-"""Data products from kept X-environments.
+"""Data products from kept X-environments, and the choice of route.
 
-An ``afctnlr`` sweep whose factors before the last all take the
-doubled-network Gram needs no network matrix M before the last position,
-only each factor's data product ``X_(k) M^T``.  Those products come from
+On the environment route an ``afctnlr`` sweep builds no network matrix M
+before the last position, only each factor's data product ``X_(k) M^T``
+(its Gram matrix comes from the doubled network).  Those products come from
 environments: X contracted with the factors not yet updated (kept from the
 first position of the sweep, as ALS in the tensor-train format keeps its
 interfaces), then with the factors already updated.  The contractions run on
 the labeled tensors of :mod:`fctnlr.network`, each result laid out so that
 the step reading it needs no copy.
+
+Whether a sweep takes this route or builds every M from prefix and suffix
+chains is decided for the whole sweep: :func:`sweep_plan` sizes both routes
+without running them and :func:`env_route_pays` takes the cheaper.
 """
 from __future__ import annotations
 
@@ -18,16 +22,22 @@ import math
 import numpy as np
 
 from .network import (
+    _CALL_FLOPS,
     FctnFactors,
     FctnRank,
     _bond,
     _contract_labeled,
+    _mode_sizes,
     _to_label_order,
+    cached_build_plan,
+    chain_plan,
+    doubled_gram_pays,
     factor_labels,
+    gram_price,
 )
 from .tensor import FLOPS
 
-__all__ = ["env_data_product", "env_product_plan"]
+__all__ = ["env_data_product", "env_product_plan", "env_route_pays", "sweep_plan"]
 
 
 def _touching(labels, j: int) -> set:
@@ -129,8 +139,7 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     layout serves; each later step of position p picks its factor the same
     way.  The pick changes only roundoff and, for unequal extents, FLOPs."""
     n = rank.n
-    extents = {("i", j): int(dims[j]) for j in range(n)}
-    extents.update({_bond(a, b): rank[a, b] for a in range(n) for b in range(a + 1, n)})
+    extents = _mode_sizes(rank, dims)
 
     def step(labels, j, tiers, final=None):
         """Contract factor j, laid out for the cheapest (keep, pick) option of
@@ -194,6 +203,84 @@ def env_product_plan(rank: FctnRank, dims, order) -> tuple:
     sweep in ``order``: the same contractions, sized, not run."""
     schedule = _schedule(rank, tuple(int(d) for d in dims), tuple(int(v) for v in order))
     return tuple(sum(st[3] for st in steps) for steps in schedule)
+
+
+def sweep_plan(rank: FctnRank, dims, order, algorithm: str, env: bool | None = None) -> tuple:
+    """FLOPs by label (``mk``, ``compose``, ``proj``, ``gram``) and price of
+    one sweep of ``algorithm`` in ``order``: the solver's routes, sized, not
+    run.  For ``afctnlr``, ``env`` picks the route, by default the one
+    :func:`env_route_pays` picks.
+
+    The price is the FLOPs, each doubled-network Gram's at the weight
+    :func:`~fctnlr.network.gram_price` gives it, plus ``_CALL_FLOPS`` for
+    every contraction call.  ``fctnlr`` builds every network matrix M by the
+    plain chain, takes every data product ``X_(k) M^T`` (``2 q p s``) from M
+    and composes by the whole chain.  ``afctnlr`` composes from the last M
+    and, on the environment route, takes the data products of the positions
+    before the last from kept X-environments (:func:`env_product_plan`),
+    their Grams from the doubled network, and builds only the last M, by the
+    plain chain; off it, every position builds its M from prefix and suffix
+    chains (:func:`~fctnlr.network.cached_build_plan`).  Every Gram the route
+    does not fix comes from where :func:`~fctnlr.network.doubled_gram_pays`
+    says."""
+    n = rank.n
+    dims, order = tuple(int(d) for d in dims), tuple(int(v) for v in order)
+    flops = dict.fromkeys(("mk", "compose", "proj", "gram"), 0)
+    price = 0
+
+    def step(label, count, calls):
+        nonlocal price
+        flops[label] += count
+        price += count + calls * _CALL_FLOPS
+
+    def gram(k, doubled):
+        nonlocal price
+        count, cost = gram_price(rank, dims, k, doubled)
+        flops["gram"] += count
+        price += cost
+
+    def through_m(k):
+        """A product with factor k's network matrix: its data product, or
+        the composition from it."""
+        return 2 * math.prod(dims) * rank.bond_product(k)
+
+    if algorithm == "fctnlr":
+        for k in range(n):
+            step("mk", *chain_plan(rank, dims, [j for j in range(n) if j != k]))
+            step("proj", through_m(k), 0)
+            gram(k, doubled_gram_pays(rank, dims, k))
+        step("compose", *chain_plan(rank, dims, range(n)))
+        return flops, price
+    if env is None:
+        env = env_route_pays(rank, dims, order[-1])
+    if env:
+        schedule = _schedule(rank, dims, order)
+    else:
+        builds = cached_build_plan(rank, dims, order)
+    for pos, k in enumerate(order):
+        if env and pos < n - 1:
+            step("proj", sum(st[3] for st in schedule[pos]), len(schedule[pos]))
+            gram(k, True)
+            continue
+        step("mk", *(chain_plan(rank, dims, order[:-1]) if env else builds[pos]))
+        step("proj", through_m(k), 0)
+        gram(k, doubled_gram_pays(rank, dims, k))
+    step("compose", through_m(order[-1]), 1)
+    return flops, price
+
+
+@functools.lru_cache(maxsize=256)
+def env_route_pays(rank: FctnRank, dims: tuple, last: int) -> bool:
+    """Whether an ``afctnlr`` sweep whose visiting order ends in factor
+    ``last`` takes the environment route: whether :func:`sweep_plan` prices
+    it below the prefix/suffix route.  Both are priced for the other factors
+    in ascending order, then ``last``: with unequal extents the price moves a
+    little with the order of the rest, the choice mostly with the last
+    factor, which the environment route builds M for and which drops out of
+    the environments."""
+    order = tuple(j for j in range(rank.n) if j != last) + (last,)
+    env = sweep_plan(rank, dims, order, "afctnlr", True)[1]
+    return env < sweep_plan(rank, dims, order, "afctnlr", False)[1]
 
 
 def env_data_product(f: FctnFactors, k: int, order, x: np.ndarray, envs: dict) -> np.ndarray:

@@ -11,12 +11,17 @@ runs the plain ascending chain over the other factors
 (:func:`compose_except`); the accelerated build joins a prefix chain over the
 factors already updated in the sweep with a suffix chain over those not yet
 updated, reusing both chains' intermediates within the sweep.  Composition
-runs the same chain over every factor.  Where no network matrix is needed
-but its data product ``X_(k) M^T``, that product comes from kept
-X-environments instead (:mod:`fctnlr.environment`).
-The Gram matrix ``M M^T`` of that network matrix comes from the doubled
-network (:func:`gram_except`) wherever :func:`doubled_gram_pays` finds that
-cheaper than the dense product of M with itself.
+runs the same chain over every factor.  On the accelerated variant's
+environment route no network matrix is built before the last position of a
+sweep, only its data product ``X_(k) M^T``, from kept X-environments
+(:mod:`fctnlr.environment`, which also prices that route against the
+prefix/suffix build for the whole sweep), and each Gram matrix ``M M^T``
+there comes from the doubled network (:func:`gram_except`).  Elsewhere the
+Gram comes from the doubled network wherever :func:`doubled_gram_pays` finds
+that cheaper than the dense product of M with itself.  The builds are sized
+without running them by :func:`chain_plan` and :func:`cached_build_plan`
+(any extents and ranks), and by the closed forms at the end of this module
+(equal extents and ranks).
 
 Modes inside a labeled intermediate are tracked by label, not position:
 ``('i', k)`` is the physical mode of factor ``k`` and ``('r', a, b)`` with
@@ -280,7 +285,7 @@ def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -
     target = [("i", j) for j in range(n)]
     with FLOPS.scoped("compose"):
         if m is None:
-            return _chain_partial(f, tuple(range(n)), {}, target)[0]
+            return _chain_partial(f, tuple(range(n)), None, target)[0]
         a_k = f.factor(k)
         rest = [j for j in range(n) if j != k]
         extents = [f.dims[j] for j in rest] + [a_k.shape[j] for j in rest]
@@ -296,7 +301,7 @@ def compose_except(f: FctnFactors, k: int) -> np.ndarray:
     ascending order (:func:`_chain_partial`), no intermediate kept."""
     rest = tuple(j for j in range(f.n) if j != k)
     with FLOPS.scoped("mk"):
-        return _chain_partial(f, rest, {}, matrix_labels(k, f.n))[0]
+        return _chain_partial(f, rest, None, matrix_labels(k, f.n))[0]
 
 
 def property1_unfold(partial: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -398,26 +403,41 @@ def gram_except_plan(rank: FctnRank, dims, k: int) -> tuple[int, int]:
 # per factor with FCTN_THREADS=1 on a 2-core x86 host over 25 shapes (n 3-6,
 # extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
 # FLOP rate (small operands, layout copies), and each of its n-2 contraction
-# calls costs about 140 us of Python, some 4e6 FLOPs of GEMM time.
+# calls costs about 140 us of Python, some 4e6 FLOPs of GEMM time.  The
+# sweep-level price of afctnlr's two routes
+# (:func:`fctnlr.environment.sweep_plan`) charges the same per call.
 _DOUBLED_WEIGHT = 3
 _CALL_FLOPS = 4_000_000
+
+
+@functools.lru_cache(maxsize=256)
+def gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int, int]:
+    """FLOPs and price of factor k's Gram matrix: from the doubled network,
+    its chain's FLOPs at ``_DOUBLED_WEIGHT`` plus ``_CALL_FLOPS`` for each of
+    its n-2 contraction calls, else the dense product ``M M^T`` of its
+    network matrix (s x p), ``2 * s^2 * p`` FLOPs at their face value."""
+    if doubled:
+        flops = gram_except_plan(rank, dims, k)[0]
+        return flops, _DOUBLED_WEIGHT * flops + (rank.n - 2) * _CALL_FLOPS
+    s = rank.bond_product(k)
+    flops = 2 * s * s * (math.prod(dims) // dims[k])
+    return flops, flops
 
 
 @functools.lru_cache(maxsize=256)
 def doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
     """Whether factor k's Gram matrix is cheaper from the doubled network
     (:func:`gram_except`) than as the dense product ``M M^T`` of its network
-    matrix (s x p): its weighted FLOPs plus its per-call overhead must stay
-    below ``2 * s^2 * p``, and its largest intermediate must not outgrow M.
+    matrix (s x p), by :func:`gram_price`, with the doubled chain's largest
+    intermediate no larger than M.
 
     The doubled chain's middle intermediates grow as R^(2 t (n-t)), so it
     loses once R^2 is large against the extents (4^5 at R=3, 6^6 at R=2) and
     on small tensors, where the Python cost of its contractions dominates."""
     s = rank.bond_product(k)
     p = math.prod(dims) // dims[k]
-    flops, peak = gram_except_plan(rank, dims, k)
-    cost = _DOUBLED_WEIGHT * flops + (rank.n - 2) * _CALL_FLOPS
-    return cost < 2 * s * s * p and peak <= s * p
+    cheaper = gram_price(rank, dims, k, True)[1] < gram_price(rank, dims, k, False)[1]
+    return cheaper and gram_except_plan(rank, dims, k)[1] <= s * p
 
 
 # ---------- the accelerated partial build ---------- #
@@ -439,7 +459,7 @@ def _chain_labels(members, n: int) -> list:
     return out
 
 
-def _chain_partial(f: FctnFactors, seq, kept: dict, target):
+def _chain_partial(f: FctnFactors, seq, kept: dict | None, target):
     """Contract the factors listed in ``seq`` left to right into one labeled
     tensor, its modes in ``target`` order when given, starting from the
     longest prefix held in ``kept`` (keyed by its sorted factor tuple), which
@@ -451,7 +471,9 @@ def _chain_partial(f: FctnFactors, seq, kept: dict, target):
     factor, which no later position of the sweep asks for.  Every kept one is
     asked for exactly once (see :func:`_compose_except_cached_labeled`), so
     taking it out when it is used leaves ``kept`` holding only what is still
-    to be used.
+    to be used.  With ``kept=None`` the chain starts from ``seq[0]`` and keeps
+    nothing, so each intermediate is freed once the next step has read it.
+    :func:`_chain_plan` sizes the same steps.
     """
     n = f.n
     if not seq:
@@ -460,7 +482,7 @@ def _chain_partial(f: FctnFactors, seq, kept: dict, target):
     prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
     arr, labels = f.factor(seq[0]), factor_labels(seq[0], n)
     base = 0
-    for idx in range(len(prefixes) - 1, -1, -1):
+    for idx in range(len(prefixes) - 1, -1, -1) if kept else ():
         got = kept.pop(tuple(sorted(prefixes[idx])), None)
         if got is not None:
             arr, labels = got
@@ -470,14 +492,14 @@ def _chain_partial(f: FctnFactors, seq, kept: dict, target):
         nxt = prefix[-1]
         out = target if target is not None and prefix == seq else _chain_labels(prefix, n)
         arr, labels = _contract_labeled(arr, labels, f.factor(nxt), factor_labels(nxt, n), out)
-        if len(prefix) < n - 1:
+        if kept is not None and len(prefix) < n - 1:
             kept[tuple(sorted(prefix))] = arr, labels
     if target is not None:  # a lone factor has had no contraction to lay it out
         arr, labels = _to_label_order(arr, labels, target), list(target)
     return arr, labels
 
 
-def _compose_except_cached_labeled(f: FctnFactors, k: int, order, kept: dict) -> np.ndarray:
+def _compose_except_cached_labeled(f: FctnFactors, k: int, order, kept: dict | None) -> np.ndarray:
     """Partial network around k in :func:`matrix_labels` order, so its network
     matrix is a view: factors before k in the visiting ``order`` form a prefix
     chain, those after it a suffix chain, both reusing the intermediates in
@@ -513,6 +535,75 @@ def _compose_except_cached_labeled(f: FctnFactors, k: int, order, kept: dict) ->
         if right is None:
             return left
         return _contract_labeled(left, llab, right, rlab, target)[0]
+
+
+# ---------- the builds, sized without running them ---------- #
+
+
+def _mode_sizes(rank: FctnRank, dims) -> dict:
+    """Extent of every mode label of the network."""
+    n = rank.n
+    sizes = {("i", j): int(dims[j]) for j in range(n)}
+    sizes.update({_bond(a, b): rank[a, b] for a in range(n) for b in range(a + 1, n)})
+    return sizes
+
+
+def _held(members, n: int) -> set:
+    """Modes of a chain over the factors ``members``: their physical modes
+    and their bonds to every other factor."""
+    return {("i", j) for j in members} | {
+        _bond(j, p) for j in members for p in range(n) if p not in members
+    }
+
+
+def _join_flops(sizes: dict, n: int, a, b) -> int:
+    """FLOPs of contracting a chain over the factors ``a`` with one over the
+    factors ``b``: twice the product of the extents of every mode either
+    holds."""
+    return 2 * math.prod(sizes[lab] for lab in _held(a, n) | _held(b, n))
+
+
+def _chain_plan(sizes: dict, n: int, seq, kept: set | None) -> tuple[int, int]:
+    """FLOPs and contraction calls of :func:`_chain_partial` over ``seq``,
+    sized, not run; ``kept`` holds the keys of the chains it would hold and is
+    updated the same way."""
+    prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
+    base = 0
+    for idx in range(len(prefixes) - 1, -1, -1) if kept else ():
+        key = tuple(sorted(prefixes[idx]))
+        if key in kept:
+            kept.remove(key)
+            base = idx + 1
+            break
+    flops = 0
+    for prefix in prefixes[base:]:
+        flops += _join_flops(sizes, n, prefix[:-1], prefix[-1:])
+        if kept is not None and len(prefix) < n - 1:
+            kept.add(tuple(sorted(prefix)))
+    return flops, len(prefixes) - base
+
+
+def chain_plan(rank: FctnRank, dims, seq) -> tuple[int, int]:
+    """FLOPs and contraction calls of the plain chain over ``seq``, which
+    keeps nothing (:func:`compose_except`, :func:`compose`)."""
+    return _chain_plan(_mode_sizes(rank, dims), rank.n, tuple(seq), None)
+
+
+def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
+    """``(FLOPs, contraction calls)`` of :func:`_compose_except_cached_labeled`
+    at each position of one sweep in ``order`` that starts from an empty
+    ``kept``: the same prefix and suffix chains and cross joins, sized, not
+    run."""
+    n, sizes, kept, out = rank.n, _mode_sizes(rank, dims), set(), []
+    order = tuple(order)
+    for pos in range(n):
+        left, right = order[:pos], order[pos + 1 :][::-1]
+        fl, cl = _chain_plan(sizes, n, left, kept)
+        fr, cr = _chain_plan(sizes, n, right, kept)
+        if left and right:
+            fl, cl = fl + _join_flops(sizes, n, left, right), cl + 1
+        out.append((fl + fr, cl + cr))
+    return tuple(out)
 
 
 def shuffle_order(prev, rng: np.random.Generator) -> tuple:
@@ -582,26 +673,13 @@ def gram_except_flops(n: int, i: int, r: int) -> int:
 def sweep_flops(n: int, i: int, r: int, algorithm: str) -> dict:
     """Per-sweep FLOPs of one solver sweep by label (``mk``, ``compose``,
     ``proj``, ``gram``) at extent i and rank r, by the routes the solver
-    takes.  Each factor's Gram comes from the doubled network
-    (:func:`gram_except_flops`) where :func:`doubled_gram_pays` says so, else
-    from the dense product, 2 * I^(n-1) * R^(2(n-1)).  ``fctnlr`` builds
-    every partial network plainly, takes each data product X_(k) M^T
-    (2 * I^n * R^(n-1)) from it and composes by the whole chain;
-    ``afctnlr`` composes from the last M and takes the environment route
-    (one plain partial network, :func:`env_proj_flops`) where every Gram
-    comes from the doubled network, else the prefix/suffix build."""
-    doubled = doubled_gram_pays(FctnRank.uniform(n, r), (i,) * n, 0)
-    gram = gram_except_flops(n, i, r) if doubled else 2 * i ** (n - 1) * r ** (2 * (n - 1))
-    out = {
-        "mk": partial_sweep_flops(n, i, r),
-        "compose": compose_flops(n, i, r),
-        "proj": n * compose_from_partial_flops(n, i, r),
-        "gram": n * gram,
-    }
-    if algorithm == "afctnlr":
-        out["compose"] = compose_from_partial_flops(n, i, r)
-        if doubled:
-            out["mk"], out["proj"] = partial_chain_flops(n, i, r), env_proj_flops(n, i, r)
-        else:
-            out["mk"] = partial_sweep_flops_cached(n, i, r)
-    return out
+    takes: :func:`fctnlr.environment.sweep_plan` over the ascending order
+    (with equal extents and ranks every order costs the same).  The closed
+    forms above are its identities: ``fctnlr`` counts
+    :func:`partial_sweep_flops` and :func:`compose_flops`; ``afctnlr``
+    composes from the last M (:func:`compose_from_partial_flops`) and counts
+    :func:`partial_sweep_flops_cached` off the environment route,
+    :func:`partial_chain_flops` and :func:`env_proj_flops` on it."""
+    from .environment import sweep_plan  # imported here: environment imports this module
+
+    return sweep_plan(FctnRank.uniform(n, r), (i,) * n, range(n), algorithm)[0]

@@ -31,20 +31,25 @@ composes the X-refresh tensor by the whole chain.  The accelerated variant
 composes the X-refresh tensor from the last factor's M as
 ``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order every
 sweep, and gets its data products and network matrices by one of two
-routes.  Where every factor before the last in the visiting order takes the
-doubled-network Gram, a factor before the last needs no M at all: its data
-product comes from kept X-environments
+routes, chosen per sweep.  On the environment route a factor before the
+last needs no M at all: its data product comes from kept X-environments
 (:func:`~fctnlr.environment.env_data_product`; the first position contracts
 X with the other factors one at a time and keeps each intermediate for the
 one later position that reads it, as ALS in the tensor-train format keeps
-its interfaces), and only the last factor builds M, as one plain chain.  A
-sweep then reads X three times (the first position's chain, the last data
-product and the composition) instead of n + 1.  Elsewhere each factor builds
-its M from a prefix chain over the factors already updated in the sweep and
-a suffix chain over those not yet updated, keeping each chain intermediate
-until the one later build that uses it.  Both variants take each factor's
-Gram matrix ``M M^T`` from the doubled network
-(:func:`~fctnlr.network.gram_except`) where
+its interfaces) and its Gram matrix ``M M^T`` from the doubled network
+(:func:`~fctnlr.network.gram_except`), and only the last factor builds M,
+as one plain chain.  A sweep then reads X three times (the first position's
+chain, the last data product and the composition) instead of n + 1.  On the
+prefix/suffix route each factor builds its M from a prefix chain over the
+factors already updated in the sweep and a suffix chain over those not yet
+updated, keeping each chain intermediate until the one later build that
+uses it.  A sweep takes the environment route where
+:func:`~fctnlr.environment.env_route_pays` finds it cheaper for the whole
+sweep, by the FLOPs and per-call overhead of every contraction, data
+product and Gram of either route
+(:func:`~fctnlr.environment.sweep_plan`); the choice depends on the rank
+table, the extents and the last factor of the visiting order only.  Every
+other Gram, in both variants, comes from the doubled network where
 :func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
 dense product.  Bonds grow by one when the relative change falls below
 ``10 * eps``.
@@ -70,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import env_data_product
+from .environment import env_data_product, env_route_pays
 from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
@@ -476,9 +481,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     squared factor steps and the squared X step."""
     n = f.n
     accelerated = cfg.algorithm == "afctnlr"
-    # the environment route needs no M before the last position, so every
-    # factor before it must take its Gram from the doubled network
-    env_route = accelerated and all(doubled_gram_pays(f.rank, f.dims, k) for k in order[:-1])
+    env_route = accelerated and env_route_pays(f.rank, f.dims, order[-1])
     kept = {}  # the accelerated build's chain intermediates, for this sweep only
     envs = {}  # the environment route's X-environments, for this sweep only
     step_sq = 0.0
@@ -489,7 +492,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         elif accelerated:
             # the environment route builds its one M whole and keeps no chain
             m = property1_unfold(
-                _compose_except_cached_labeled(f, k, order, {} if env_route else kept), k, n
+                _compose_except_cached_labeled(f, k, order, None if env_route else kept), k, n
             )
         else:
             m = property1_unfold(compose_except(f, k), k, n)
@@ -498,7 +501,8 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
             xm=data_product(x, k, m) if xm is None else xm,
             m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho,
         )
-        if doubled_gram_pays(f.rank, f.dims, k):
+        # with no M the Gram can only come from the doubled network
+        if m is None or doubled_gram_pays(f.rank, f.dims, k):
             pair = SpectralPair.from_gram(gram_except(f, k))
         a_new = solve_factor(prob, pair)  # with no pair it forms the dense M M^T
         step_sq += _sq(a_new - a_prev)

@@ -25,11 +25,13 @@ matrix from the doubled network instead
 (:func:`fctnlr.network.gram_except`: the other factors' small Grams over
 their physical modes, contracted over their doubled bonds) and hands its
 eigendecomposition to :func:`solve_factor` as a :class:`SpectralPair`
-(:meth:`SpectralPair.from_gram`).  Where
-:func:`fctnlr.network.doubled_gram_pays` finds the doubled chain dearer
-(squared ranks large against the extents, or small tensors), it passes no
-pair and :func:`solve_factor` forms the dense product through
-:func:`eig_gram`.
+(:meth:`SpectralPair.from_gram`).  It always does so on the accelerated
+variant's environment route, whose positions before the last build no M
+(:func:`fctnlr.environment.sweep_plan` weighs that into the choice of
+route).  Elsewhere, where :func:`fctnlr.network.doubled_gram_pays` finds the
+doubled chain dearer (squared ranks large against the extents, or small
+tensors), it passes no pair and :func:`solve_factor` forms the dense product
+through :func:`eig_gram`.
 """
 from __future__ import annotations
 

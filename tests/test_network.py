@@ -4,6 +4,7 @@ sweep, and the contraction cost model."""
 import numpy as np
 import pytest
 
+from fctnlr.environment import env_route_pays
 from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
@@ -479,6 +480,50 @@ def test_doubled_gram_route_follows_cost():
     rank = FctnRank.uniform(4, 2)
     assert [doubled_gram_pays(rank, (64, 64, 3, 32), k) for k in range(4)] == [
         False, False, True, False]
+
+
+def test_sweep_route_follows_the_price():
+    """afctnlr's route is chosen per sweep by the price of both routes, by
+    the last factor of the visiting order.  At 64x64x3x32 R=3 the environment
+    route wins unless the order ends in the short mode 2, which then drops
+    out of the environments; where the doubled Gram is dear or the tensor
+    small the prefix/suffix build wins; on the benchmark's fixed-sweep shapes
+    and at 8^6 R=2 the environment route does, although the doubled Gram
+    loses per factor at 8^6 R=2."""
+    video = (64, 64, 3, 32)
+    rank = FctnRank.uniform(4, 3)
+    assert [env_route_pays(rank, video, last) for last in range(4)] == [True, True, False, True]
+    for dims, r, env in [
+        (video, 2, False), ((12, 12, 3, 8), 1, False), ((12, 12, 3, 8), 2, False),
+        ((10,) * 5, 3, False), ((6,) * 6, 2, False),
+        ((8,) * 6, 2, True), ((40,) * 4, 4, True), ((16,) * 5, 3, True), ((128,) * 3, 4, True),
+    ]:
+        rank = FctnRank.uniform(len(dims), r)
+        assert [env_route_pays(rank, dims, last) for last in range(len(dims))] == [env] * len(dims)
+    assert not doubled_gram_pays(FctnRank.uniform(6, 2), (8,) * 6, 0)
+
+
+def test_sweep_flops_with_mixed_grams_match_a_sweep():
+    """At 8^6 R=2 afctnlr takes the environment route with the dense Gram
+    rule against it: the positions before the last take the doubled Gram,
+    the last the dense one, and a measured sweep counts the planned FLOPs by
+    label, which are the closed forms' on that route."""
+    n, i, r = 6, 8, 2
+    dims = (i,) * n
+    truth = np.random.default_rng(5).standard_normal(dims)
+    obs = Observation.from_dense(truth, sample_mask(dims, 0.3, 5))
+    res = run(obs, SolverConfig(eps=0.0, max_iters=1, max_rank=r, initial_rank=r,
+                                rank_policy="fixed", algorithm="afctnlr", seed=5))
+    sweep = res.trace[0]
+    pred = sweep_flops(n, i, r, "afctnlr")
+    assert {lab: getattr(sweep, f"{lab}_flops") for lab in pred} == pred
+    dense = 2 * i ** (n - 1) * r ** (2 * (n - 1))
+    assert pred == {
+        "mk": partial_chain_flops(n, i, r),
+        "compose": compose_from_partial_flops(n, i, r),
+        "proj": env_proj_flops(n, i, r),
+        "gram": (n - 1) * gram_except_flops(n, i, r) + dense,
+    }
 
 
 def test_cost_model_cached_is_cheaper_for_order_four():

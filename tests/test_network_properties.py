@@ -1,9 +1,11 @@
 """Property tests of the plain and the accelerated partial-network builds,
 of the chain composition, of the data products from kept X-environments and
 of the doubled-network Gram matrix over random network orders, extents, rank
-tables and visiting orders, against the einsum and nested-sum oracles."""
+tables and visiting orders, against the einsum and nested-sum oracles, and
+of the sweep planner against measured sweeps."""
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +22,17 @@ from fctnlr.network import (
     gram_except_plan,
     property1_unfold,
 )
-from fctnlr.environment import env_data_product, env_product_plan
+import fctnlr.solver as solver
+from fctnlr.environment import env_data_product, env_product_plan, sweep_plan
+from fctnlr.laplacian import CirculantLaplacian
+from fctnlr.solver import Observation, SolverConfig
 from fctnlr.tensor import FLOPS, mode_unfold
 from oracles import gram_dense, nested_sum_compose, network_matrix
 
 
 @st.composite
-def networks(draw, max_n=5):
-    n = draw(st.integers(2, max_n))
+def networks(draw, max_n=5, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     dims = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     top = 3 if n < 6 else 2  # keeps an order-6 network's middle joins small
     tri = draw(st.lists(st.integers(1, top), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
@@ -216,3 +221,43 @@ def test_environment_steps_copy_no_environment(n, extent, every):
     finally:
         tensor_module.gunfold = real
     assert copied == []
+
+
+_LABELS = ("mk", "compose", "proj", "gram")
+
+
+def _sweep_flops(f, obs, order, algorithm):
+    """FLOPs by label of one solver sweep of ``f`` (updated in place)."""
+    n = f.n
+    laps = [CirculantLaplacian(d, 0.5, "positive-definite") for d in f.dims]
+    before = {lab: FLOPS.labeled(lab) for lab in _LABELS}
+    solver._sweep(f, obs.values.copy(order="F"), obs, order, laps, (0.35,) * n,
+                  SolverConfig(algorithm=algorithm))
+    return {lab: FLOPS.labeled(lab) - before[lab] for lab in _LABELS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_n=6, min_n=3))
+def test_sweeps_count_the_planned_flops(case):
+    """Over random extents, rank tables and visiting orders, one afctnlr
+    sweep by either route, forced, counts the ``mk``, ``compose``, ``proj``
+    and ``gram`` FLOPs that :func:`sweep_plan` sizes for that route; left to
+    itself it takes the route the plan picks, and a fctnlr sweep counts its
+    own plan."""
+    dims, rank, orders, seed = case
+    dims, order = tuple(dims), orders[0]
+    rng = np.random.default_rng(seed)
+    mask = rng.random(dims) < 0.5
+    mask.flat[0] = True
+    obs = Observation.from_dense(rng.standard_normal(dims), mask)
+    start = FctnFactors.random(dims, rank, rng)
+
+    def fresh():
+        return FctnFactors([start[k].copy() for k in range(rank.n)])
+
+    for env in (False, True):
+        with mock.patch.object(solver, "env_route_pays", lambda *_: env):
+            got = _sweep_flops(fresh(), obs, order, "afctnlr")
+        assert got == sweep_plan(rank, dims, order, "afctnlr", env)[0]
+    assert _sweep_flops(fresh(), obs, order, "afctnlr") == sweep_plan(rank, dims, order, "afctnlr")[0]
+    assert _sweep_flops(fresh(), obs, order, "fctnlr") == sweep_plan(rank, dims, order, "fctnlr")[0]
