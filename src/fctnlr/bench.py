@@ -6,9 +6,9 @@ interleaved so slow drift of the machine hits both equally.  Reported per
 variant: per-repeat and median wall time (sum of per-iteration times, so
 setup is excluded), first-iteration contraction FLOPs split into the
 partial-network and composition categories, and total FLOPs, followed by the
-accelerated-over-baseline wall ratio.  The closed-form
-cost model for the same configuration is emitted alongside, so measured
-counts can be checked against it exactly.
+accelerated-over-baseline wall ratio.  The FLOPs the sweep plan
+(:func:`fctnlr.environment.sweep_plan`) sizes for the same configuration are
+emitted alongside, so measured counts can be checked against them exactly.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import sample_mask
-from .network import sweep_flops
+from .environment import sweep_plan
+from .network import FctnRank
 from .solver import Observation, SolverConfig, run
 
 __all__ = ["BenchConfig", "BenchResult", "parse_shape", "run_bench"]
@@ -36,8 +37,8 @@ CSV_FIELDS = [
 
 
 def parse_shape(text: str) -> tuple:
-    """Comma-separated extents of a synthetic benchmark tensor.  The cost
-    model needs one common extent, so unequal entries are rejected."""
+    """Comma-separated extents of a synthetic benchmark tensor.  The
+    benchmark's instance is cubic, so unequal entries are rejected."""
     try:
         parts = [int(p) for p in str(text).replace(",", " ").split()]
     except ValueError:
@@ -166,7 +167,10 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
 
     result = BenchResult(config=cfg)
     n, i, r = cfg.order, cfg.extent, cfg.rank
-    result.predicted = {alg: sweep_flops(n, i, r, alg) for alg in ("fctnlr", "afctnlr")}
+    result.predicted = {
+        alg: dict(sweep_plan(FctnRank.uniform(n, r), dims, tuple(range(n)), alg).flops)
+        for alg in ("fctnlr", "afctnlr")
+    }
 
     algs = ("fctnlr", "afctnlr")
     configs = {

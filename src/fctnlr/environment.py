@@ -1,4 +1,4 @@
-"""Data products from kept X-environments, and the choice of route.
+"""Data products from kept X-environments, and the plan of every sweep.
 
 On the environment route an ``afctnlr`` sweep builds no network matrix M
 before the last position, only each factor's data product ``X_(k) M^T``
@@ -9,35 +9,54 @@ interfaces), then with the factors already updated.  The contractions run on
 the labeled tensors of :mod:`fctnlr.network`, each result laid out so that
 the step reading it needs no copy.
 
-Whether a sweep takes this route or builds every M from prefix and suffix
-chains is decided for the whole sweep: :func:`sweep_plan` sizes both routes
-without running them and :func:`env_route_pays` takes the cheaper.
+Every route choice of a sweep is made here, by :func:`sweep_plan`, and the
+solver runs the plan as it is.  Per position it fixes where the data product
+comes from (kept X-environments or M), how M is built (the plain chain, or
+prefix and suffix chains joined) and whether the Gram matrix ``M M^T`` comes
+from the doubled network (:func:`~fctnlr.network.gram_except`) or the dense
+product.  ``fctnlr`` builds every M by the plain chain.  ``afctnlr`` takes
+the environment route or the prefix/suffix route for the whole sweep,
+whichever the plan prices lower, and on the environment route every
+position before the last takes the doubled Gram.  Every other Gram, in both
+variants, comes from the doubled network where :func:`_doubled_gram_pays`
+finds it cheaper and no larger than M: the doubled chain's middle
+intermediates grow as R^(2 t (n-t)), so it loses once R^2 is large against
+the extents (4^5 at R=3, 6^6 at R=2), and on small tensors, where the Python
+cost of its contractions dominates.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .network import (
-    _CALL_FLOPS,
     FctnFactors,
     FctnRank,
     _bond,
+    _chain_plan,
     _contract_labeled,
     _mode_sizes,
     _to_label_order,
     cached_build_plan,
-    chain_plan,
-    doubled_gram_pays,
     factor_labels,
-    gram_price,
 )
 from .tensor import FLOPS
 
-__all__ = ["env_data_product", "env_product_plan", "env_route_pays", "sweep_plan"]
+__all__ = ["Position", "SweepPlan", "env_data_product", "sweep_plan"]
+
+# Weights of the doubled-network Gram against the dense product M M^T, timed
+# per factor with FCTN_THREADS=1 on a 2-core x86 host over 25 shapes (n 3-6,
+# extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
+# FLOP rate (small operands, layout copies), and each of its n-2 contraction
+# calls costs about 140 us of Python, some 4e6 FLOPs of GEMM time.  The
+# price of a sweep charges the same for every contraction call.
+_DOUBLED_WEIGHT = 3
+_CALL_FLOPS = 4_000_000
 
 
 def _touching(labels, j: int) -> set:
@@ -57,15 +76,14 @@ def _step_layout(labels, extents, shared, factor, keep):
     modes ``shared``; every set in ``keep`` (at most two) must come out
     contiguous, as a later step contracts it.
 
-    The result is laid out as [rows, gap, factor, rest], or as [factor,
-    rows] when rows are all of the tensor's remaining modes: rows are a run
-    of the tensor's modes adjacent in its memory, so
-    the GEMM reads the tensor in place (see :func:`~fctnlr.tensor.contract`'s
-    ``split``), and gap and rest are batched.  A kept set straddles the
-    boundary before the factor's modes or the one after them.  Returns
-    ``(cost, target, split)`` for the fewest batched GEMMs and then, if it
-    can, a layout that reads the (small) factor in place too; None when no
-    such layout keeps every set contiguous."""
+    The result is laid out as [rows, gap, factor, rest]: rows are a run of
+    the tensor's modes adjacent in its memory, so the GEMM reads the tensor
+    in place (see :func:`~fctnlr.tensor.contract`'s ``split``), and gap and
+    rest are batched.  A kept set straddles the boundary before the factor's
+    modes or the one after them.  Returns ``(cost, target, split)`` for the
+    fewest batched GEMMs and then, if it can, a layout that reads the
+    (small) factor in place too; None when no such layout keeps every set
+    contiguous."""
     own = [lab for lab in labels if lab not in shared]
     new = [lab for lab in factor if lab not in shared]
     # the GEMM needs a unit stride in its rows or in the contracted modes
@@ -91,16 +109,13 @@ def _step_layout(labels, extents, shared, factor, keep):
                 gap = [lab for lab in rest if lab in head]
                 after = [lab for lab in rest if lab in tail]
                 after += [lab for lab in rest if lab not in head and lab not in tail]
-                found = [(run + gap + start + mid + end + after, len(run))]
-                if len(side) < 2 and not rest:  # the GEMM's columns are then all of own
-                    found.append((mid + start + run, None))
-                for target, split in found:
-                    if not all(_contiguous(target, group) for group in keep):
-                        continue
-                    mine = [slot[lab] for lab in target if lab in slot]
-                    copied = bool(mine) and mine != list(range(mine[0], mine[0] + len(mine)))
-                    if best is None or (batched, copied) < best[0]:
-                        best = (batched, copied), tuple(target), split
+                target = run + gap + start + mid + end + after
+                if not all(_contiguous(target, group) for group in keep):
+                    continue
+                mine = [slot[lab] for lab in target if lab in slot]
+                copied = bool(mine) and mine != list(range(mine[0], mine[0] + len(mine)))
+                if best is None or (batched, copied) < best[0]:
+                    best = (batched, copied), tuple(target), len(run)
     return best
 
 
@@ -198,89 +213,135 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     return tuple(schedule)
 
 
-def env_product_plan(rank: FctnRank, dims, order) -> tuple:
-    """FLOPs of :func:`env_data_product` at each position ``0..n-2`` of a
-    sweep in ``order``: the same contractions, sized, not run."""
-    schedule = _schedule(rank, tuple(int(d) for d in dims), tuple(int(v) for v in order))
-    return tuple(sum(st[3] for st in steps) for steps in schedule)
+class Position(NamedTuple):
+    """How one position of a sweep runs.  ``k`` is its factor; ``envs``
+    whether its data product comes from kept X-environments, with no M
+    built; ``chain`` the factors, in chain order, of the plain chain that
+    builds its M, or None when M is joined from prefix and suffix chains (or
+    not built); ``doubled`` whether its Gram matrix comes from the doubled
+    network."""
+
+    k: int
+    envs: bool
+    chain: tuple | None
+    doubled: bool
 
 
-def sweep_plan(rank: FctnRank, dims, order, algorithm: str, env: bool | None = None) -> tuple:
-    """FLOPs by label (``mk``, ``compose``, ``proj``, ``gram``) and price of
-    one sweep of ``algorithm`` in ``order``: the solver's routes, sized, not
-    run.  For ``afctnlr``, ``env`` picks the route, by default the one
-    :func:`env_route_pays` picks.
+class SweepPlan(NamedTuple):
+    """One sweep's positions in visiting order, its FLOPs by label (``mk``,
+    ``compose``, ``proj``, ``gram``) and its price."""
 
-    The price is the FLOPs, each doubled-network Gram's at the weight
-    :func:`~fctnlr.network.gram_price` gives it, plus ``_CALL_FLOPS`` for
-    every contraction call.  ``fctnlr`` builds every network matrix M by the
-    plain chain, takes every data product ``X_(k) M^T`` (``2 q p s``) from M
-    and composes by the whole chain.  ``afctnlr`` composes from the last M
-    and, on the environment route, takes the data products of the positions
-    before the last from kept X-environments (:func:`env_product_plan`),
-    their Grams from the doubled network, and builds only the last M, by the
-    plain chain; off it, every position builds its M from prefix and suffix
-    chains (:func:`~fctnlr.network.cached_build_plan`).  Every Gram the route
-    does not fix comes from where :func:`~fctnlr.network.doubled_gram_pays`
-    says."""
+    positions: tuple
+    flops: MappingProxyType
+    price: int
+
+
+@functools.lru_cache(maxsize=256)
+def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
+               env: bool | None = None) -> SweepPlan:
+    """The routes of one sweep of ``algorithm`` in ``order``, sized by label
+    and priced, not run, and cached on its arguments (``dims`` and
+    ``order`` as tuples).  For ``afctnlr``, ``env`` forces the route; by
+    default the sweep takes the environment route when that is priced below
+    the prefix/suffix route.
+
+    The price is the FLOPs, each doubled-network Gram's at
+    ``_DOUBLED_WEIGHT``, plus ``_CALL_FLOPS`` for every contraction call.
+    ``fctnlr`` builds every M by the plain ascending chain, takes every data
+    product ``X_(k) M^T`` (``2 q p s``) from M and composes by the whole
+    chain.  ``afctnlr`` composes from the last M and, on the environment
+    route, takes the data products of the positions before the last from
+    kept X-environments (:func:`_schedule`), their Grams from the doubled
+    network, and builds only the last M, by the plain chain in visiting
+    order; off it, every position builds its M from prefix and suffix chains
+    (:func:`~fctnlr.network.cached_build_plan`).  Both routes are priced in
+    the order of the other factors ascending, then the last: with unequal
+    extents the price moves a little with the order of the rest, the choice
+    mostly with the last factor, which the environment route builds M for
+    and which drops out of the environments.  So the choice depends on the
+    rank table, the extents and the last factor only."""
     n = rank.n
-    dims, order = tuple(int(d) for d in dims), tuple(int(v) for v in order)
+    sizes = _mode_sizes(rank, dims)
     flops = dict.fromkeys(("mk", "compose", "proj", "gram"), 0)
     price = 0
+    positions = []
 
-    def step(label, count, calls):
+    def charge(label, count, calls):
         nonlocal price
         flops[label] += count
         price += count + calls * _CALL_FLOPS
 
-    def gram(k, doubled):
+    def place(k, chain=None, build=None, schedule=None):
+        """Charge factor k's position: from kept X-environments by the
+        environment steps ``schedule`` (and its Gram from the doubled
+        network), else by its build of M (FLOPs, calls) and the data
+        product from M."""
         nonlocal price
-        count, cost = gram_price(rank, dims, k, doubled)
+        if schedule is not None:
+            charge("proj", sum(st[3] for st in schedule), len(schedule))
+            doubled = True
+        else:
+            charge("mk", *build)
+            charge("proj", 2 * math.prod(dims) * rank.bond_product(k), 0)
+            doubled = _doubled_gram_pays(rank, dims, k)
+        count, cost, _ = _gram_price(rank, dims, k, doubled)
         flops["gram"] += count
         price += cost
+        positions.append(Position(k, schedule is not None, chain, doubled))
 
-    def through_m(k):
-        """A product with factor k's network matrix: its data product, or
-        the composition from it."""
-        return 2 * math.prod(dims) * rank.bond_product(k)
+    def plain(seq):
+        """FLOPs and calls of the plain chain over ``seq``."""
+        return _chain_plan(sizes, n, seq, None)[:2]
 
     if algorithm == "fctnlr":
-        for k in range(n):
-            step("mk", *chain_plan(rank, dims, [j for j in range(n) if j != k]))
-            step("proj", through_m(k), 0)
-            gram(k, doubled_gram_pays(rank, dims, k))
-        step("compose", *chain_plan(rank, dims, range(n)))
-        return flops, price
-    if env is None:
-        env = env_route_pays(rank, dims, order[-1])
-    if env:
-        schedule = _schedule(rank, dims, order)
+        for k in order:
+            rest = tuple(j for j in range(n) if j != k)
+            place(k, rest, plain(rest))
+        charge("compose", *plain(tuple(range(n))))
     else:
-        builds = cached_build_plan(rank, dims, order)
-    for pos, k in enumerate(order):
-        if env and pos < n - 1:
-            step("proj", sum(st[3] for st in schedule[pos]), len(schedule[pos]))
-            gram(k, True)
-            continue
-        step("mk", *(chain_plan(rank, dims, order[:-1]) if env else builds[pos]))
-        step("proj", through_m(k), 0)
-        gram(k, doubled_gram_pays(rank, dims, k))
-    step("compose", through_m(order[-1]), 1)
-    return flops, price
+        if env is None:
+            last = order[-1]
+            ranked = tuple(j for j in range(n) if j != last) + (last,)
+            env = (sweep_plan(rank, dims, ranked, algorithm, True).price
+                   < sweep_plan(rank, dims, ranked, algorithm, False).price)
+        if env:
+            for k, steps in zip(order, _schedule(rank, dims, order)):
+                place(k, schedule=steps)
+            place(order[-1], order[:-1], plain(order[:-1]))
+        else:
+            for k, build in zip(order, cached_build_plan(rank, dims, order)):
+                place(k, build=build)
+        charge("compose", 2 * math.prod(dims) * rank.bond_product(order[-1]), 1)
+    return SweepPlan(tuple(positions), MappingProxyType(flops), price)
 
 
 @functools.lru_cache(maxsize=256)
-def env_route_pays(rank: FctnRank, dims: tuple, last: int) -> bool:
-    """Whether an ``afctnlr`` sweep whose visiting order ends in factor
-    ``last`` takes the environment route: whether :func:`sweep_plan` prices
-    it below the prefix/suffix route.  Both are priced for the other factors
-    in ascending order, then ``last``: with unequal extents the price moves a
-    little with the order of the rest, the choice mostly with the last
-    factor, which the environment route builds M for and which drops out of
-    the environments."""
-    order = tuple(j for j in range(rank.n) if j != last) + (last,)
-    env = sweep_plan(rank, dims, order, "afctnlr", True)[1]
-    return env < sweep_plan(rank, dims, order, "afctnlr", False)[1]
+def _gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int, int, int]:
+    """FLOPs, price and largest tensor (entries) of factor k's Gram matrix.
+    From the doubled network (:func:`~fctnlr.network.gram_except`): the n-1
+    small Grams ``U_j^T U_j``, ``2 I_j s_j^2`` FLOPs each, then the plain
+    ascending chain over the other factors of the network with squared bonds
+    and unit extents, priced at ``_DOUBLED_WEIGHT`` times its FLOPs plus
+    ``_CALL_FLOPS`` per contraction call.  Else the dense product ``M M^T``
+    of its network matrix M (s x p), ``2 s^2 p`` FLOPs at face value, whose
+    largest tensor is M."""
+    n = rank.n
+    s, p = rank.bond_product(k), math.prod(dims) // dims[k]
+    if not doubled:
+        return 2 * s * s * p, 2 * s * s * p, s * p
+    rest = tuple(j for j in range(n) if j != k)
+    squared = _mode_sizes(FctnRank(n, [e * e for e in rank.entries]), (1,) * n)
+    count, calls, peak = _chain_plan(squared, n, rest, None)
+    count += sum(2 * dims[j] * rank.bond_product(j) ** 2 for j in rest)
+    return count, _DOUBLED_WEIGHT * count + calls * _CALL_FLOPS, peak
+
+
+def _doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
+    """Whether factor k's Gram matrix comes from the doubled network: its
+    price is below the dense product's and its largest tensor no larger
+    than M (:func:`_gram_price`)."""
+    doubled, dense = _gram_price(rank, dims, k, True), _gram_price(rank, dims, k, False)
+    return doubled[1] < dense[1] and doubled[2] <= dense[2]
 
 
 def env_data_product(f: FctnFactors, k: int, order, x: np.ndarray, envs: dict) -> np.ndarray:

@@ -11,17 +11,11 @@ runs the plain ascending chain over the other factors
 (:func:`compose_except`); the accelerated build joins a prefix chain over the
 factors already updated in the sweep with a suffix chain over those not yet
 updated, reusing both chains' intermediates within the sweep.  Composition
-runs the same chain over every factor.  On the accelerated variant's
-environment route no network matrix is built before the last position of a
-sweep, only its data product ``X_(k) M^T``, from kept X-environments
-(:mod:`fctnlr.environment`, which also prices that route against the
-prefix/suffix build for the whole sweep), and each Gram matrix ``M M^T``
-there comes from the doubled network (:func:`gram_except`).  Elsewhere the
-Gram comes from the doubled network wherever :func:`doubled_gram_pays` finds
-that cheaper than the dense product of M with itself.  The builds are sized
-without running them by :func:`chain_plan` and :func:`cached_build_plan`
-(any extents and ranks), and by the closed forms at the end of this module
-(equal extents and ranks).
+runs the same chain over every factor.  The Gram matrix ``M M^T`` of a
+network matrix can also come from the doubled network (:func:`gram_except`)
+without forming M.  Which build, data product and Gram each position of a
+sweep takes is planned in :mod:`fctnlr.environment`; the builds are sized
+without running them by :func:`_chain_plan` and :func:`cached_build_plan`.
 
 Modes inside a labeled intermediate are tracked by label, not position:
 ``('i', k)`` is the physical mode of factor ``k`` and ``('r', a, b)`` with
@@ -29,7 +23,6 @@ Modes inside a labeled intermediate are tracked by label, not position:
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -41,7 +34,6 @@ __all__ = [
     "FctnRank",
     "compose",
     "compose_except",
-    "doubled_gram_pays",
     "factor_labels",
     "gram_except",
     "matrix_labels",
@@ -346,9 +338,9 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
     meets its own copy over physical mode j in the small Gram ``U_j^T U_j``
     of its mode-j unfolding, a tensor over its bonds and their twins; then
     those n-1 Grams are chained in ascending order over every bond not at k,
-    and the last step writes the s x s layout directly.  Costs
-    :func:`gram_except_plan` (:func:`gram_except_flops` in the uniform case)
-    instead of the ``2 * s^2 * I^(n-1)`` of the product ``M M^T``.
+    and the last step writes the s x s layout directly.  That chain is the
+    plain chain over the other factors of a network with squared bonds and
+    unit extents, so :func:`_chain_plan` sizes it.
     """
     n = f.n
     rest = [j for j in range(n) if j != k]
@@ -371,73 +363,6 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
     s = f.factor(k).size // f.dims[k]
     # (with one other factor, its Gram already has the target modes)
     return _to_label_order(arr, labels, target).reshape((s, s), order="F")
-
-
-def gram_except_plan(rank: FctnRank, dims, k: int) -> tuple[int, int]:
-    """FLOPs and largest intermediate (entries) of :func:`gram_except` for
-    this rank table and these extents: the same chain, sized, not run."""
-    n = rank.n
-
-    def size(labels):
-        return math.prod(rank[lab[1], lab[2]] for lab in labels)
-
-    flops = peak = 0
-    labels = None
-    for j in range(n):
-        if j == k:
-            continue
-        lg = _doubled_labels(j, n)
-        flops += 2 * dims[j] * size(lg)
-        peak = max(peak, size(lg))
-        if labels is None:
-            labels = lg
-            continue
-        union = labels + [lab for lab in lg if lab not in labels]
-        flops += 2 * size(union)
-        labels = [lab for lab in union if (lab in labels) != (lab in lg)]
-        peak = max(peak, size(labels))
-    return flops, peak
-
-
-# Weights of the doubled-network Gram against the dense product M M^T, timed
-# per factor with FCTN_THREADS=1 on a 2-core x86 host over 25 shapes (n 3-6,
-# extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
-# FLOP rate (small operands, layout copies), and each of its n-2 contraction
-# calls costs about 140 us of Python, some 4e6 FLOPs of GEMM time.  The
-# sweep-level price of afctnlr's two routes
-# (:func:`fctnlr.environment.sweep_plan`) charges the same per call.
-_DOUBLED_WEIGHT = 3
-_CALL_FLOPS = 4_000_000
-
-
-@functools.lru_cache(maxsize=256)
-def gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int, int]:
-    """FLOPs and price of factor k's Gram matrix: from the doubled network,
-    its chain's FLOPs at ``_DOUBLED_WEIGHT`` plus ``_CALL_FLOPS`` for each of
-    its n-2 contraction calls, else the dense product ``M M^T`` of its
-    network matrix (s x p), ``2 * s^2 * p`` FLOPs at their face value."""
-    if doubled:
-        flops = gram_except_plan(rank, dims, k)[0]
-        return flops, _DOUBLED_WEIGHT * flops + (rank.n - 2) * _CALL_FLOPS
-    s = rank.bond_product(k)
-    flops = 2 * s * s * (math.prod(dims) // dims[k])
-    return flops, flops
-
-
-@functools.lru_cache(maxsize=256)
-def doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
-    """Whether factor k's Gram matrix is cheaper from the doubled network
-    (:func:`gram_except`) than as the dense product ``M M^T`` of its network
-    matrix (s x p), by :func:`gram_price`, with the doubled chain's largest
-    intermediate no larger than M.
-
-    The doubled chain's middle intermediates grow as R^(2 t (n-t)), so it
-    loses once R^2 is large against the extents (4^5 at R=3, 6^6 at R=2) and
-    on small tensors, where the Python cost of its contractions dominates."""
-    s = rank.bond_product(k)
-    p = math.prod(dims) // dims[k]
-    cheaper = gram_price(rank, dims, k, True)[1] < gram_price(rank, dims, k, False)[1]
-    return cheaper and gram_except_plan(rank, dims, k)[1] <= s * p
 
 
 # ---------- the accelerated partial build ---------- #
@@ -563,10 +488,10 @@ def _join_flops(sizes: dict, n: int, a, b) -> int:
     return 2 * math.prod(sizes[lab] for lab in _held(a, n) | _held(b, n))
 
 
-def _chain_plan(sizes: dict, n: int, seq, kept: set | None) -> tuple[int, int]:
-    """FLOPs and contraction calls of :func:`_chain_partial` over ``seq``,
-    sized, not run; ``kept`` holds the keys of the chains it would hold and is
-    updated the same way."""
+def _chain_plan(sizes: dict, n: int, seq, kept: set | None) -> tuple[int, int, int]:
+    """FLOPs, contraction calls and largest tensor taken in or made (entries)
+    of :func:`_chain_partial` over ``seq``, sized, not run; ``kept`` holds the
+    keys of the chains it would hold and is updated the same way."""
     prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
     base = 0
     for idx in range(len(prefixes) - 1, -1, -1) if kept else ():
@@ -575,18 +500,17 @@ def _chain_plan(sizes: dict, n: int, seq, kept: set | None) -> tuple[int, int]:
             kept.remove(key)
             base = idx + 1
             break
-    flops = 0
+
+    def size(members):
+        return math.prod(sizes[lab] for lab in _held(members, n))
+
+    flops, peak = 0, size(seq[: base + 1])
     for prefix in prefixes[base:]:
         flops += _join_flops(sizes, n, prefix[:-1], prefix[-1:])
+        peak = max(peak, size(prefix[-1:]), size(prefix))
         if kept is not None and len(prefix) < n - 1:
             kept.add(tuple(sorted(prefix)))
-    return flops, len(prefixes) - base
-
-
-def chain_plan(rank: FctnRank, dims, seq) -> tuple[int, int]:
-    """FLOPs and contraction calls of the plain chain over ``seq``, which
-    keeps nothing (:func:`compose_except`, :func:`compose`)."""
-    return _chain_plan(_mode_sizes(rank, dims), rank.n, tuple(seq), None)
+    return flops, len(prefixes) - base, peak
 
 
 def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
@@ -598,8 +522,8 @@ def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
     order = tuple(order)
     for pos in range(n):
         left, right = order[:pos], order[pos + 1 :][::-1]
-        fl, cl = _chain_plan(sizes, n, left, kept)
-        fr, cr = _chain_plan(sizes, n, right, kept)
+        fl, cl, _ = _chain_plan(sizes, n, left, kept)
+        fr, cr, _ = _chain_plan(sizes, n, right, kept)
         if left and right:
             fl, cl = fl + _join_flops(sizes, n, left, right), cl + 1
         out.append((fl + fr, cl + cr))
@@ -609,77 +533,3 @@ def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
 def shuffle_order(prev, rng: np.random.Generator) -> tuple:
     """Fresh uniformly random visiting order (prev only fixes the length)."""
     return tuple(int(v) for v in rng.permutation(len(prev)))
-
-
-# ---------- contraction cost model (uniform extents and ranks) ---------- #
-
-
-def _merge_flops(n: int, i: int, r: int, t: int) -> int:
-    """The t-th step of a chain: t merged factors (or X contracted with all
-    but t + 1 of them) meet one more factor."""
-    return 2 * i ** (t + 1) * r ** (t * (n - t) + n - 1 - t)
-
-
-def compose_flops(n: int, i: int, r: int) -> int:
-    """Chain composition of the full network: sum of the n-1 merge steps."""
-    return sum(_merge_flops(n, i, r, t) for t in range(1, n))
-
-
-def compose_from_partial_flops(n: int, i: int, r: int) -> int:
-    return 2 * i**n * r ** (n - 1)
-
-
-def partial_chain_flops(n: int, i: int, r: int) -> int:
-    """One plain partial network around a factor (n-2 merge steps)."""
-    return sum(_merge_flops(n, i, r, t) for t in range(1, n - 1))
-
-
-def env_proj_flops(n: int, i: int, r: int) -> int:
-    """Per-sweep data products of the environment route
-    (:func:`fctnlr.environment.env_data_product`, then ``X_(k) M^T`` at the
-    last position).  Position 0 runs a chain over X and n-1 factors, which
-    costs what composing the network does; position p (0 < p < n-1) the
-    first p steps of a chain; the last position one data product.  So merge
-    step t (:func:`_merge_flops`) runs n - t times for t < n-1, and step n-1
-    (the size of a data product) twice."""
-    steps = sum((n - t) * _merge_flops(n, i, r, t) for t in range(1, n - 1))
-    return steps + 2 * _merge_flops(n, i, r, n - 1)
-
-
-def partial_sweep_flops(n: int, i: int, r: int) -> int:
-    """All n partial networks, no reuse."""
-    return n * partial_chain_flops(n, i, r)
-
-
-def partial_sweep_flops_cached(n: int, i: int, r: int) -> int:
-    """All n partial networks of one sweep with prefix/suffix reuse: one full
-    prefix chain, one full suffix chain, and n-2 cross joins.  Reuse stays
-    within the sweep, so this is the count of every sweep."""
-    cross = sum(
-        2 * i ** (n - 1) * r ** (n - 1 + p * (n - 1 - p)) for p in range(1, n - 1)
-    )
-    return 2 * partial_chain_flops(n, i, r) + cross
-
-
-def gram_except_flops(n: int, i: int, r: int) -> int:
-    """One factor's Gram matrix from the doubled network (:func:`gram_except`):
-    n-1 per-factor Grams over the physical modes, 2 * I * R^(2(n-1)) each,
-    then their ascending chain.  The doubled network is itself a network of
-    physical extent 1 and bond size R^2, so the chain costs what one partial
-    network of that network does."""
-    return (n - 1) * 2 * i * r ** (2 * (n - 1)) + partial_chain_flops(n, 1, r * r)
-
-
-def sweep_flops(n: int, i: int, r: int, algorithm: str) -> dict:
-    """Per-sweep FLOPs of one solver sweep by label (``mk``, ``compose``,
-    ``proj``, ``gram``) at extent i and rank r, by the routes the solver
-    takes: :func:`fctnlr.environment.sweep_plan` over the ascending order
-    (with equal extents and ranks every order costs the same).  The closed
-    forms above are its identities: ``fctnlr`` counts
-    :func:`partial_sweep_flops` and :func:`compose_flops`; ``afctnlr``
-    composes from the last M (:func:`compose_from_partial_flops`) and counts
-    :func:`partial_sweep_flops_cached` off the environment route,
-    :func:`partial_chain_flops` and :func:`env_proj_flops` on it."""
-    from .environment import sweep_plan  # imported here: environment imports this module
-
-    return sweep_plan(FctnRank.uniform(n, r), (i,) * n, range(n), algorithm)[0]

@@ -30,29 +30,14 @@ scratch by the plain ascending chain, takes every data product from it and
 composes the X-refresh tensor by the whole chain.  The accelerated variant
 composes the X-refresh tensor from the last factor's M as
 ``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order every
-sweep, and gets its data products and network matrices by one of two
-routes, chosen per sweep.  On the environment route a factor before the
-last needs no M at all: its data product comes from kept X-environments
-(:func:`~fctnlr.environment.env_data_product`; the first position contracts
-X with the other factors one at a time and keeps each intermediate for the
-one later position that reads it, as ALS in the tensor-train format keeps
-its interfaces) and its Gram matrix ``M M^T`` from the doubled network
-(:func:`~fctnlr.network.gram_except`), and only the last factor builds M,
-as one plain chain.  A sweep then reads X three times (the first position's
-chain, the last data product and the composition) instead of n + 1.  On the
-prefix/suffix route each factor builds its M from a prefix chain over the
-factors already updated in the sweep and a suffix chain over those not yet
-updated, keeping each chain intermediate until the one later build that
-uses it.  A sweep takes the environment route where
-:func:`~fctnlr.environment.env_route_pays` finds it cheaper for the whole
-sweep, by the FLOPs and per-call overhead of every contraction, data
-product and Gram of either route
-(:func:`~fctnlr.environment.sweep_plan`); the choice depends on the rank
-table, the extents and the last factor of the visiting order only.  Every
-other Gram, in both variants, comes from the doubled network where
-:func:`~fctnlr.network.doubled_gram_pays` finds that cheaper, else from the
-dense product.  Bonds grow by one when the relative change falls below
-``10 * eps``.
+sweep, and reuses work within the sweep: it builds each M from prefix and
+suffix chains kept for the one later build that uses them, or takes its
+data products from X-environments kept the same way
+(:func:`~fctnlr.environment.env_data_product`).  Which build, data product
+and Gram matrix each position takes is planned by
+:func:`~fctnlr.environment.sweep_plan`, where the rules are written; a sweep
+runs its plan as it is.  Bonds grow by one when the relative change falls
+below ``10 * eps``.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
 M and its subproblem are freed before the next M is built, and ``fctnlr``
@@ -75,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import env_data_product, env_route_pays
+from .environment import env_data_product, sweep_plan
 from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
@@ -83,7 +68,6 @@ from .network import (
     _compose_except_cached_labeled,
     compose,
     compose_except,
-    doubled_gram_pays,
     gram_except,
     property1_unfold,
     shuffle_order,
@@ -477,22 +461,22 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
 
 def _sweep(f, x, obs, order, laps, lams, cfg):
     """One PAM sweep: update every factor of ``f`` in place, in the visiting
-    ``order``, then refresh X.  Returns the new X, its objective, the summed
-    squared factor steps and the squared X step."""
+    ``order``, by the routes of its :func:`~fctnlr.environment.sweep_plan`,
+    then refresh X.  Returns the new X, its objective, the summed squared
+    factor steps and the squared X step."""
     n = f.n
     accelerated = cfg.algorithm == "afctnlr"
-    env_route = accelerated and env_route_pays(f.rank, f.dims, order[-1])
     kept = {}  # the accelerated build's chain intermediates, for this sweep only
     envs = {}  # the environment route's X-environments, for this sweep only
     step_sq = 0.0
-    for pos, k in enumerate(order):
+    for k, from_envs, chain, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
         m = prob = pair = xm = None  # the previous factor's, freed before the next build
-        if env_route and pos < n - 1:
+        if from_envs:
             xm = env_data_product(f, k, order, x, envs)
         elif accelerated:
-            # the environment route builds its one M whole and keeps no chain
+            # a plain chain (k last in the order) keeps nothing
             m = property1_unfold(
-                _compose_except_cached_labeled(f, k, order, None if env_route else kept), k, n
+                _compose_except_cached_labeled(f, k, order, None if chain else kept), k, n
             )
         else:
             m = property1_unfold(compose_except(f, k), k, n)
@@ -501,8 +485,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
             xm=data_product(x, k, m) if xm is None else xm,
             m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho,
         )
-        # with no M the Gram can only come from the doubled network
-        if m is None or doubled_gram_pays(f.rank, f.dims, k):
+        if doubled:
             pair = SpectralPair.from_gram(gram_except(f, k))
         a_new = solve_factor(prob, pair)  # with no pair it forms the dense M M^T
         step_sq += _sq(a_new - a_prev)

@@ -20,18 +20,12 @@ into an entrywise division by ``T[w, v] = lam * eig_L[w] + phi[v] + rho``,
 which is strictly positive in the default operator orientation.
 
 The dense product ``M M^T`` costs ``2 s^2 I^(n-1)`` FLOPs, on large extents
-the largest single term of a sweep.  There the solver builds the same s x s
-matrix from the doubled network instead
-(:func:`fctnlr.network.gram_except`: the other factors' small Grams over
-their physical modes, contracted over their doubled bonds) and hands its
+the largest single term of a sweep.  Where the sweep plan
+(:func:`fctnlr.environment.sweep_plan`) takes the Gram from the doubled
+network instead (:func:`fctnlr.network.gram_except`), the solver hands its
 eigendecomposition to :func:`solve_factor` as a :class:`SpectralPair`
-(:meth:`SpectralPair.from_gram`).  It always does so on the accelerated
-variant's environment route, whose positions before the last build no M
-(:func:`fctnlr.environment.sweep_plan` weighs that into the choice of
-route).  Elsewhere, where :func:`fctnlr.network.doubled_gram_pays` finds the
-doubled chain dearer (squared ranks large against the extents, or small
-tensors), it passes no pair and :func:`solve_factor` forms the dense product
-through :func:`eig_gram`.
+(:meth:`SpectralPair.from_gram`); otherwise it passes no pair and
+:func:`solve_factor` forms the dense product through :func:`eig_gram`.
 """
 from __future__ import annotations
 

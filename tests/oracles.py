@@ -1,9 +1,12 @@
-"""Test-only reference implementations, kept out of the library."""
+"""Test-only reference implementations, kept out of the library: dense and
+einsum oracles, and the closed-form FLOP counts of equal extents and ranks."""
 import itertools
 import string
 
 import numpy as np
 
+from fctnlr.environment import sweep_plan
+from fctnlr.network import FctnRank
 from fctnlr.sylvester import FactorSubproblem
 
 _DENSE_LIMIT = 4096
@@ -81,3 +84,69 @@ def nested_sum_compose(f) -> np.ndarray:
             term = term * entries.reshape(shape)
         out[el] = term.sum()
     return out
+
+
+# ---------- closed-form FLOP counts (equal extents i and ranks r) ---------- #
+
+
+def _merge_flops(n: int, i: int, r: int, t: int) -> int:
+    """The t-th step of a chain: t merged factors (or X contracted with all
+    but t + 1 of them) meet one more factor."""
+    return 2 * i ** (t + 1) * r ** (t * (n - t) + n - 1 - t)
+
+
+def compose_flops(n: int, i: int, r: int) -> int:
+    """Chain composition of the full network: sum of the n-1 merge steps."""
+    return sum(_merge_flops(n, i, r, t) for t in range(1, n))
+
+
+def compose_from_partial_flops(n: int, i: int, r: int) -> int:
+    return 2 * i**n * r ** (n - 1)
+
+
+def partial_chain_flops(n: int, i: int, r: int) -> int:
+    """One plain partial network around a factor (n-2 merge steps)."""
+    return sum(_merge_flops(n, i, r, t) for t in range(1, n - 1))
+
+
+def env_proj_flops(n: int, i: int, r: int) -> int:
+    """Per-sweep data products of the environment route
+    (``fctnlr.environment.env_data_product``, then ``X_(k) M^T`` at the last
+    position).  Position 0 runs a chain over X and n-1 factors, which costs
+    what composing the network does; position p (0 < p < n-1) the first p
+    steps of a chain; the last position one data product.  So merge step t
+    runs n - t times for t < n-1, and step n-1 (the size of a data product)
+    twice."""
+    steps = sum((n - t) * _merge_flops(n, i, r, t) for t in range(1, n - 1))
+    return steps + 2 * _merge_flops(n, i, r, n - 1)
+
+
+def partial_sweep_flops(n: int, i: int, r: int) -> int:
+    """All n partial networks, no reuse."""
+    return n * partial_chain_flops(n, i, r)
+
+
+def partial_sweep_flops_cached(n: int, i: int, r: int) -> int:
+    """All n partial networks of one sweep with prefix/suffix reuse: one full
+    prefix chain, one full suffix chain, and n-2 cross joins.  Reuse stays
+    within the sweep, so this is the count of every sweep."""
+    cross = sum(
+        2 * i ** (n - 1) * r ** (n - 1 + p * (n - 1 - p)) for p in range(1, n - 1)
+    )
+    return 2 * partial_chain_flops(n, i, r) + cross
+
+
+def gram_except_flops(n: int, i: int, r: int) -> int:
+    """One factor's Gram matrix from the doubled network
+    (``fctnlr.network.gram_except``): n-1 per-factor Grams over the physical
+    modes, 2 * I * R^(2(n-1)) each, then their ascending chain.  The doubled
+    network is itself a network of physical extent 1 and bond size R^2, so
+    the chain costs what one partial network of that network does."""
+    return (n - 1) * 2 * i * r ** (2 * (n - 1)) + partial_chain_flops(n, 1, r * r)
+
+
+def uniform_plan(n: int, i: int, r: int, algorithm: str):
+    """The library's plan of one sweep in ascending order at extent i and
+    rank r (with equal extents and ranks every order costs the same), which
+    the closed forms above must match."""
+    return sweep_plan(FctnRank.uniform(n, r), (i,) * n, tuple(range(n)), algorithm)

@@ -2,14 +2,12 @@
 import pytest
 
 from fctnlr.bench import CSV_FIELDS, BenchConfig, parse_shape, run_bench
-from fctnlr.network import (
-    FctnRank,
+from oracles import (
     compose_flops,
     compose_from_partial_flops,
-    doubled_gram_pays,
     partial_sweep_flops,
     partial_sweep_flops_cached,
-    sweep_flops,
+    uniform_plan,
 )
 
 
@@ -56,7 +54,8 @@ def test_run_bench_counts_match_cost_model():
 
     n, i, r = 4, 6, 2
     # the dense Gram route here, so afctnlr builds every M
-    assert not doubled_gram_pays(FctnRank.uniform(n, r), (i,) * n, 0)
+    assert not uniform_plan(n, i, r, "fctnlr").positions[0].doubled
+    assert not any(pos.envs for pos in uniform_plan(n, i, r, "afctnlr").positions)
     assert res.mk_iter1["fctnlr"] == partial_sweep_flops(n, i, r)
     assert res.mk_iter1["afctnlr"] == partial_sweep_flops_cached(n, i, r)
     assert res.compose_iter1["fctnlr"] == compose_flops(n, i, r)
@@ -73,7 +72,7 @@ def test_run_bench_counts_match_cost_model():
 
     for alg in ("fctnlr", "afctnlr"):
         pred = res.predicted[alg]
-        assert pred == sweep_flops(n, i, r, alg)
+        assert pred == uniform_plan(n, i, r, alg).flops
         assert pred["mk"] == res.mk_iter1[alg]
         assert pred["compose"] == res.compose_iter1[alg]
         assert pred["proj"] + pred["gram"] == shared

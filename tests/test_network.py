@@ -4,7 +4,7 @@ sweep, and the contraction cost model."""
 import numpy as np
 import pytest
 
-from fctnlr.environment import env_route_pays
+from fctnlr.environment import sweep_plan
 from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
@@ -12,24 +12,26 @@ from fctnlr.network import (
     _compose_except_cached_labeled,
     compose,
     compose_except,
-    compose_flops,
-    compose_from_partial_flops,
-    doubled_gram_pays,
-    env_proj_flops,
     factor_labels,
     gram_except,
-    gram_except_flops,
     matrix_labels,
-    partial_chain_flops,
-    partial_sweep_flops,
-    partial_sweep_flops_cached,
     property1_unfold,
     shuffle_order,
-    sweep_flops,
 )
 from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.tensor import FLOPS, mode_unfold
-from oracles import nested_sum_compose, network_matrix
+from oracles import (
+    compose_flops,
+    compose_from_partial_flops,
+    env_proj_flops,
+    gram_except_flops,
+    nested_sum_compose,
+    network_matrix,
+    partial_chain_flops,
+    partial_sweep_flops,
+    partial_sweep_flops_cached,
+    uniform_plan,
+)
 
 
 def plain_m(f, k):
@@ -446,8 +448,7 @@ def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
     closed form, and every phase's FLOPs are the cost model's, afctnlr's
     on the doubled shapes those of the environment route."""
     dims = (i,) * n
-    assert all(doubled_gram_pays(FctnRank.uniform(n, r), dims, k) == doubled
-               for k in range(n))
+    assert all(pos.doubled == doubled for pos in uniform_plan(n, i, r, "fctnlr").positions)
     truth = np.random.default_rng(3).standard_normal(dims)
     obs = Observation.from_dense(truth, sample_mask(dims, 0.5, 3))
     cfg = SolverConfig(eps=0.0, max_iters=1, max_rank=r, initial_rank=r,
@@ -458,7 +459,7 @@ def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
     per_factor = gram_except_flops(n, i, r) if doubled else 2 * i ** (n - 1) * r ** (2 * (n - 1))
     assert FLOPS.labeled("gram") == n * per_factor
     assert FLOPS.labeled("unlabeled") == 0
-    pred = sweep_flops(n, i, r, algorithm)
+    pred = uniform_plan(n, i, r, algorithm).flops
     assert {lab: getattr(sweep, f"{lab}_flops") for lab in pred} == pred
     if algorithm == "fctnlr" or not doubled:
         assert pred["proj"] == n * compose_from_partial_flops(n, i, r)
@@ -467,19 +468,32 @@ def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
         assert pred["proj"] == env_proj_flops(n, i, r)
 
 
+def _grams(rank, dims):
+    """Whether each factor's Gram comes from the doubled network, by the plan
+    of a fctnlr sweep, where the per-factor rule alone decides."""
+    plan = sweep_plan(rank, dims, tuple(range(rank.n)), "fctnlr")
+    return [pos.doubled for pos in plan.positions]
+
+
+def _env_route(rank, dims, last):
+    """Whether the plan of an afctnlr sweep ending in factor ``last`` takes
+    the environment route."""
+    order = tuple(j for j in range(rank.n) if j != last) + (last,)
+    return sweep_plan(rank, dims, order, "afctnlr").positions[0].envs
+
+
 def test_doubled_gram_route_follows_cost():
     """The doubled network wins on the benchmark shapes and loses where its
     middle intermediates (R^(2 t (n-t)) entries) or its per-call overhead
     outweigh the dense product."""
     for dims, r in [((40,) * 4, 4), ((16,) * 5, 3), ((128,) * 3, 4)]:
-        assert doubled_gram_pays(FctnRank.uniform(len(dims), r), dims, 0)
+        assert _grams(FctnRank.uniform(len(dims), r), dims)[0]
     for dims, r in [((4,) * 5, 3), ((8,) * 5, 3), ((6,) * 6, 2), ((8,) * 6, 3),
                     ((12, 12, 3, 8), 2), ((6, 6, 4), 2)]:
-        assert not doubled_gram_pays(FctnRank.uniform(len(dims), r), dims, 0)
+        assert not _grams(FctnRank.uniform(len(dims), r), dims)[0]
     # per factor: at 64x64x3x32 R=2 only the short mode's M is wide enough
     rank = FctnRank.uniform(4, 2)
-    assert [doubled_gram_pays(rank, (64, 64, 3, 32), k) for k in range(4)] == [
-        False, False, True, False]
+    assert _grams(rank, (64, 64, 3, 32)) == [False, False, True, False]
 
 
 def test_sweep_route_follows_the_price():
@@ -492,15 +506,15 @@ def test_sweep_route_follows_the_price():
     loses per factor at 8^6 R=2."""
     video = (64, 64, 3, 32)
     rank = FctnRank.uniform(4, 3)
-    assert [env_route_pays(rank, video, last) for last in range(4)] == [True, True, False, True]
+    assert [_env_route(rank, video, last) for last in range(4)] == [True, True, False, True]
     for dims, r, env in [
         (video, 2, False), ((12, 12, 3, 8), 1, False), ((12, 12, 3, 8), 2, False),
         ((10,) * 5, 3, False), ((6,) * 6, 2, False),
         ((8,) * 6, 2, True), ((40,) * 4, 4, True), ((16,) * 5, 3, True), ((128,) * 3, 4, True),
     ]:
         rank = FctnRank.uniform(len(dims), r)
-        assert [env_route_pays(rank, dims, last) for last in range(len(dims))] == [env] * len(dims)
-    assert not doubled_gram_pays(FctnRank.uniform(6, 2), (8,) * 6, 0)
+        assert [_env_route(rank, dims, last) for last in range(len(dims))] == [env] * len(dims)
+    assert not _grams(FctnRank.uniform(6, 2), (8,) * 6)[0]
 
 
 def test_sweep_flops_with_mixed_grams_match_a_sweep():
@@ -515,7 +529,9 @@ def test_sweep_flops_with_mixed_grams_match_a_sweep():
     res = run(obs, SolverConfig(eps=0.0, max_iters=1, max_rank=r, initial_rank=r,
                                 rank_policy="fixed", algorithm="afctnlr", seed=5))
     sweep = res.trace[0]
-    pred = sweep_flops(n, i, r, "afctnlr")
+    plan = uniform_plan(n, i, r, "afctnlr")
+    assert [pos.doubled for pos in plan.positions] == [True] * (n - 1) + [False]
+    pred = plan.flops
     assert {lab: getattr(sweep, f"{lab}_flops") for lab in pred} == pred
     dense = 2 * i ** (n - 1) * r ** (2 * (n - 1))
     assert pred == {
@@ -541,10 +557,10 @@ def test_cost_model_closed_forms_order_four():
         assert compose_from_partial_flops(4, i, r) == 2 * i**4 * r**3
         assert gram_except_flops(4, i, r) == 6 * i * r**6 + 4 * r**10
     # the Gram term is the route's: dense M M^T at 5^4 R=2, else the doubled network
-    assert sweep_flops(4, 5, 2, "fctnlr")["gram"] == 4 * 2 * 5**3 * 2**6
+    assert uniform_plan(4, 5, 2, "fctnlr").flops["gram"] == 4 * 2 * 5**3 * 2**6
     for i, r in [(20, 3), (40, 4)]:
-        assert sweep_flops(4, i, r, "fctnlr")["gram"] == 4 * gram_except_flops(4, i, r)
-        assert sweep_flops(4, i, r, "fctnlr")["proj"] == 4 * 2 * i**4 * r**3
+        assert uniform_plan(4, i, r, "fctnlr").flops["gram"] == 4 * gram_except_flops(4, i, r)
+        assert uniform_plan(4, i, r, "fctnlr").flops["proj"] == 4 * 2 * i**4 * r**3
     # the dense Gram GEMM cost 4 * 2 * 40^3 * 4^6 = 2,097,152,000 per sweep here
     assert 4 * gram_except_flops(4, 40, 4) == 20_709_376
     # the environment route: position 0 chains X through three factors, the
@@ -552,9 +568,9 @@ def test_cost_model_closed_forms_order_four():
     # product
     for i, r in [(5, 2), (20, 3), (40, 4)]:
         assert env_proj_flops(4, i, r) == 6 * i**2 * r**5 + 4 * i**3 * r**5 + 4 * i**4 * r**3
-    assert sweep_flops(4, 40, 4, "afctnlr") == {
+    assert uniform_plan(4, 40, 4, "afctnlr").flops == {
         "mk": 134_348_800, "compose": 327_680_000, "proj": 927_334_400, "gram": 20_709_376}
-    assert sweep_flops(4, 40, 4, "fctnlr") == {
+    assert uniform_plan(4, 40, 4, "fctnlr").flops == {
         "mk": 537_395_200, "compose": 462_028_800, "proj": 1_310_720_000, "gram": 20_709_376}
 
 

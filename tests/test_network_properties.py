@@ -2,7 +2,8 @@
 of the chain composition, of the data products from kept X-environments and
 of the doubled-network Gram matrix over random network orders, extents, rank
 tables and visiting orders, against the einsum and nested-sum oracles, and
-of the sweep planner against measured sweeps."""
+of the sweep planner against measured sweeps and the calls they make."""
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -19,11 +20,11 @@ from fctnlr.network import (
     compose,
     compose_except,
     gram_except,
-    gram_except_plan,
     property1_unfold,
 )
 import fctnlr.solver as solver
-from fctnlr.environment import env_data_product, env_product_plan, sweep_plan
+import fctnlr.sylvester as sylvester
+from fctnlr.environment import _gram_price, _schedule, env_data_product, sweep_plan
 from fctnlr.laplacian import CirculantLaplacian
 from fctnlr.solver import Observation, SolverConfig
 from fctnlr.tensor import FLOPS, mode_unfold
@@ -163,8 +164,8 @@ def test_doubled_network_gram_is_the_dense_gram(case):
         got = gram_except(f, k)
         assert got.shape == want.shape
         assert _close(got, want)
-        # the route choice sizes the same chain without running it
-        assert FLOPS.labeled("gram") == FLOPS.total == gram_except_plan(rank, dims, k)[0]
+        # the sweep plan sizes the same chain without running it
+        assert FLOPS.labeled("gram") == FLOPS.total == _gram_price(rank, tuple(dims), k, True)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,7 +183,7 @@ def test_environment_products_match_the_network_matrix(net):
     for order in orders:
         order = tuple(order)
         envs = {}
-        plan = env_product_plan(rank, dims, order)
+        plan = [sum(st[3] for st in steps) for steps in _schedule(rank, tuple(dims), order)]
         for pos, k in enumerate(order[:-1]):
             before = FLOPS.labeled("proj")
             got = env_data_product(f, k, order, x, envs)
@@ -256,8 +257,66 @@ def test_sweeps_count_the_planned_flops(case):
         return FctnFactors([start[k].copy() for k in range(rank.n)])
 
     for env in (False, True):
-        with mock.patch.object(solver, "env_route_pays", lambda *_: env):
+        with mock.patch.object(solver, "sweep_plan", lambda *args: sweep_plan(*args, env)):
             got = _sweep_flops(fresh(), obs, order, "afctnlr")
-        assert got == sweep_plan(rank, dims, order, "afctnlr", env)[0]
-    assert _sweep_flops(fresh(), obs, order, "afctnlr") == sweep_plan(rank, dims, order, "afctnlr")[0]
-    assert _sweep_flops(fresh(), obs, order, "fctnlr") == sweep_plan(rank, dims, order, "fctnlr")[0]
+        assert got == sweep_plan(rank, dims, order, "afctnlr", env).flops
+    assert _sweep_flops(fresh(), obs, order, "afctnlr") == sweep_plan(rank, dims, order, "afctnlr").flops
+    assert _sweep_flops(fresh(), obs, order, "fctnlr") == sweep_plan(rank, dims, order, "fctnlr").flops
+
+
+def _sweep_calls(f, obs, order, algorithm):
+    """The route calls of one solver sweep of ``f``, in call order: each
+    data product from kept X-environments, each build of M (the plain
+    ``compose_except``, or the accelerated build and whether it keeps its
+    chains), and each Gram from the doubled network or the dense product."""
+    calls = []
+
+    def spy(owner, attr, name, what):
+        real = getattr(owner, attr)
+
+        def wrapped(*args):
+            calls.append((name,) + what(*args))
+            return real(*args)
+
+        return mock.patch.object(owner, attr, wrapped)
+
+    spies = [
+        spy(solver, "env_data_product", "envs", lambda f, k, *_: (k,)),
+        spy(solver, "compose_except", "plain", lambda f, k: (k,)),
+        spy(solver, "_compose_except_cached_labeled", "built",
+            lambda f, k, order, kept: (k, kept is not None)),
+        spy(solver, "gram_except", "doubled", lambda f, k: (k,)),
+        spy(sylvester, "eig_gram", "dense", lambda m: ()),
+    ]
+    with contextlib.ExitStack() as stack:
+        for patch in spies:
+            stack.enter_context(patch)
+        _sweep_flops(f, obs, order, algorithm)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm, order, env", [
+    ("afctnlr", (1, 2, 3, 0), True),  # the environment route, the last Gram dense
+    ("afctnlr", (0, 1, 3, 2), False),  # the prefix/suffix route, Grams mixed
+    ("fctnlr", (0, 1, 2, 3), False),
+], ids=["afctnlr-environments", "afctnlr-prefix-suffix", "fctnlr"])
+def test_sweeps_run_their_plan(algorithm, order, env):
+    """Each position of a sweep makes exactly the calls its plan names: its
+    data product from kept X-environments or its build of M, then its Gram
+    from the doubled network or the dense product."""
+    dims, rank = (40, 40, 3, 16), FctnRank.uniform(4, 3)
+    rng = np.random.default_rng(8)
+    obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
+    plan = sweep_plan(rank, dims, order, algorithm)
+    assert [pos.envs for pos in plan.positions[:-1]] == [env] * 3
+    assert len({pos.doubled for pos in plan.positions}) == 2
+    want = []
+    for pos in plan.positions:
+        if pos.envs:
+            want.append(("envs", pos.k))
+        elif algorithm == "fctnlr":
+            want.append(("plain", pos.k))
+        else:
+            want.append(("built", pos.k, pos.chain is None))
+        want.append(("doubled", pos.k) if pos.doubled else ("dense",))
+    assert _sweep_calls(FctnFactors.random(dims, rank, rng), obs, order, algorithm) == want
