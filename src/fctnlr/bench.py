@@ -2,25 +2,29 @@
 
 Both variants run the same completion problem (cubic extents, uniform fixed
 rank, identical seed) for a fixed iteration budget, several repeats each,
-interleaved so slow drift of the machine hits both equally.  Reported per
-variant: per-repeat and median wall time (sum of per-iteration times, so
-setup is excluded), first-iteration contraction FLOPs split into the
-partial-network and composition categories, and total FLOPs, followed by the
-accelerated-over-baseline wall ratio.  The FLOPs the sweep plan
-(:func:`fctnlr.environment.sweep_plan`) sizes for the same configuration are
-emitted alongside, so measured counts can be checked against them exactly.
+interleaved so slow drift of the machine hits both equally.  Per variant the
+benchmark keeps only what it measures (:class:`BenchResult`): each repeat's
+wall time (the sum of its per-iteration times, so setup is excluded), the
+last repeat's first :class:`~fctnlr.solver.IterationRecord`, which splits the
+first sweep's FLOPs by phase, that run's total FLOPs, and the FLOPs the sweep
+plan (:func:`fctnlr.environment.sweep_plan`) sizes for the same first sweep,
+so measured counts can be checked against it exactly.  Medians, the
+per-phase counts and the accelerated-over-baseline wall ratio are derived
+from these.
 """
 from __future__ import annotations
 
+import itertools
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .fileio import sample_mask
 from .environment import sweep_plan
 from .network import FctnRank
-from .solver import Observation, SolverConfig, run
+from .solver import _ALGORITHMS, Observation, SolverConfig, run
 
 __all__ = ["BenchConfig", "BenchResult", "parse_shape", "run_bench"]
 
@@ -36,24 +40,30 @@ CSV_FIELDS = [
 ]
 
 
-def parse_shape(text: str) -> tuple:
-    """Comma-separated extents of a synthetic benchmark tensor.  The
-    benchmark's instance is cubic, so unequal entries are rejected."""
+def parse_shape(shape) -> tuple:
+    """Extents of a synthetic benchmark tensor, comma- or space-separated
+    text or a sequence.  The benchmark's instance is cubic, so unequal
+    entries are rejected."""
+    entries = shape.replace(",", " ").split() if isinstance(shape, str) else shape
     try:
-        parts = [int(p) for p in str(text).replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"invalid shape {text!r}: entries must be integers")
+        parts = [int(p) for p in entries]
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid shape {shape!r}: entries must be integers")
     if len(parts) < 2:
-        raise ValueError(f"invalid shape {text!r}: need at least two extents")
+        raise ValueError(f"invalid shape {shape!r}: need at least two extents")
     if any(p < 1 for p in parts):
-        raise ValueError(f"invalid shape {text!r}: extents must be positive")
+        raise ValueError(f"invalid shape {shape!r}: extents must be positive")
     if len(set(parts)) != 1:
-        raise ValueError(f"invalid shape {text!r}: extents must all be equal")
+        raise ValueError(f"invalid shape {shape!r}: extents must all be equal")
     return tuple(parts)
 
 
 @dataclass
 class BenchConfig:
+    """One benchmark instance and its budget.  The solver runs with
+    :class:`~fctnlr.solver.SolverConfig`'s default ``lam``, ``delta`` and
+    ``rho``, no eps stop and the rank fixed at ``rank``."""
+
     order: int = 4
     extent: int = 40
     rank: int = 4
@@ -61,9 +71,6 @@ class BenchConfig:
     repeats: int = 5
     sample_rate: float = 0.3
     seed: int = 0
-    lam: float = 0.35
-    delta: float = 0.5
-    rho: float = 0.1
 
     def __post_init__(self):
         if self.order < 2 or self.extent < 1 or self.rank < 1:
@@ -74,9 +81,7 @@ class BenchConfig:
     @classmethod
     def from_shape(cls, shape, **kw) -> "BenchConfig":
         """Build from an explicit extent tuple (or its textual form)."""
-        dims = parse_shape(shape) if isinstance(shape, str) else tuple(shape)
-        if len(dims) >= 2 and len(set(dims)) != 1:
-            raise ValueError(f"invalid shape {shape!r}: extents must all be equal")
+        dims = parse_shape(shape)
         return cls(order=len(dims), extent=dims[0], **kw)
 
     @property
@@ -84,18 +89,44 @@ class BenchConfig:
         return (self.extent,) * self.order
 
 
+def _first_sweep(flops):
+    """A per-variant view of the first sweep's FLOPs, ``flops`` of its
+    :class:`~fctnlr.solver.IterationRecord`."""
+    return property(lambda self: {alg: flops(rec) for alg, rec in self.first.items()})
+
+
+def _row(*cells) -> dict:
+    """A CSV row from its leading cells; the cells not given are empty."""
+    return dict(itertools.zip_longest(CSV_FIELDS, cells, fillvalue=""))
+
+
 @dataclass
 class BenchResult:
+    """What one paired benchmark measured, per variant: ``walls`` holds each
+    repeat's wall ms, ``first`` the last repeat's first iteration record,
+    ``totals`` that run's FLOPs over every sweep, and ``predicted`` the
+    sweep plan's FLOPs by label for the first sweep.
+
+    ``medians`` and the first sweep's FLOPs by phase (``mk_iter1``,
+    ``compose_iter1``, ``proj_iter1``, ``gram_iter1``, and
+    ``factor_matmul_iter1``, everything but the partial networks and
+    composition) are derived from them, as is each CSV row."""
+
     config: BenchConfig
-    walls: dict = field(default_factory=dict)
-    medians: dict = field(default_factory=dict)
-    mk_iter1: dict = field(default_factory=dict)
-    compose_iter1: dict = field(default_factory=dict)
-    factor_matmul_iter1: dict = field(default_factory=dict)
-    proj_iter1: dict = field(default_factory=dict)
-    gram_iter1: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=dict)
-    predicted: dict = field(default_factory=dict)
+    walls: dict
+    first: dict
+    totals: dict
+    predicted: dict
+
+    mk_iter1 = _first_sweep(attrgetter("mk_flops"))
+    compose_iter1 = _first_sweep(attrgetter("compose_flops"))
+    proj_iter1 = _first_sweep(attrgetter("proj_flops"))
+    gram_iter1 = _first_sweep(attrgetter("gram_flops"))
+    factor_matmul_iter1 = _first_sweep(lambda rec: rec.flops - rec.mk_flops - rec.compose_flops)
+
+    @property
+    def medians(self) -> dict:
+        return {alg: statistics.median(walls) for alg, walls in self.walls.items()}
 
     def speedup(self) -> float:
         """Accelerated over baseline median wall time (< 1 means faster)."""
@@ -103,58 +134,17 @@ class BenchResult:
 
     def rows(self) -> list:
         out = []
-        for alg in ("fctnlr", "afctnlr"):
-            for rep, wall in enumerate(self.walls[alg]):
-                out.append(
-                    {
-                        "kind": "measured",
-                        "algorithm": alg,
-                        "repeat": rep,
-                        "wall_ms": f"{wall:.3f}",
-                        "mk_flops_iter1": self.mk_iter1[alg],
-                        "compose_flops_iter1": self.compose_iter1[alg],
-                        "factor_matmul_flops_iter1": self.factor_matmul_iter1[alg],
-                        "total_flops": self.totals[alg],
-                    }
-                )
-            out.append(
-                {
-                    "kind": "median",
-                    "algorithm": alg,
-                    "repeat": "",
-                    "wall_ms": f"{self.medians[alg]:.3f}",
-                    "mk_flops_iter1": self.mk_iter1[alg],
-                    "compose_flops_iter1": self.compose_iter1[alg],
-                    "factor_matmul_flops_iter1": self.factor_matmul_iter1[alg],
-                    "total_flops": self.totals[alg],
-                }
-            )
-        for alg in ("fctnlr", "afctnlr"):
+        for alg in _ALGORITHMS:
+            flops = (self.mk_iter1[alg], self.compose_iter1[alg],
+                     self.factor_matmul_iter1[alg], self.totals[alg])
+            out += [_row("measured", alg, rep, f"{wall:.3f}", *flops)
+                    for rep, wall in enumerate(self.walls[alg])]
+            out.append(_row("median", alg, "", f"{self.medians[alg]:.3f}", *flops))
+        for alg in _ALGORITHMS:
             pred = self.predicted[alg]
-            out.append(
-                {
-                    "kind": "predicted",
-                    "algorithm": alg,
-                    "repeat": "",
-                    "wall_ms": "",
-                    "mk_flops_iter1": pred["mk"],
-                    "compose_flops_iter1": pred["compose"],
-                    "factor_matmul_flops_iter1": pred["proj"] + pred["gram"],
-                    "total_flops": "",
-                }
-            )
-        out.append(
-            {
-                "kind": "ratio",
-                "algorithm": "afctnlr/fctnlr",
-                "repeat": "",
-                "wall_ms": f"{self.speedup():.6f}",
-                "mk_flops_iter1": "",
-                "compose_flops_iter1": "",
-                "factor_matmul_flops_iter1": "",
-                "total_flops": "",
-            }
-        )
+            out.append(_row("predicted", alg, "", "", pred["mk"], pred["compose"],
+                            pred["proj"] + pred["gram"]))
+        out.append(_row("ratio", "afctnlr/fctnlr", "", f"{self.speedup():.6f}"))
         return out
 
 
@@ -162,50 +152,19 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     dims = cfg.shape
     rng = np.random.default_rng(cfg.seed)
     truth = rng.standard_normal(dims)
-    mask = sample_mask(dims, cfg.sample_rate, cfg.seed)
-    obs = Observation.from_dense(truth, mask)
-
-    result = BenchResult(config=cfg)
-    n, i, r = cfg.order, cfg.extent, cfg.rank
-    result.predicted = {
-        alg: dict(sweep_plan(FctnRank.uniform(n, r), dims, tuple(range(n)), alg).flops)
-        for alg in ("fctnlr", "afctnlr")
-    }
-
-    algs = ("fctnlr", "afctnlr")
+    obs = Observation.from_dense(truth, sample_mask(dims, cfg.sample_rate, cfg.seed))
+    rank, order = FctnRank.uniform(cfg.order, cfg.rank), tuple(range(cfg.order))
+    predicted = {alg: dict(sweep_plan(rank, dims, order, alg).flops) for alg in _ALGORITHMS}
     configs = {
-        alg: SolverConfig(
-            lam=cfg.lam,
-            delta=cfg.delta,
-            rho=cfg.rho,
-            eps=0.0,
-            max_iters=cfg.iters,
-            max_rank=cfg.rank,
-            initial_rank=cfg.rank,
-            rank_policy="fixed",
-            algorithm=alg,
-            seed=cfg.seed,
-        )
-        for alg in algs
+        alg: SolverConfig(eps=0.0, max_iters=cfg.iters, max_rank=cfg.rank, initial_rank=cfg.rank,
+                          rank_policy="fixed", algorithm=alg, seed=cfg.seed)
+        for alg in _ALGORITHMS
     }
-    walls = {alg: [] for alg in algs}
-    last = {}
+    walls = {alg: [] for alg in _ALGORITHMS}
+    first, totals = {}, {}
     for _rep in range(cfg.repeats):
-        for alg in algs:
+        for alg in _ALGORITHMS:
             res = run(obs, configs[alg])
             walls[alg].append(sum(rec.wall_ms for rec in res.trace))
-            last[alg] = res
-    for alg in algs:
-        result.walls[alg] = walls[alg]
-        result.medians[alg] = statistics.median(walls[alg])
-        res = last[alg]
-        first = res.trace[0]
-        result.mk_iter1[alg] = first.mk_flops
-        result.compose_iter1[alg] = first.compose_flops
-        result.factor_matmul_iter1[alg] = (
-            first.flops - first.mk_flops - first.compose_flops
-        )
-        result.proj_iter1[alg] = first.proj_flops
-        result.gram_iter1[alg] = first.gram_flops
-        result.totals[alg] = sum(rec.flops for rec in res.trace)
-    return result
+            first[alg], totals[alg] = res.trace[0], sum(rec.flops for rec in res.trace)
+    return BenchResult(cfg, walls, first, totals, predicted)

@@ -190,8 +190,7 @@ def _cmd_bench(args) -> int:
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_FIELDS)
         writer.writeheader()
-        for row in res.rows():
-            writer.writerow(row)
+        writer.writerows(res.rows())
     return 0
 
 

@@ -136,7 +136,8 @@ def _leading_split(labels, extents, shared, target):
     return None
 
 
-@functools.lru_cache(maxsize=64)
+# holds every visiting order of one network at n <= 6 (720)
+@functools.lru_cache(maxsize=1024)
 def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     """Steps of the environment route of a sweep in ``order``: entry p lists,
     for the factor at position p < n-1, the contractions
@@ -156,23 +157,18 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     n = rank.n
     extents = _mode_sizes(rank, dims)
 
-    def step(labels, j, tiers, final=None):
-        """Contract factor j, laid out for the cheapest (keep, pick) option of
-        the first tier that has a copy-free layout; the last tier keeps
-        nothing, which every tensor admits, and the step that reads a set
-        left scattered copies its operand.  A position's last step writes
-        its product in ``final``, M's row order, where that reads the
-        tensor in place."""
+    def step(labels, j, options, final=None):
+        """Contract factor j, laid out for the cheapest of its (keep, pick)
+        options; every option has a layout that keeps its sets contiguous.
+        A position's last step writes its product in ``final``, M's row
+        order, where that reads the tensor in place."""
         shared = _touching(labels, j)
         split = None if final is None else _leading_split(labels, extents, shared, final)
         target, pick = final, None
-        for tier in [] if split else tiers:
+        if not split:
             plans = [(_step_layout(labels, extents, shared, factor_labels(j, n), keep), pick)
-                     for keep, pick in tier]
-            plans = [got for got in plans if got[0] is not None]
-            if plans:
-                (_, target, split), pick = min(plans, key=lambda got: got[0][0])
-                break
+                     for keep, pick in options]
+            (_, target, split), pick = min(plans, key=lambda got: got[0][0])
         size = math.prod(extents[lab] for lab in target)
         flops = 2 * size * math.prod(extents[lab] for lab in shared)
         return (j, target, split, flops), pick
@@ -189,13 +185,12 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     labels = tuple(("i", j) for j in range(n))
     for left in range(n - 1, 0, -1):
         j = order[left]
-        tiers, final = [[([], None)]], product(order[0])
+        options, final = [([], None)], product(order[0])
         if left >= 2:
             nxt = column(labels, j, order[left - 1])
-            tiers = [[([nxt, column(labels, j, w)], w) for w in order[: left - 1]],
-                     [([nxt], order[left - 2])], [([], order[left - 2])]]
+            options = [([nxt, column(labels, j, w)], w) for w in order[: left - 1]]
             final = None
-        got, firsts[left] = step(labels, j, tiers, final)
+        got, firsts[left] = step(labels, j, options, final)
         steps.append(got)
         labels = envs[left] = got[1]
     schedule = [tuple(steps)]
@@ -204,9 +199,8 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
         todo, w = list(order[:p]), firsts[p + 1]
         while w is not None:
             todo.remove(w)
-            last = todo[-1] if todo else None
-            tiers = [[([column(labels, w, v)], v) for v in todo], [([], last)]]
-            got, w = step(labels, w, tiers, None if todo else product(order[p]))
+            options = [([column(labels, w, v)], v) for v in todo] or [([], None)]
+            got, w = step(labels, w, options, None if todo else product(order[p]))
             steps.append(got)
             labels = got[1]
         schedule.append(tuple(steps))
@@ -236,7 +230,9 @@ class SweepPlan(NamedTuple):
     price: int
 
 
-@functools.lru_cache(maxsize=256)
+# holds every visiting order of one network at n <= 6 (720) and the 2n
+# canonical ones priced to choose the route
+@functools.lru_cache(maxsize=1024)
 def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
                env: bool | None = None) -> SweepPlan:
     """The routes of one sweep of ``algorithm`` in ``order``, sized by label

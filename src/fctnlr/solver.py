@@ -387,11 +387,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        flops0 = FLOPS.total
-        mk0 = FLOPS.labeled("mk")
-        comp0 = FLOPS.labeled("compose")
-        proj0 = FLOPS.labeled("proj")
-        gram0 = FLOPS.labeled("gram")
+        flops0 = FLOPS.snapshot()
 
         x_new, obj, step_sq, x_step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
         if not math.isfinite(obj):
@@ -428,18 +424,20 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
                 f"{factor_norm:.6g} by iteration {it}"
             )
 
+        # a growth sweep is charged its objective evaluations too
+        spent = {lab: count - flops0.get(lab, 0) for lab, count in FLOPS.snapshot().items()}
         result.trace.append(
             IterationRecord(
                 iteration=it,
                 objective=obj,
                 rel_change=rel,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
-                flops=FLOPS.total - flops0,
+                flops=spent["total"],
                 rank=rank_during,
-                mk_flops=FLOPS.labeled("mk") - mk0,
-                compose_flops=FLOPS.labeled("compose") - comp0,
-                proj_flops=FLOPS.labeled("proj") - proj0,
-                gram_flops=FLOPS.labeled("gram") - gram0,
+                mk_flops=spent.get("mk", 0),
+                compose_flops=spent.get("compose", 0),
+                proj_flops=spent.get("proj", 0),
+                gram_flops=spent.get("gram", 0),
                 step_sq=step_sq,
                 x_norm=math.sqrt(x_sq),
                 factor_norm=factor_norm,

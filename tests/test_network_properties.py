@@ -194,16 +194,12 @@ def test_environment_products_match_the_network_matrix(net):
         assert envs == {}
 
 
-@pytest.mark.parametrize("n, extent, every", [(3, 5, 1), (4, 4, 1), (5, 3, 1), (6, 3, 12)])
-def test_environment_steps_copy_no_environment(n, extent, every):
-    """Over every visiting order (every 12th at order 6), the environment
-    steps read X and each environment in place: the only operands they copy
-    are factors."""
+def _environment_copies(f, x, orders):
+    """The shapes of the operands other than factors that the environment
+    steps copy, over one sweep's data products in each visiting order."""
     import fctnlr.tensor as tensor_module
 
-    rng = np.random.default_rng(n)
-    f = FctnFactors.random((extent,) * n, FctnRank.uniform(n, 2), rng)
-    x = np.asfortranarray(rng.standard_normal((extent,) * n))
+    n = f.n
     copied = []
     real = tensor_module.gunfold
 
@@ -215,13 +211,50 @@ def test_environment_steps_copy_no_environment(n, extent, every):
 
     tensor_module.gunfold = spy
     try:
-        for order in list(itertools.permutations(range(n)))[::every]:
+        for order in orders:
             envs = {}
             for k in order[:-1]:
                 env_data_product(f, k, order, x, envs)
     finally:
         tensor_module.gunfold = real
-    assert copied == []
+    return copied
+
+
+@pytest.mark.parametrize("n, extent, every", [(3, 5, 1), (4, 4, 1), (5, 3, 1), (6, 3, 12)])
+def test_environment_steps_copy_no_environment(n, extent, every):
+    """Over every visiting order (every 12th at order 6), the environment
+    steps read X and each environment in place: the only operands they copy
+    are factors."""
+    rng = np.random.default_rng(n)
+    f = FctnFactors.random((extent,) * n, FctnRank.uniform(n, 2), rng)
+    x = np.asfortranarray(rng.standard_normal((extent,) * n))
+    assert _environment_copies(f, x, list(itertools.permutations(range(n)))[::every]) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(max_n=6))
+def test_environment_steps_copy_no_environment_random(net):
+    """The same over random extents, rank tables and visiting orders."""
+    dims, rank, orders, seed = net
+    rng = np.random.default_rng(seed)
+    f = FctnFactors.random(dims, rank, rng)
+    x = np.asfortranarray(rng.standard_normal(tuple(dims)))
+    assert _environment_copies(f, x, orders) == []
+
+
+def test_plans_of_every_order_stay_cached():
+    """Every visiting order of a 5-factor network is planned once: a second
+    pass over all 120 finds each schedule and each sweep plan cached."""
+    rank, dims = FctnRank(5, [1, 2, 3, 2, 1, 2, 3, 2, 1, 2]), (3, 4, 2, 5, 3)
+
+    def plan_all():
+        for order in itertools.permutations(range(5)):
+            _schedule(rank, dims, order)
+            sweep_plan(rank, dims, order, "afctnlr")
+        return _schedule.cache_info().misses, sweep_plan.cache_info().misses
+
+    first = plan_all()
+    assert plan_all() == first
 
 
 _LABELS = ("mk", "compose", "proj", "gram")
