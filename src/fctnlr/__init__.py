@@ -46,7 +46,6 @@ from .solver import (
     SolverResult,
     objective,
     run,
-    update_x,
 )
 from .sylvester import (
     FactorSubproblem,
@@ -91,5 +90,4 @@ __all__ = [
     "solve_factor",
     "ssim",
     "transpose",
-    "update_x",
 ]

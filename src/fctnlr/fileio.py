@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import struct
 import tempfile
@@ -92,7 +93,7 @@ def read_tensor(path: str) -> np.ndarray:
     elem, extents, payload = _unpack_header(blob, path)
     if elem != ELEM_F64:
         raise ValueError(f"{path}: element code {elem} is not a float64 tensor")
-    count = int(np.prod(extents, dtype=np.int64))
+    count = math.prod(extents)  # Python ints: u64 extents must not wrap
     if len(payload) != 8 * count:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {8 * count}")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
@@ -111,7 +112,7 @@ def read_mask(path: str) -> np.ndarray:
     elem, extents, payload = _unpack_header(blob, path)
     if elem != ELEM_MASK:
         raise ValueError(f"{path}: element code {elem} is not a mask")
-    count = int(np.prod(extents, dtype=np.int64))
+    count = math.prod(extents)  # Python ints: u64 extents must not wrap
     if len(payload) != count:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {count}")
     flat = np.frombuffer(payload, dtype=np.uint8)

@@ -34,7 +34,6 @@ class CirculantLaplacian:
             raise ValueError(f"sign must be one of {sorted(_SIGNS)}, got {sign!r}")
         self.n = n
         self.delta = delta
-        self.sign = sign
         self._s = _SIGNS[sign]
 
         printed = np.zeros(n)
@@ -79,8 +78,3 @@ class CirculantLaplacian:
     def apply_FH(self, v: np.ndarray) -> np.ndarray:
         """Inverse (adjoint) unitary DFT along axis 0."""
         return np.fft.ifft(v, axis=0, norm="ortho")
-
-    def dense(self) -> np.ndarray:
-        """Explicit matrix, for oracles and small-size tests only."""
-        i = np.arange(self.n)
-        return self.first_col[(i[:, None] - i[None, :]) % self.n]

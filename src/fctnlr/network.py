@@ -24,6 +24,7 @@ Modes inside a labeled intermediate are tracked by label, not position:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
 # ---------- rank table ---------- #
 
 
+@dataclass(frozen=True)
 class FctnRank:
     """Symmetric bond-size table.
 
@@ -53,20 +55,21 @@ class FctnRank:
     positive int.  Indexing is symmetric: ``rank[i, j] == rank[j, i]``.
     """
 
-    __slots__ = ("n", "_tri")
+    n: int
+    entries: tuple
 
-    def __init__(self, n: int, entries) -> None:
-        n = int(n)
+    def __post_init__(self) -> None:
+        n = int(self.n)
         if n < 2:
             raise ValueError("a network needs at least two factors")
-        tri = tuple(int(e) for e in entries)
+        tri = tuple(int(e) for e in self.entries)
         need = n * (n - 1) // 2
         if len(tri) != need:
             raise ValueError(f"expected {need} rank entries for n={n}, got {len(tri)}")
         if any(e < 1 for e in tri):
             raise ValueError("rank entries must be >= 1")
-        self.n = n
-        self._tri = tri
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", tri)
 
     @classmethod
     def uniform(cls, n: int, r: int) -> "FctnRank":
@@ -93,11 +96,7 @@ class FctnRank:
 
     def __getitem__(self, key) -> int:
         i, j = key
-        return self._tri[self._idx(int(i), int(j))]
-
-    @property
-    def entries(self) -> tuple:
-        return self._tri
+        return self.entries[self._idx(int(i), int(j))]
 
     def factor_shape(self, k: int, dims) -> tuple:
         """Shape of factor ``k``: bonds in slot order, physical extent at slot k."""
@@ -117,24 +116,13 @@ class FctnRank:
         if cap.n != self.n:
             raise ValueError("cap table size mismatch")
         return FctnRank(
-            self.n, [min(e + 1, c) for e, c in zip(self._tri, cap._tri)]
+            self.n, [min(e + 1, c) for e, c in zip(self.entries, cap.entries)]
         )
 
     def any_below(self, cap: "FctnRank") -> bool:
         if cap.n != self.n:
             raise ValueError("cap table size mismatch")
-        return any(e < c for e, c in zip(self._tri, cap._tri))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FctnRank) and other.n == self.n and other._tri == self._tri
-        )
-
-    def __hash__(self):
-        return hash((self.n, self._tri))
-
-    def __repr__(self) -> str:
-        return f"FctnRank(n={self.n}, entries={self._tri})"
+        return any(e < c for e, c in zip(self.entries, cap.entries))
 
 
 # ---------- factors ---------- #
@@ -184,9 +172,6 @@ class FctnFactors:
         return FctnRank(n, tri)
 
     def factor(self, k: int) -> np.ndarray:
-        return self._arrays[k]
-
-    def __getitem__(self, k: int) -> np.ndarray:
         return self._arrays[k]
 
     def replace(self, k: int, arr: np.ndarray) -> None:

@@ -17,9 +17,9 @@ unfolding it wherever the layouts allow.  The X refresh is one residual pass
 (:func:`refresh_x`): with r = composed - X, off the observed set the new
 iterate is X + r/(1+rho), so the data term of the objective, the step
 ``||X_new - X||`` and the new iterate all come from r and one gather on the
-observed set, and ``||X||`` carries over from the sweep before.
-:func:`update_x` and :func:`objective` compute the same quantities directly
-and stay as their reference.
+observed set, and ``||X||`` carries over from the sweep before.  The tests
+check it against a direct refresh (``update_x`` in ``tests/oracles.py``)
+and :func:`objective`.
 
 The variants differ in how they get each factor's network matrix and data
 product, in how they compose the X-refresh tensor and in their visiting
@@ -89,7 +89,6 @@ __all__ = [
     "objective",
     "refresh_x",
     "run",
-    "update_x",
 ]
 
 _ALGORITHMS = ("fctnlr", "afctnlr")
@@ -138,10 +137,6 @@ class Observation:
     @property
     def dims(self) -> tuple:
         return self.values.shape
-
-    @property
-    def count(self) -> int:
-        return int(self.mask.sum())
 
     @property
     def flat_index(self) -> np.ndarray:
@@ -267,8 +262,8 @@ def _sq(a: np.ndarray) -> float:
     return float(np.dot(flat, flat))
 
 
-def objective(x, f: FctnFactors, laps, lams, obs: Observation | None = None, composed=None) -> float:
-    """f(X, {A_k}); pass ``composed`` to reuse an already composed network.
+def objective(x, f: FctnFactors, laps, lams, obs: Observation | None = None) -> float:
+    """f(X, {A_k}).
 
     When ``obs`` is given, X must agree with the observed entries exactly
     (the solver maintains that invariant; violating it is a usage error).
@@ -276,9 +271,7 @@ def objective(x, f: FctnFactors, laps, lams, obs: Observation | None = None, com
     x = np.asarray(x, dtype=np.float64)
     if obs is not None and not np.array_equal(x[obs.mask], obs.values[obs.mask]):
         raise ValueError("x disagrees with the observed entries")
-    if composed is None:
-        composed = compose(f)
-    return 0.5 * _sq(x - composed) + _penalty(f, laps, lams)
+    return 0.5 * _sq(x - compose(f)) + _penalty(f, laps, lams)
 
 
 def _penalty(f: FctnFactors, laps, lams) -> float:
@@ -289,21 +282,11 @@ def _penalty(f: FctnFactors, laps, lams) -> float:
     return reg
 
 
-def update_x(composed, x_prev, obs: Observation, rho: float) -> np.ndarray:
-    """Proximally damped refresh: off the observed set average the composed
-    network with the previous iterate, on it restore the observations bit for
-    bit.  The solver runs :func:`refresh_x`; this is its reference."""
-    out = np.empty(x_prev.shape, dtype=np.float64, order="F")
-    np.multiply(x_prev, rho, out=out)
-    out += composed
-    out /= 1.0 + rho
-    fi = obs.flat_index
-    out.ravel(order="K")[fi] = obs.values.ravel(order="K")[fi]
-    return out
-
-
 def refresh_x(composed: np.ndarray, x: np.ndarray, obs: Observation, rho: float):
-    """:func:`update_x` in one residual pass, written over ``composed``.
+    """The proximally damped X refresh in one residual pass, written over
+    ``composed``: off the observed set X is averaged with the composed
+    network, on it the observations stay bit for bit.  ``update_x`` in
+    ``tests/oracles.py`` is its direct reference.
 
     X must agree with the observations bit for bit on the observed set, as
     the solver's iterates do; the new iterate then does too.  Returns

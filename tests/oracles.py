@@ -1,5 +1,6 @@
 """Test-only reference implementations, kept out of the library: dense and
-einsum oracles, and the closed-form FLOP counts of equal extents and ranks."""
+einsum oracles, the direct X refresh, and the closed-form FLOP counts of
+equal extents and ranks."""
 import itertools
 import string
 
@@ -7,9 +8,31 @@ import numpy as np
 
 from fctnlr.environment import sweep_plan
 from fctnlr.network import FctnRank
+from fctnlr.solver import Observation
 from fctnlr.sylvester import FactorSubproblem
 
 _DENSE_LIMIT = 4096
+
+
+def laplacian_dense(lap) -> np.ndarray:
+    """The circulant operator as an explicit n x n matrix, from its first
+    column."""
+    i = np.arange(lap.n)
+    return lap.first_col[(i[:, None] - i[None, :]) % lap.n]
+
+
+def update_x(composed, x_prev, obs: Observation, rho: float) -> np.ndarray:
+    """Proximally damped refresh: off the observed set average the composed
+    network with the previous iterate, on it restore the observations bit for
+    bit.  The solver runs :func:`fctnlr.solver.refresh_x`; this is its
+    reference."""
+    out = np.empty(x_prev.shape, dtype=np.float64, order="F")
+    np.multiply(x_prev, rho, out=out)
+    out += composed
+    out /= 1.0 + rho
+    fi = obs.flat_index
+    out.ravel(order="K")[fi] = obs.values.ravel(order="K")[fi]
+    return out
 
 
 def gram_dense(m: np.ndarray) -> np.ndarray:
@@ -27,7 +50,7 @@ def solve_factor_dense(p: FactorSubproblem) -> np.ndarray:
     gram = gram_dense(p.m)
     big = (
         np.kron(gram, np.eye(q))
-        + p.lam * np.kron(np.eye(s), p.lap.dense())
+        + p.lam * np.kron(np.eye(s), laplacian_dense(p.lap))
         + p.rho * np.eye(q * s)
     )
     rhs = p.xm + p.rho * p.a_prev

@@ -26,7 +26,6 @@ HOOKED = [
         "mode_fold",
         "solve_factor",
         "objective",
-        "update_x",
     )
 ] + [
     (fctnlr.network, "contract"),

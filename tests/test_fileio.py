@@ -1,11 +1,16 @@
 """Tests for the binary containers, mask sampling, CSV reports, and the
 netpbm frame importer."""
 import csv
+import math
 import os
+import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fctnlr import fileio
 from fctnlr.fileio import (
@@ -84,6 +89,73 @@ def test_element_code_cross_reads_rejected(tmp_path):
         read_mask(tpath)
     with pytest.raises(ValueError):
         read_tensor(mpath)
+
+
+@pytest.mark.parametrize("extents", [(2**63,), (2**32, 2**32)], ids=["2^63", "2^32x2^32"])
+@pytest.mark.parametrize(
+    "reader, elem, width", [(read_tensor, 1, 8), (read_mask, 2, 1)], ids=["tensor", "mask"]
+)
+def test_huge_extents_report_the_true_payload_size(tmp_path, extents, reader, elem, width):
+    """The u64 extents of a header are multiplied without wrapping, so a
+    crafted header is refused by the payload-size check with the size it
+    really asks for."""
+    n = len(extents)
+    path = str(tmp_path / "huge.fctn")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f"<4sIII{n}Q", b"FCTN", 1, elem, n, *extents) + bytes(8))
+    want = width * math.prod(extents)
+    with pytest.raises(ValueError, match=re.escape(f"payload has 8 bytes, expected {want}")):
+        reader(path)
+
+
+@st.composite
+def containers(draw):
+    """A tensor drawn as raw float64 bit patterns (so -0.0, NaN payloads and
+    +-inf occur) and a random mask, of order 1-4 and extents 1-5."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    size = int(np.prod(shape))
+    # -0.0, +inf, -inf, a quiet and a signalling NaN with payloads
+    special = st.sampled_from(
+        [1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8_0000_0000_0001, 0xFFF4_0000_0000_0000]
+    )
+    word = st.one_of(st.integers(0, 2**64 - 1), special)
+    words = draw(st.lists(word, min_size=size, max_size=size))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    x = np.array(words, dtype=np.uint64).view(np.float64).reshape(shape)
+    return x, np.array(flags).reshape(shape)
+
+
+def _write_read(path: str, data: bytes, reader):
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return reader(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(containers(), st.data())
+def test_containers_round_trip_and_reject_damage(case, data):
+    """Tensors and masks round-trip bit for bit; every strict prefix of a
+    container, and a changed magic, version or element-code byte, is
+    refused with ValueError."""
+    x, mask = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tpath, mpath = os.path.join(tmp, "t.fctn"), os.path.join(tmp, "m.fctn")
+        write_tensor(tpath, x)
+        write_mask(mpath, mask)
+        back, mback = read_tensor(tpath), read_mask(mpath)
+        assert back.shape == x.shape and back.dtype == np.float64
+        assert np.array_equal(back.view(np.uint64), x.view(np.uint64))
+        assert mback.dtype == bool and np.array_equal(mback, mask)
+        for reader, path in ((read_tensor, tpath), (read_mask, mpath)):
+            blob = open(path, "rb").read()
+            for end in range(len(blob)):
+                with pytest.raises(ValueError):
+                    _write_read(path, blob[:end], reader)
+            at = data.draw(st.integers(0, 11), label="header byte")  # magic, version, element code
+            damaged = bytearray(blob)
+            damaged[at] ^= data.draw(st.integers(1, 255), label="xor")
+            with pytest.raises(ValueError):
+                _write_read(path, bytes(damaged), reader)
 
 
 def test_mask_bytes_must_be_binary(tmp_path):

@@ -146,9 +146,9 @@ def test_cached_build_is_the_network_matrix(case):
             m = property1_unfold(partial, k, n)
             assert np.shares_memory(m, partial)
             assert _close(m, network_matrix(f, k))
-            assert _close(mode_unfold(f[k], k) @ m, mode_unfold(compose(f), k))
+            assert _close(mode_unfold(f.factor(k), k) @ m, mode_unfold(compose(f), k))
             # as in a sweep: the solved factor replaces k before the next build
-            f.replace(k, rng.standard_normal(f[k].shape))
+            f.replace(k, rng.standard_normal(f.factor(k).shape))
         assert not kept
 
 
@@ -287,7 +287,7 @@ def test_sweeps_count_the_planned_flops(case):
     start = FctnFactors.random(dims, rank, rng)
 
     def fresh():
-        return FctnFactors([start[k].copy() for k in range(rank.n)])
+        return FctnFactors([start.factor(k).copy() for k in range(rank.n)])
 
     for env in (False, True):
         with mock.patch.object(solver, "sweep_plan", lambda *args: sweep_plan(*args, env)):

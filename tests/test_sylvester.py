@@ -6,7 +6,7 @@ import pytest
 
 from fctnlr.laplacian import CirculantLaplacian
 from fctnlr.sylvester import FactorSubproblem, NumericalFailure, eig_gram, solve_factor
-from oracles import solve_factor_dense
+from oracles import laplacian_dense, solve_factor_dense
 
 
 def random_problem(seed, q=None, s=None, p=None, lam=None, rho=None):
@@ -74,7 +74,7 @@ def test_vanishing_damping_recovers_least_squares():
 
 def test_scalar_closed_form():
     lap = CirculantLaplacian(1, 0.5)
-    ell = float(lap.dense()[0, 0])
+    ell = float(laplacian_dense(lap)[0, 0])
     x, m, a, lam, rho = 1.7, 0.8, -0.4, 0.35, 0.1
     prob = FactorSubproblem(
         xm=np.array([[x * m]]),
