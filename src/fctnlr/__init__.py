@@ -48,9 +48,8 @@ from .solver import (
     run,
 )
 from .sylvester import (
-    FactorSubproblem,
     NumericalFailure,
-    SpectralPair,
+    dense_gram,
     eig_gram,
     solve_factor,
 )
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CirculantLaplacian",
     "FLOPS",
-    "FactorSubproblem",
     "FctnFactors",
     "FctnRank",
     "IterationRecord",
@@ -70,10 +68,10 @@ __all__ = [
     "QualityReport",
     "SolverConfig",
     "SolverResult",
-    "SpectralPair",
     "compose",
     "compose_except",
     "contract",
+    "dense_gram",
     "eig_gram",
     "gfold",
     "gram_except",

@@ -28,8 +28,8 @@ class CirculantLaplacian:
         if n < 1:
             raise ValueError("operator size must be >= 1")
         delta = float(delta)
-        if delta <= 0.0:
-            raise ValueError("diagonal shift delta must be > 0")
+        if not 0.0 < delta < np.inf:
+            raise ValueError("diagonal shift delta must be finite and > 0")
         if sign not in _SIGNS:
             raise ValueError(f"sign must be one of {sorted(_SIGNS)}, got {sign!r}")
         self.n = n

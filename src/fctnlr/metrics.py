@@ -33,8 +33,8 @@ def _pair(x, ref):
 def psnr(x, ref, peak: float = 1.0) -> float:
     """Mean over slices of 10 log10(peak^2 / MSE); a slice with zero error
     contributes the 100 dB cap."""
-    if peak <= 0:
-        raise ValueError("peak must be > 0")
+    if not 0.0 < peak < math.inf:
+        raise ValueError("peak must be finite and > 0")
     xs, rs = _pair(x, ref)
     h, w, s = xs.shape
     vals = []
@@ -47,8 +47,8 @@ def psnr(x, ref, peak: float = 1.0) -> float:
 def ssim(x, ref, peak: float = 1.0) -> float:
     """Mean over slices of the single-window structural index; identical
     inputs score exactly 1."""
-    if peak <= 0:
-        raise ValueError("peak must be > 0")
+    if not 0.0 < peak < math.inf:
+        raise ValueError("peak must be finite and > 0")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     xs, rs = _pair(x, ref)

@@ -40,8 +40,8 @@ runs its plan as it is.  Bonds grow by one when the relative change falls
 below ``10 * eps``.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
-M and its subproblem are freed before the next M is built, and ``fctnlr``
-frees the last one before composing the whole chain.  Besides it a sweep
+M and its data product are freed before the next M is built, and ``fctnlr``
+frees the last M before composing the whole chain.  Besides it a sweep
 holds the chain intermediates or X-environments still to be used
 (``afctnlr``) and X-sized arrays.
 
@@ -73,10 +73,9 @@ from .network import (
     shuffle_order,
 )
 from .sylvester import (
-    FactorSubproblem,
     NumericalFailure,
-    SpectralPair,
     data_product,
+    dense_gram,
     solve_factor,
 )
 from .tensor import FLOPS, mode_fold, mode_unfold
@@ -451,7 +450,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     envs = {}  # the environment route's X-environments, for this sweep only
     step_sq = 0.0
     for k, from_envs, chain, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
-        m = prob = pair = xm = None  # the previous factor's, freed before the next build
+        m = xm = None  # the previous factor's, freed before the next build
         if from_envs:
             xm = env_data_product(f, k, order, x, envs)
         elif accelerated:
@@ -462,19 +461,15 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         else:
             m = property1_unfold(compose_except(f, k), k, n)
         a_prev = mode_unfold(f.factor(k), k)
-        prob = FactorSubproblem(
-            xm=data_product(x, k, m) if xm is None else xm,
-            m=m, a_prev=a_prev, lap=laps[k], lam=lams[k], rho=cfg.rho,
-        )
-        if doubled:
-            pair = SpectralPair.from_gram(gram_except(f, k))
-        a_new = solve_factor(prob, pair)  # with no pair it forms the dense M M^T
+        xm = data_product(x, k, m) if xm is None else xm
+        gram = gram_except(f, k) if doubled else dense_gram(m)
+        a_new = solve_factor(xm, a_prev, gram, laps[k], lams[k], cfg.rho)
         step_sq += _sq(a_new - a_prev)
         f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
     if accelerated:  # the last factor's network matrix holds every other factor as updated
         composed = compose(f, k, m)
     else:
-        m = prob = None  # compose's chain builds without them
+        m = None  # compose's chain builds without it
         composed = compose(f)
     x_new, data, x_step_sq = refresh_x(composed, x, obs, cfg.rho)
     return x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq

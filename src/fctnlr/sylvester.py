@@ -8,40 +8,37 @@ whose stationarity condition is the two-sided linear system
 
     lam L A + A (M M^T) + rho A = X_(k) M^T + rho A_prev.
 
-X enters only through the data product ``X_(k) M^T`` (q x s), which
-:func:`data_product` forms from X as stored, without the mode-k unfolding
-wherever the layouts allow; :class:`FactorSubproblem` carries that product,
-so the solve itself never sees X.
+:func:`solve_factor` takes the system's two inputs that depend on M: the data
+product ``X_(k) M^T`` (q x s) and the Gram matrix ``M M^T`` (s x s).  So the
+solve never sees X or M.  :func:`data_product` forms the data product from X
+as stored, without the mode-k unfolding wherever the layouts allow.
 
 Both coefficient operators diagonalize: L in the unitary DFT basis (it is
-circulant) and the Gram matrix ``M M^T`` by a symmetric eigendecomposition.
-Transforming the right-hand side into the joint eigenbasis turns the system
-into an entrywise division by ``T[w, v] = lam * eig_L[w] + phi[v] + rho``,
-which is strictly positive in the default operator orientation.
+circulant) and the Gram matrix by a symmetric eigendecomposition
+(:func:`eig_gram`).  Transforming the right-hand side into the joint
+eigenbasis turns the system into an entrywise division by
+``T[w, v] = lam * eig_L[w] + phi[v] + rho``, which is strictly positive in
+the default operator orientation.
 
-The dense product ``M M^T`` costs ``2 s^2 I^(n-1)`` FLOPs, on large extents
-the largest single term of a sweep.  Where the sweep plan
-(:func:`fctnlr.environment.sweep_plan`) takes the Gram from the doubled
-network instead (:func:`fctnlr.network.gram_except`), the solver hands its
-eigendecomposition to :func:`solve_factor` as a :class:`SpectralPair`
-(:meth:`SpectralPair.from_gram`); otherwise it passes no pair and
-:func:`solve_factor` forms the dense product through :func:`eig_gram`.
+The sweep plan (:func:`fctnlr.environment.sweep_plan`) decides per position
+where the Gram matrix comes from: the doubled network
+(:func:`fctnlr.network.gram_except`) or the dense product :func:`dense_gram`,
+which costs ``2 s^2 I^(n-1)`` FLOPs, on large extents the largest single term
+of a sweep.  The solver forms it by that route and hands it to
+:func:`solve_factor`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .laplacian import CirculantLaplacian
 from .tensor import FLOPS, mode_unfold
 
 __all__ = [
-    "FactorSubproblem",
     "NumericalFailure",
-    "SpectralPair",
     "data_product",
+    "dense_gram",
     "eig_gram",
     "solve_factor",
 ]
@@ -53,32 +50,25 @@ class NumericalFailure(RuntimeError):
     """Raised when a solve cannot proceed (non-positive spectrum, overflow)."""
 
 
-@dataclass
-class SpectralPair:
-    """Orthonormal eigenvectors and clamped-nonnegative eigenvalues of M M^T."""
-
-    c: np.ndarray
-    phi: np.ndarray
-
-    @classmethod
-    def from_gram(cls, g: np.ndarray) -> "SpectralPair":
-        """Eigendecomposition of a Gram matrix, symmetrized first so roundoff
-        in how it was summed cannot skew the basis."""
-        g = 0.5 * (g + g.T)
-        phi, c = np.linalg.eigh(g)
-        return cls(c=c, phi=np.maximum(phi, 0.0))
-
-
-def eig_gram(m: np.ndarray) -> SpectralPair:
-    """Symmetric eigendecomposition of the Gram matrix of the rows of m,
-    formed by the dense product ``m @ m.T``."""
+def dense_gram(m: np.ndarray) -> np.ndarray:
+    """The Gram matrix ``m @ m.T`` of the rows of m by the dense GEMM,
+    metered under ``gram`` at ``2 s^2 p`` FLOPs."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("m must be a matrix")
     with FLOPS.scoped("gram"):
         g = m @ m.T
         FLOPS.add(2 * m.shape[0] * m.shape[0] * m.shape[1])
-    return SpectralPair.from_gram(g)
+    return g
+
+
+def eig_gram(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors ``c`` and clamped-nonnegative eigenvalues
+    ``phi`` of a Gram matrix, as ``(c, phi)``.  It is symmetrized first, so
+    roundoff in how it was summed cannot skew the basis."""
+    g = 0.5 * (g + g.T)
+    phi, c = np.linalg.eigh(g)
+    return c, np.maximum(phi, 0.0)
 
 
 # Route of the data product for a middle mode.  X is viewed as (a, I_k, b)
@@ -180,57 +170,31 @@ def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
         return y
 
 
-@dataclass
-class FactorSubproblem:
-    """One factor update in matrix form.
+def solve_factor(xm, a_prev, gram, lap, lam: float, rho: float) -> np.ndarray:
+    """Solve the subproblem exactly via the joint diagonalization.
 
-    ``xm``: the data product ``X_(k) M^T`` (:func:`data_product`), q x s;
-    the tensor X enters the subproblem only through it.
-    ``m``: partial-network unfolding, s x p (its rows pair with A's columns),
-    or None when the solve is given the spectral pair of ``M M^T``.
-    ``a_prev``: previous factor unfolding, q x s (proximal anchor).
+    ``xm``: the data product ``X_(k) M^T`` (:func:`data_product`), q x s.
+    ``a_prev``: the previous factor unfolding, q x s (proximal anchor).
+    ``gram``: the Gram matrix ``M M^T``, s x s (its rows pair with A's
+    columns).  ``lap``: the smoothing operator of size q, a
+    :class:`~fctnlr.laplacian.CirculantLaplacian`.
     """
+    xm, a_prev, gram = (np.asarray(v, dtype=np.float64) for v in (xm, a_prev, gram))
+    q, s = a_prev.shape
+    if xm.shape != (q, s) or gram.shape != (s, s) or lap.n != q:
+        raise ValueError(f"xm {xm.shape}, gram {gram.shape} or operator size {lap.n} "
+                         f"does not fit a_prev {(q, s)}")
+    if not (lam >= 0.0 and rho > 0.0):
+        raise ValueError(f"need lam >= 0 and rho > 0, got lam={lam}, rho={rho}")
+    c, phi = eig_gram(gram)
+    y = xm + rho * a_prev
 
-    xm: np.ndarray
-    m: np.ndarray | None
-    a_prev: np.ndarray
-    lap: CirculantLaplacian
-    lam: float
-    rho: float
-
-    def __post_init__(self):
-        self.xm = np.asarray(self.xm, dtype=np.float64)
-        self.a_prev = np.asarray(self.a_prev, dtype=np.float64)
-        q, s = self.a_prev.shape
-        if self.m is not None:
-            self.m = np.asarray(self.m, dtype=np.float64)
-            if self.m.ndim != 2 or self.m.shape[0] != s:
-                raise ValueError(f"m has shape {self.m.shape}, expected {s} rows")
-        if self.xm.shape != (q, s):
-            raise ValueError(f"xm has shape {self.xm.shape}, expected {(q, s)}")
-        if self.lap.n != q:
-            raise ValueError(f"operator size {self.lap.n} does not match q={q}")
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
-
-
-def solve_factor(p: FactorSubproblem, pair: SpectralPair | None = None) -> np.ndarray:
-    """Solve the subproblem exactly via the joint diagonalization.  Without
-    ``pair`` the Gram matrix is formed from ``p.m``, which must then be set."""
-    if pair is None:
-        if p.m is None:
-            raise ValueError("a subproblem without m needs the spectral pair of M M^T")
-        pair = eig_gram(p.m)
-    y = p.xm + p.rho * p.a_prev
-
-    t = p.lam * p.lap.eigenvalues[:, None] + pair.phi[None, :] + p.rho
+    t = lam * lap.eigenvalues[:, None] + phi[None, :] + rho
     if float(np.min(t)) <= _T_FLOOR:
         raise NumericalFailure(
             "shifted spectrum is not strictly positive; "
             "the as-printed operator orientation cannot be inverted here"
         )
-    w = p.lap.apply_F(y @ pair.c)
-    a = p.lap.apply_FH(w / t) @ pair.c.T
+    w = lap.apply_F(y @ c)
+    a = lap.apply_FH(w / t) @ c.T
     return np.ascontiguousarray(a.real)

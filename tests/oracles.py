@@ -9,7 +9,6 @@ import numpy as np
 from fctnlr.environment import sweep_plan
 from fctnlr.network import FctnRank
 from fctnlr.solver import Observation
-from fctnlr.sylvester import FactorSubproblem
 
 _DENSE_LIMIT = 4096
 
@@ -41,19 +40,20 @@ def gram_dense(m: np.ndarray) -> np.ndarray:
     return m @ m.T
 
 
-def solve_factor_dense(p: FactorSubproblem) -> np.ndarray:
-    """Dense oracle: assemble the q*s x q*s system under column-stacking vec
+def solve_factor_dense(xm, a_prev, m, lap, lam: float, rho: float) -> np.ndarray:
+    """Dense oracle of :func:`fctnlr.sylvester.solve_factor` from the network
+    matrix m itself: assemble the q*s x q*s system under column-stacking vec
     and solve it directly.  Guarded to small sizes."""
-    q, s = p.a_prev.shape
+    q, s = a_prev.shape
     if q * s > _DENSE_LIMIT:
         raise ValueError(f"dense oracle limited to q*s <= {_DENSE_LIMIT}, got {q * s}")
-    gram = gram_dense(p.m)
+    gram = gram_dense(m)
     big = (
         np.kron(gram, np.eye(q))
-        + p.lam * np.kron(np.eye(s), laplacian_dense(p.lap))
-        + p.rho * np.eye(q * s)
+        + lam * np.kron(np.eye(s), laplacian_dense(lap))
+        + rho * np.eye(q * s)
     )
-    rhs = p.xm + p.rho * p.a_prev
+    rhs = xm + rho * a_prev
     vec = np.linalg.solve(big, rhs.reshape(q * s, order="F"))
     return vec.reshape((q, s), order="F")
 

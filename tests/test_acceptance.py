@@ -23,7 +23,7 @@ from fctnlr.network import (
     property1_unfold,
 )
 from fctnlr.solver import Observation, SolverConfig, run
-from fctnlr.sylvester import FactorSubproblem, solve_factor
+from fctnlr.sylvester import dense_gram, solve_factor
 from fctnlr.tensor import mode_unfold
 
 
@@ -218,8 +218,7 @@ def test_03_factor_solve_dense_equivalence():
         x_k = rng.standard_normal((q, p))
         m = rng.standard_normal((s, p))
         a_prev = rng.standard_normal((q, s))
-        prob = FactorSubproblem(xm=x_k @ m.T, m=m, a_prev=a_prev, lap=lap, lam=lam, rho=rho)
-        a = solve_factor(prob)
+        a = solve_factor(x_k @ m.T, a_prev, dense_gram(m), lap, lam, rho)
 
         ldense = _band_stencil(q, delta, "positive-definite")
         gram = m @ m.T

@@ -61,3 +61,17 @@ def test_out_of_range_hyperparameter_exits_one(tmp_path, capsys, no_solve, extra
     assert rc == 1
     assert "error" in capsys.readouterr().err
     assert not out.exists() and not saved.exists()
+
+
+@pytest.mark.parametrize("peak", ["nan", "inf", "-inf", "0"])
+def test_non_finite_or_non_positive_peak_exits_one(tmp_path, capsys, peak):
+    rng = np.random.default_rng(0)
+    truth = rng.standard_normal((5, 4, 3))
+    tpath, epath = str(tmp_path / "t.fctn"), str(tmp_path / "e.fctn")
+    write_tensor(tpath, truth)
+    write_tensor(epath, truth + 0.01 * rng.standard_normal(truth.shape))
+    rc = main(["metrics", "--truth", tpath, "--est", epath, f"--peak={peak}"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "peak" in err

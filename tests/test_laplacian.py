@@ -146,6 +146,14 @@ def test_matvec_matches_dense_multiply():
         assert np.allclose(lap.matvec(mat), dense @ mat, atol=1e-13)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0])
+def test_shift_must_be_finite_and_positive(delta):
+    """A NaN or infinite shift would give a NaN or infinite spectrum that the
+    FFT cross-check cannot catch (comparisons with NaN are false)."""
+    with pytest.raises(ValueError, match="delta"):
+        CirculantLaplacian(4, delta)
+
+
 def test_build_and_input_validation():
     with pytest.raises(ValueError):
         CirculantLaplacian(0, 0.5)

@@ -301,7 +301,8 @@ def _sweep_calls(f, obs, order, algorithm):
     """The route calls of one solver sweep of ``f``, in call order: each
     data product from kept X-environments, each build of M (the plain
     ``compose_except``, or the accelerated build and whether it keeps its
-    chains), and each Gram from the doubled network or the dense product."""
+    chains), each Gram from the doubled network or the dense product, each
+    factor solve and each eigendecomposition of a Gram matrix."""
     calls = []
 
     def spy(owner, attr, name, what):
@@ -319,7 +320,9 @@ def _sweep_calls(f, obs, order, algorithm):
         spy(solver, "_compose_except_cached_labeled", "built",
             lambda f, k, order, kept: (k, kept is not None)),
         spy(solver, "gram_except", "doubled", lambda f, k: (k,)),
-        spy(sylvester, "eig_gram", "dense", lambda m: ()),
+        spy(solver, "dense_gram", "dense", lambda m: ()),
+        spy(solver, "solve_factor", "solve", lambda xm, a_prev, gram, *_: ()),
+        spy(sylvester, "eig_gram", "eig", lambda g: ()),
     ]
     with contextlib.ExitStack() as stack:
         for patch in spies:
@@ -336,7 +339,9 @@ def _sweep_calls(f, obs, order, algorithm):
 def test_sweeps_run_their_plan(algorithm, order, env):
     """Each position of a sweep makes exactly the calls its plan names: its
     data product from kept X-environments or its build of M, then its Gram
-    from the doubled network or the dense product."""
+    from the doubled network or the dense product, then one factor solve
+    with one eigendecomposition, so the Gram route is taken in the sweep
+    alone."""
     dims, rank = (40, 40, 3, 16), FctnRank.uniform(4, 3)
     rng = np.random.default_rng(8)
     obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
@@ -352,4 +357,5 @@ def test_sweeps_run_their_plan(algorithm, order, env):
         else:
             want.append(("built", pos.k, pos.chain is None))
         want.append(("doubled", pos.k) if pos.doubled else ("dense",))
+        want += [("solve",), ("eig",)]
     assert _sweep_calls(FctnFactors.random(dims, rank, rng), obs, order, algorithm) == want

@@ -625,7 +625,7 @@ def test_run_rising_objective_is_a_numerical_failure(monkeypatch):
     run instead of ending it as completed."""
     truth, obs = small_problem(27)
     solve = solver_module.solve_factor
-    monkeypatch.setattr(solver_module, "solve_factor", lambda p, pair: 10.0 * solve(p, pair))
+    monkeypatch.setattr(solver_module, "solve_factor", lambda *args: 10.0 * solve(*args))
     with pytest.raises(NumericalFailure, match="rose"):
         run(obs, SolverConfig(eps=0.0, max_iters=5, max_rank=2, initial_rank=2,
                               rank_policy="fixed", seed=1))
@@ -654,7 +654,7 @@ def test_run_unchanged_negative_objective_is_not_a_rise(monkeypatch):
     dims = (4, 3, 5)
     truth = np.random.default_rng(0).standard_normal(dims)
     obs = Observation.from_dense(truth, np.ones(dims, dtype=bool))
-    monkeypatch.setattr(solver_module, "solve_factor", lambda p, pair: p.a_prev)
+    monkeypatch.setattr(solver_module, "solve_factor", lambda xm, a_prev, *_: a_prev)
     res = run(obs, SolverConfig(eps=0.0, max_iters=3, max_rank=2, initial_rank=2,
                                 rank_policy="fixed", laplacian_sign="as-printed",
                                 lam=5.0, seed=0))
@@ -679,17 +679,13 @@ def test_factor_update_scale_homogeneity():
     """Scaling the data matrix and the anchor jointly scales the factor
     solve's output; the outer loop inherits this blockwise."""
     rng = np.random.default_rng(24)
-    from fctnlr.sylvester import FactorSubproblem
-
     q, s, p, c = 5, 3, 11, 7.5
     x = rng.standard_normal((q, p))
     m = rng.standard_normal((s, p))
     a = rng.standard_normal((q, s))
     lap = CirculantLaplacian(q, 0.5)
-    base = solve_factor(FactorSubproblem(xm=x @ m.T, m=m, a_prev=a, lap=lap, lam=0.35, rho=0.1))
-    scaled = solve_factor(
-        FactorSubproblem(xm=(c * x) @ m.T, m=m, a_prev=c * a, lap=lap, lam=0.35, rho=0.1)
-    )
+    base = solve_factor(x @ m.T, a, m @ m.T, lap, 0.35, 0.1)
+    scaled = solve_factor((c * x) @ m.T, c * a, m @ m.T, lap, 0.35, 0.1)
     assert np.allclose(scaled, c * base, rtol=1e-12, atol=1e-12)
 
 

@@ -1,12 +1,25 @@
 """Tests for the closed-form factor subproblem solve and its dense oracle.
-The subproblem carries the data product X_(k) M^T, so each instance here
-draws a data matrix x and hands the solver ``x @ m.T``."""
+The solve takes the data product X_(k) M^T and the Gram matrix M M^T, so each
+instance here draws a data matrix x and a network matrix m and hands the
+solver ``x @ m.T`` and ``dense_gram(m)``."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fctnlr.laplacian import CirculantLaplacian
-from fctnlr.sylvester import FactorSubproblem, NumericalFailure, eig_gram, solve_factor
+from fctnlr.sylvester import NumericalFailure, dense_gram, eig_gram, solve_factor
 from oracles import laplacian_dense, solve_factor_dense
+
+
+def solve(p):
+    """Solve a problem instance (a namespace of ``xm``, ``m``, ``a_prev``,
+    ``lap``, ``lam`` and ``rho``) with its dense Gram matrix."""
+    return solve_factor(p.xm, p.a_prev, dense_gram(p.m), p.lap, p.lam, p.rho)
+
+
+def solve_dense(p):
+    return solve_factor_dense(p.xm, p.a_prev, p.m, p.lap, p.lam, p.rho)
 
 
 def random_problem(seed, q=None, s=None, p=None, lam=None, rho=None):
@@ -19,7 +32,7 @@ def random_problem(seed, q=None, s=None, p=None, lam=None, rho=None):
     lap = CirculantLaplacian(q, float(rng.uniform(0.2, 0.8)))
     x = rng.standard_normal((q, p))
     m = rng.standard_normal((s, p))
-    return FactorSubproblem(
+    return SimpleNamespace(
         xm=x @ m.T,
         m=m,
         a_prev=rng.standard_normal((q, s)),
@@ -42,7 +55,7 @@ def test_pure_proximal_fixed_point():
     rng = np.random.default_rng(0)
     q, s, p = 5, 3, 7
     m = np.zeros((s, p))
-    prob = FactorSubproblem(
+    prob = SimpleNamespace(
         xm=rng.standard_normal((q, p)) @ m.T,
         m=m,
         a_prev=rng.standard_normal((q, s)),
@@ -50,7 +63,7 @@ def test_pure_proximal_fixed_point():
         lam=0.0,
         rho=1.0,
     )
-    out = solve_factor(prob)
+    out = solve(prob)
     assert np.allclose(out, prob.a_prev, rtol=1e-12, atol=1e-13)
 
 
@@ -59,7 +72,7 @@ def test_vanishing_damping_recovers_least_squares():
     q, s, p = 4, 3, 20
     m = rng.standard_normal((s, p))
     x = rng.standard_normal((q, p))
-    prob = FactorSubproblem(
+    prob = SimpleNamespace(
         xm=x @ m.T,
         m=m,
         a_prev=rng.standard_normal((q, s)),
@@ -67,7 +80,7 @@ def test_vanishing_damping_recovers_least_squares():
         lam=0.0,
         rho=1e-12,
     )
-    out = solve_factor(prob)
+    out = solve(prob)
     ols = x @ m.T @ np.linalg.inv(m @ m.T)
     assert np.linalg.norm(out - ols) / np.linalg.norm(ols) <= 1e-8
 
@@ -76,7 +89,7 @@ def test_scalar_closed_form():
     lap = CirculantLaplacian(1, 0.5)
     ell = float(laplacian_dense(lap)[0, 0])
     x, m, a, lam, rho = 1.7, 0.8, -0.4, 0.35, 0.1
-    prob = FactorSubproblem(
+    prob = SimpleNamespace(
         xm=np.array([[x * m]]),
         m=np.array([[m]]),
         a_prev=np.array([[a]]),
@@ -85,15 +98,15 @@ def test_scalar_closed_form():
         rho=rho,
     )
     want = (x * m + rho * a) / (m * m + lam * ell + rho)
-    assert solve_factor(prob)[0, 0] == pytest.approx(want, rel=1e-12)
-    assert solve_factor_dense(prob)[0, 0] == pytest.approx(want, rel=1e-12)
+    assert solve(prob)[0, 0] == pytest.approx(want, rel=1e-12)
+    assert solve_dense(prob)[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_matches_dense_oracle():
     for seed in range(30):
         prob = random_problem(seed)
-        fast = solve_factor(prob)
-        dense = solve_factor_dense(prob)
+        fast = solve(prob)
+        dense = solve_dense(prob)
         err = np.linalg.norm(fast - dense) / max(np.linalg.norm(dense), 1e-30)
         assert err <= 1e-8, f"seed {seed}: {err}"
 
@@ -102,7 +115,7 @@ def test_stationarity_residual():
     """The solution must satisfy the normal equations of the subproblem."""
     for seed in range(20):
         prob = random_problem(500 + seed)
-        a = solve_factor(prob)
+        a = solve(prob)
         gram = prob.m @ prob.m.T
         lhs = a @ gram + prob.lam * prob.lap.matvec(a) + prob.rho * a
         rhs = prob.xm + prob.rho * prob.a_prev
@@ -113,7 +126,7 @@ def test_stationarity_residual():
 def test_strictly_decreases_objective():
     for seed in range(10):
         prob = random_problem(900 + seed)
-        a = solve_factor(prob)
+        a = solve(prob)
         before = subproblem_objective(prob.a_prev, prob)
         after = subproblem_objective(a, prob)
         assert after < before
@@ -123,7 +136,7 @@ def test_column_permutation_invariance():
     rng = np.random.default_rng(2)
     prob = random_problem(77, q=5, s=3, p=9)
     perm = rng.permutation(9)
-    shuffled = FactorSubproblem(
+    shuffled = SimpleNamespace(
         xm=prob.xm,
         m=prob.m[:, perm],
         a_prev=prob.a_prev,
@@ -131,51 +144,32 @@ def test_column_permutation_invariance():
         lam=prob.lam,
         rho=prob.rho,
     )
-    a0 = solve_factor(prob)
-    a1 = solve_factor(shuffled)
+    a0 = solve(prob)
+    a1 = solve(shuffled)
     assert np.allclose(a0, a1, rtol=1e-12, atol=1e-13)
 
 
-def test_precomputed_spectral_pair():
-    prob = random_problem(33)
-    pair = eig_gram(prob.m)
-    assert np.allclose(solve_factor(prob, pair), solve_factor(prob), atol=1e-13)
-
-
-def test_subproblem_without_m_needs_the_spectral_pair():
-    """With the spectral pair given, the solve needs no M; without one it
-    refuses a subproblem that has none."""
-    import dataclasses
-
-    prob = random_problem(34)
-    pair = eig_gram(prob.m)
-    bare = dataclasses.replace(prob, m=None)
-    assert np.array_equal(solve_factor(bare, pair), solve_factor(prob, pair))
-    with pytest.raises(ValueError):
-        solve_factor(bare)
-
-
 def test_eig_gram_identity_and_zero():
-    pair = eig_gram(np.eye(4))
-    assert np.allclose(pair.phi, np.ones(4), atol=1e-12)
-    recon = pair.c @ np.diag(pair.phi) @ pair.c.T
+    c, phi = eig_gram(np.eye(4))
+    assert np.allclose(phi, np.ones(4), atol=1e-12)
+    recon = c @ np.diag(phi) @ c.T
     assert np.allclose(recon, np.eye(4), atol=1e-12)
 
-    zero = eig_gram(np.zeros((3, 5)))
-    assert np.allclose(zero.phi, 0.0, atol=1e-14)
-    assert np.allclose(zero.c @ zero.c.T, np.eye(3), atol=1e-12)
+    c, phi = eig_gram(dense_gram(np.zeros((3, 5))))
+    assert np.allclose(phi, 0.0, atol=1e-14)
+    assert np.allclose(c @ c.T, np.eye(3), atol=1e-12)
 
 
 def test_eig_gram_reconstruction_and_clamping():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((5, 20))
-    pair = eig_gram(m)
-    assert np.all(pair.phi >= 0.0)
-    recon = pair.c @ np.diag(pair.phi) @ pair.c.T
+    c, phi = eig_gram(dense_gram(m))
+    assert np.all(phi >= 0.0)
+    recon = c @ np.diag(phi) @ c.T
     want = m @ m.T
     assert np.linalg.norm(recon - want) / np.linalg.norm(want) <= 1e-10
     with pytest.raises(ValueError):
-        eig_gram(np.zeros(3))
+        dense_gram(np.zeros(3))
 
 
 def test_flipped_sign_guard_raises():
@@ -184,7 +178,7 @@ def test_flipped_sign_guard_raises():
     rather than divide."""
     rng = np.random.default_rng(7)
     q, s, p = 4, 2, 6
-    prob = FactorSubproblem(
+    prob = SimpleNamespace(
         xm=rng.standard_normal((q, s)),
         m=np.zeros((s, p)),
         a_prev=rng.standard_normal((q, s)),
@@ -193,7 +187,7 @@ def test_flipped_sign_guard_raises():
         rho=0.1,
     )
     with pytest.raises(NumericalFailure):
-        solve_factor(prob)
+        solve(prob)
 
 
 def test_subproblem_validation():
@@ -202,25 +196,27 @@ def test_subproblem_validation():
     m = rng.standard_normal((s, p))
     xm = rng.standard_normal((q, p)) @ m.T
     a = rng.standard_normal((q, s))
+    g = dense_gram(m)
     lap = CirculantLaplacian(q, 0.5)
-    with pytest.raises(ValueError):
-        FactorSubproblem(xm=xm, m=rng.standard_normal((s + 1, p)), a_prev=a, lap=lap, lam=0.1, rho=0.1)
-    with pytest.raises(ValueError):
-        FactorSubproblem(xm=xm, m=m, a_prev=rng.standard_normal((q, s + 1)), lap=lap, lam=0.1, rho=0.1)
-    with pytest.raises(ValueError):
-        FactorSubproblem(xm=xm[:, :-1], m=m, a_prev=a, lap=lap, lam=0.1, rho=0.1)
-    with pytest.raises(ValueError):
-        FactorSubproblem(xm=xm, m=m, a_prev=a, lap=CirculantLaplacian(q + 1, 0.5), lam=0.1, rho=0.1)
-    with pytest.raises(ValueError):
-        FactorSubproblem(xm=xm, m=m, a_prev=a, lap=lap, lam=-0.1, rho=0.1)
-    with pytest.raises(ValueError):
-        FactorSubproblem(xm=xm, m=m, a_prev=a, lap=lap, lam=0.1, rho=0.0)
+    solve_factor(xm, a, g, lap, 0.1, 0.1)
+    for args in [
+        (xm, a, dense_gram(rng.standard_normal((s + 1, p))), lap, 0.1, 0.1),
+        (xm, rng.standard_normal((q, s + 1)), g, lap, 0.1, 0.1),
+        (xm[:, :-1], a, g, lap, 0.1, 0.1),
+        (xm, a, g, CirculantLaplacian(q + 1, 0.5), 0.1, 0.1),
+        (xm, a, g, lap, -0.1, 0.1),
+        (xm, a, g, lap, 0.1, 0.0),
+        (xm, a, g, lap, np.nan, 0.1),
+        (xm, a, g, lap, 0.1, np.nan),
+    ]:
+        with pytest.raises(ValueError):
+            solve_factor(*args)
 
 
 def test_dense_oracle_size_guard():
     rng = np.random.default_rng(9)
     q, s, p = 70, 60, 80
-    prob = FactorSubproblem(
+    prob = SimpleNamespace(
         xm=rng.standard_normal((q, s)),
         m=rng.standard_normal((s, p)),
         a_prev=rng.standard_normal((q, s)),
@@ -229,4 +225,4 @@ def test_dense_oracle_size_guard():
         rho=0.1,
     )
     with pytest.raises(ValueError):
-        solve_factor_dense(prob)
+        solve_dense(prob)
