@@ -5,24 +5,27 @@ before the last position, only each factor's data product ``X_(k) M^T``
 (its Gram matrix comes from the doubled network).  Those products come from
 environments: X contracted with the factors not yet updated (kept from the
 first position of the sweep, as ALS in the tensor-train format keeps its
-interfaces), then with the factors already updated.  The contractions run on
-the labeled tensors of :mod:`fctnlr.network`, each result laid out so that
-the step reading it needs no copy.
+interfaces), then with the factors already updated.  Each position's
+contractions are one planned chain (:func:`_schedule`) of the shape
+:func:`~fctnlr.network._chain_plan` returns, run by
+:func:`~fctnlr.network._run` on the labeled tensors of :mod:`fctnlr.network`,
+each result laid out so that the step reading it needs no copy.
 
 Every route choice of a sweep is made here, by :func:`sweep_plan`, and the
 solver runs the plan as it is.  Per position it fixes where the data product
-comes from (kept X-environments or M), how M is built (the plain chain, or
-prefix and suffix chains joined) and whether the Gram matrix ``M M^T`` comes
-from the doubled network (:func:`~fctnlr.network.gram_except`) or the dense
-product.  ``fctnlr`` builds every M by the plain chain.  ``afctnlr`` takes
-the environment route or the prefix/suffix route for the whole sweep,
-whichever the plan prices lower, and on the environment route every
-position before the last takes the doubled Gram.  Every other Gram, in both
-variants, comes from the doubled network where :func:`_doubled_gram_pays`
-finds it cheaper and no larger than M: the doubled chain's middle
-intermediates grow as R^(2 t (n-t)), so it loses once R^2 is large against
-the extents (4^5 at R=3, 6^6 at R=2), and on small tensors, where the Python
-cost of its contractions dominates.
+comes from (kept X-environments or M), the chains that build M (the plain
+chain, or prefix and suffix chains joined) and whether the Gram matrix
+``M M^T`` comes from the doubled network
+(:func:`~fctnlr.network.gram_except`) or the dense product.  ``fctnlr``
+builds every M by the plain chain.  ``afctnlr`` takes the environment route
+or the prefix/suffix route for the whole sweep, whichever the plan prices
+lower, and on the environment route every position before the last takes
+the doubled Gram.  Every other Gram, in both variants, comes from the
+doubled network where :func:`_doubled_gram_pays` finds it cheaper and no
+larger than M: the doubled chain's middle intermediates grow as
+R^(2 t (n-t)), so it loses once R^2 is large against the extents (4^5 at
+R=3, 6^6 at R=2), and on small tensors, where the Python cost of its
+contractions dominates.
 """
 from __future__ import annotations
 
@@ -38,10 +41,10 @@ from .network import (
     FctnFactors,
     FctnRank,
     _bond,
-    _chain_plan,
-    _contract_labeled,
+    _factors,
     _mode_sizes,
-    _to_label_order,
+    _plain_chain,
+    _run,
     cached_build_plan,
     factor_labels,
 )
@@ -139,13 +142,16 @@ def _leading_split(labels, extents, shared, target):
 # holds every visiting order of one network at n <= 6 (720)
 @functools.lru_cache(maxsize=1024)
 def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
-    """Steps of the environment route of a sweep in ``order``: entry p lists,
-    for the factor at position p < n-1, the contractions
-    ``(j, target, split, flops)`` that take factor j into the running tensor.
+    """Chains of the environment route of a sweep in ``order``: entry p is
+    the chain ``(start, steps, target)`` (:func:`~fctnlr.network._run`) of
+    the data product of the factor at position p < n-1, whose steps
+    ``(j, target, split, flops, key)`` take factor j into the running tensor,
+    and whose target is M's row order.
 
-    Position 0 starts from X and takes ``order[n-1], ..., order[1]``; after
-    ``order[j]`` it holds the environment E_j (X contracted with
-    ``order[j:]``), and the last of them is the data product of
+    Position 0 starts from X, kept under ``("env", n)``, and takes
+    ``order[n-1], ..., order[1]``; after ``order[j]`` it holds the
+    environment E_j (X contracted with ``order[j:]``), kept under
+    ``("env", j)`` for j >= 2, and the last of them is the data product of
     ``order[0]``.  Position p starts from E_{p+1} and takes the already
     updated ``order[:p]`` one at a time.  Every step's result is laid out
     (:func:`_step_layout`) so that the steps reading it find the modes they
@@ -191,9 +197,9 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
             options = [([nxt, column(labels, j, w)], w) for w in order[: left - 1]]
             final = None
         got, firsts[left] = step(labels, j, options, final)
-        steps.append(got)
+        steps.append(got + (("env", left) if left >= 2 else None,))
         labels = envs[left] = got[1]
-    schedule = [tuple(steps)]
+    schedule = [(("env", n), tuple(steps), product(order[0]))]
     for p in range(1, n - 1):
         labels, steps = envs[p + 1], []
         todo, w = list(order[:p]), firsts[p + 1]
@@ -201,23 +207,23 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
             todo.remove(w)
             options = [([column(labels, w, v)], v) for v in todo] or [([], None)]
             got, w = step(labels, w, options, None if todo else product(order[p]))
-            steps.append(got)
+            steps.append(got + (None,))
             labels = got[1]
-        schedule.append(tuple(steps))
+        schedule.append((("env", p + 1), tuple(steps), product(order[p])))
     return tuple(schedule)
 
 
 class Position(NamedTuple):
     """How one position of a sweep runs.  ``k`` is its factor; ``envs``
     whether its data product comes from kept X-environments, with no M
-    built; ``chain`` the factors, in chain order, of the plain chain that
-    builds its M, or None when M is joined from prefix and suffix chains (or
-    not built); ``doubled`` whether its Gram matrix comes from the doubled
-    network."""
+    built; ``chains`` the planned chains
+    (:func:`~fctnlr.network._chain_plan`) that build its M, one or a prefix
+    and a suffix chain to join, or None when no M is built; ``doubled``
+    whether its Gram matrix comes from the doubled network."""
 
     k: int
     envs: bool
-    chain: tuple | None
+    chains: tuple | None
     doubled: bool
 
 
@@ -257,7 +263,6 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
     and which drops out of the environments.  So the choice depends on the
     rank table, the extents and the last factor only."""
     n = rank.n
-    sizes = _mode_sizes(rank, dims)
     flops = dict.fromkeys(("mk", "compose", "proj", "gram"), 0)
     price = 0
     positions = []
@@ -267,14 +272,14 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
         flops[label] += count
         price += count + calls * _CALL_FLOPS
 
-    def place(k, chain=None, build=None, schedule=None):
+    def place(k, chains=None, build=None, schedule=None):
         """Charge factor k's position: from kept X-environments by the
-        environment steps ``schedule`` (and its Gram from the doubled
-        network), else by its build of M (FLOPs, calls) and the data
-        product from M."""
+        environment chain ``schedule`` (and its Gram from the doubled
+        network), else by its build of M from ``chains`` (FLOPs, calls) and
+        the data product from M."""
         nonlocal price
         if schedule is not None:
-            charge("proj", sum(st[3] for st in schedule), len(schedule))
+            charge("proj", sum(st[3] for st in schedule[1]), len(schedule[1]))
             doubled = True
         else:
             charge("mk", *build)
@@ -283,17 +288,18 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
         count, cost, _ = _gram_price(rank, dims, k, doubled)
         flops["gram"] += count
         price += cost
-        positions.append(Position(k, schedule is not None, chain, doubled))
+        positions.append(Position(k, schedule is not None, chains, doubled))
 
-    def plain(seq):
-        """FLOPs and calls of the plain chain over ``seq``."""
-        return _chain_plan(sizes, n, seq, None)[:2]
+    def plain(k, seq):
+        """Charge factor k's position, its M built by the plain chain over
+        ``seq``, which keeps nothing."""
+        count, calls, _, chain = _plain_chain(rank, dims, seq)
+        place(k, (chain,), (count, calls))
 
     if algorithm == "fctnlr":
         for k in order:
-            rest = tuple(j for j in range(n) if j != k)
-            place(k, rest, plain(rest))
-        charge("compose", *plain(tuple(range(n))))
+            plain(k, tuple(j for j in range(n) if j != k))
+        charge("compose", *_plain_chain(rank, dims, tuple(range(n)))[:2])
     else:
         if env is None:
             last = order[-1]
@@ -301,17 +307,16 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
             env = (sweep_plan(rank, dims, ranked, algorithm, True).price
                    < sweep_plan(rank, dims, ranked, algorithm, False).price)
         if env:
-            for k, steps in zip(order, _schedule(rank, dims, order)):
-                place(k, schedule=steps)
-            place(order[-1], order[:-1], plain(order[:-1]))
+            for k, chain in zip(order, _schedule(rank, dims, order)):
+                place(k, schedule=chain)
+            plain(order[-1], order[:-1])
         else:
-            for k, build in zip(order, cached_build_plan(rank, dims, order)):
-                place(k, build=build)
+            for k, (count, calls, chains) in zip(order, cached_build_plan(rank, dims, order)):
+                place(k, chains, (count, calls))
         charge("compose", 2 * math.prod(dims) * rank.bond_product(order[-1]), 1)
     return SweepPlan(tuple(positions), MappingProxyType(flops), price)
 
 
-@functools.lru_cache(maxsize=256)
 def _gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int, int, int]:
     """FLOPs, price and largest tensor (entries) of factor k's Gram matrix.
     From the doubled network (:func:`~fctnlr.network.gram_except`): the n-1
@@ -326,8 +331,7 @@ def _gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int
     if not doubled:
         return 2 * s * s * p, 2 * s * s * p, s * p
     rest = tuple(j for j in range(n) if j != k)
-    squared = _mode_sizes(FctnRank(n, [e * e for e in rank.entries]), (1,) * n)
-    count, calls, peak = _chain_plan(squared, n, rest, None)
+    count, calls, peak, _ = _plain_chain(rank, dims, rest, True)
     count += sum(2 * dims[j] * rank.bond_product(j) ** 2 for j in rest)
     return count, _DOUBLED_WEIGHT * count + calls * _CALL_FLOPS, peak
 
@@ -343,19 +347,19 @@ def _doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
 def env_data_product(f: FctnFactors, k: int, order, x: np.ndarray, envs: dict) -> np.ndarray:
     """The data product ``X_(k) M^T`` (q x s, M's row order) of the factor k
     at position p < n-1 of a sweep in ``order``, from kept X-environments
-    instead of M, metered under ``proj`` (:func:`_schedule`).
+    instead of M, metered under ``proj``: its chain in :func:`_schedule`.
 
-    Position 0 contracts X with ``order[n-1], ..., order[1]`` and keeps each
-    environment E_j (j >= 2) in ``envs``; position p takes E_{p+1} out of
-    ``envs`` and contracts it with the factors ``order[:p]``, which the sweep
-    has updated by then.  So ``envs`` is used the way the accelerated build
-    uses its chains
-    (:func:`~fctnlr.network._compose_except_cached_labeled`): within one
-    sweep that replaces factor k only after its own product, each entry
-    once, and empty when position n-2 is done.  The layouts let no step
-    copy X or an environment (only the small factors), and each position's
-    last step writes its product in M's row order wherever that reads its
-    tensor in place."""
+    Position 0 puts X in ``envs`` under ``("env", n)``, contracts it with
+    ``order[n-1], ..., order[1]`` and keeps each environment E_j (j >= 2)
+    under ``("env", j)``; position p takes E_{p+1} out of ``envs`` and
+    contracts it with the factors ``order[:p]``, which the sweep has updated
+    by then.  So ``envs`` is used the way the accelerated build uses its
+    chains (:func:`~fctnlr.network._compose_except_cached_labeled`): within
+    one sweep that replaces factor k only after its own product, each entry
+    once, and empty when position n-2 is done.  The layouts let no step copy
+    X or an environment (only the small factors), and each position's last
+    step writes its product in M's row order wherever that reads its tensor
+    in place."""
     n = f.n
     order = tuple(int(v) for v in order)
     pos = order.index(k)
@@ -363,15 +367,6 @@ def env_data_product(f: FctnFactors, k: int, order, x: np.ndarray, envs: dict) -
         raise ValueError("the last position of a sweep takes its data product from M")
     with FLOPS.scoped("proj"):
         if pos == 0:
-            arr, labels = x, [("i", j) for j in range(n)]
-        else:
-            arr, labels = envs.pop(pos + 1)
-        for j, target, split, _ in _schedule(f.rank, f.dims, order)[pos]:
-            arr, labels = _contract_labeled(
-                arr, labels, f.factor(j), factor_labels(j, n), target, split
-            )
-            if pos == 0 and order.index(j) >= 2:
-                envs[order.index(j)] = arr, labels
-        rest = [j for j in range(n) if j != k]
-        arr = _to_label_order(arr, labels, [("i", k)] + [_bond(j, k) for j in rest])
+            envs[("env", n)] = x, [("i", j) for j in range(n)]
+        arr = _run(_factors(f), _schedule(f.rank, f.dims, order)[pos], envs)[0]
     return arr.reshape((f.dims[k], -1), order="F")

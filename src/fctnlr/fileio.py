@@ -35,6 +35,8 @@ FORMAT_VERSION = 1
 ELEM_F64 = 1
 ELEM_MASK = 2
 _HEADER = struct.Struct("<4sIII")
+# file extensions of the netpbm frames import_frames stacks
+FRAME_EXTS = (".pgm", ".ppm")
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -213,13 +215,13 @@ def read_pnm(path: str) -> np.ndarray:
     return img
 
 
-def import_frames(directory: str, pattern_exts=(".pgm", ".ppm")) -> np.ndarray:
-    """Stack every netpbm frame in a directory (sorted by filename) into an
-    order-4 tensor (rows, cols, channels, frames)."""
+def import_frames(directory: str) -> np.ndarray:
+    """Stack every netpbm frame (:data:`FRAME_EXTS`) in a directory, sorted by
+    filename, into an order-4 tensor (rows, cols, channels, frames)."""
     names = sorted(
         f
         for f in os.listdir(directory)
-        if os.path.splitext(f)[1].lower() in pattern_exts
+        if os.path.splitext(f)[1].lower() in FRAME_EXTS
     )
     if not names:
         raise ValueError(f"{directory}: no netpbm frames found")

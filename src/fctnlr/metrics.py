@@ -4,7 +4,9 @@ The first two modes are treated as the image plane; every combination of the
 trailing modes is one slice.  PSNR and the structural index are computed per
 slice and averaged.  The structural index uses a single global window per
 slice (plain means, population variances, covariance) with the conventional
-stabilizers c1 = (0.01 peak)^2 and c2 = (0.03 peak)^2.
+stabilizers c1 = (0.01 peak)^2 and c2 = (0.03 peak)^2.  Every metric refuses
+an estimate or reference with a non-finite entry (``ValueError``), which no
+score could describe.
 """
 from __future__ import annotations
 
@@ -23,8 +25,14 @@ def _slices(x: np.ndarray) -> np.ndarray:
     return x.reshape((x.shape[0], x.shape[1], -1), order="F")
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return a
+
+
 def _pair(x, ref):
-    xs, rs = _slices(x), _slices(ref)
+    xs, rs = _finite(_slices(x), "estimate"), _finite(_slices(ref), "reference")
     if xs.shape != rs.shape:
         raise ValueError("tensors must have identical shapes")
     return xs, rs
@@ -69,10 +77,11 @@ def ssim(x, ref, peak: float = 1.0) -> float:
 
 def rel_err(x, ref, mask=None) -> float:
     """Relative Frobenius error, restricted to the mask complement (the
-    unobserved entries) when a mask is given.  An empty complement has no
-    defined error and yields nan."""
-    x = np.asarray(x, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
+    unobserved entries) when a mask is given; a non-finite entry anywhere in
+    either tensor is refused.  An empty complement has no defined error and
+    yields nan."""
+    x = _finite(np.asarray(x, dtype=np.float64), "estimate")
+    ref = _finite(np.asarray(ref, dtype=np.float64), "reference")
     if x.shape != ref.shape:
         raise ValueError("tensors must have identical shapes")
     if mask is None:

@@ -4,18 +4,23 @@ Factor ``k`` is an order-N array whose mode ``k`` is the physical mode (extent
 ``I_k``) and whose mode ``j != k`` is the bond shared with factor ``j`` (extent
 ``R[j,k]``).  Composing all factors (contracting every bond) yields the dense
 order-N tensor.  The partial network around ``k`` (everything contracted except
-factor ``k``) is the workhorse of the alternating solver.  Both variants
-build it through one labeled chain (:func:`_chain_partial`) that writes it in
-:func:`matrix_labels` order, so its network matrix is a view.  The baseline
-runs the plain ascending chain over the other factors
-(:func:`compose_except`); the accelerated build joins a prefix chain over the
-factors already updated in the sweep with a suffix chain over those not yet
-updated, reusing both chains' intermediates within the sweep.  Composition
-runs the same chain over every factor.  The Gram matrix ``M M^T`` of a
-network matrix can also come from the doubled network (:func:`gram_except`)
-without forming M.  Which build, data product and Gram each position of a
-sweep takes is planned in :mod:`fctnlr.environment`; the builds are sized
-without running them by :func:`_chain_plan` and :func:`cached_build_plan`.
+factor ``k``) is the workhorse of the alternating solver.
+
+Every chain of contractions is planned before it runs: :func:`_chain_plan`
+sizes it and returns it as ``(start, steps, target)``, and :func:`_run`, the
+one loop that contracts, runs it.  Both variants build the partial network
+through :func:`_compose_except_cached_labeled` from the chains their sweep
+plan names, in :func:`matrix_labels` order, so its network matrix is a view.
+The baseline's chain is the plain ascending chain over the other factors;
+the accelerated build joins a prefix chain over the factors already updated
+in the sweep with a suffix chain over those not yet updated, each starting
+from the intermediate an earlier position kept (:func:`cached_build_plan`).
+Composition runs the plain chain over every factor (:func:`compose`), and the
+Gram matrix ``M M^T`` of a network matrix can also come from the doubled
+network (:func:`gram_except`) without forming M.  These two and
+:func:`compose_except` take their chains from the cached :func:`_plain_chain`.
+Which build, data product and Gram each position of a sweep takes is planned
+in :mod:`fctnlr.environment`.
 
 Modes inside a labeled intermediate are tracked by label, not position:
 ``('i', k)`` is the physical mode of factor ``k`` and ``('r', a, b)`` with
@@ -23,6 +28,7 @@ Modes inside a labeled intermediate are tracked by label, not position:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -246,11 +252,18 @@ def _to_label_order(arr, labels, target):
 # ---------- composition ---------- #
 
 
+def _factors(f: FctnFactors):
+    """The operands of a chain over the factors of ``f`` (:func:`_run`):
+    factor j with its labels."""
+    n = f.n
+    return lambda j: (f.factor(j), factor_labels(j, n))
+
+
 def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -> np.ndarray:
     """Contract the whole network into the dense tensor (modes 0..n-1).
 
     Without ``m`` the factors are chained in ascending order
-    (:func:`_chain_partial`), every intermediate laid out for the step that
+    (:func:`_plain_chain`), every intermediate laid out for the step that
     reads it and the last written straight into the natural layout.  Given
     ``m``, the network matrix of factor ``k`` (:func:`property1_unfold` of the
     partial network around k, built from the other factors as they are now),
@@ -259,26 +272,26 @@ def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -
     written straight into the natural layout.
     """
     n = f.n
-    target = [("i", j) for j in range(n)]
     with FLOPS.scoped("compose"):
         if m is None:
-            return _chain_partial(f, tuple(range(n)), None, target)[0]
+            return _run(_factors(f), _plain_chain(f.rank, f.dims, tuple(range(n)))[3], {})[0]
         a_k = f.factor(k)
         rest = [j for j in range(n) if j != k]
         extents = [f.dims[j] for j in rest] + [a_k.shape[j] for j in rest]
         # m.T is the partial network with its physical modes leading; a view
         # when m is C-ordered, as property1_unfold leaves it
         mt = np.reshape(m.T, extents, order="F")
-        return _contract_labeled(mt, matrix_labels(k, n), a_k, factor_labels(k, n), target)[0]
+        return _contract_labeled(mt, matrix_labels(k, n), a_k, factor_labels(k, n),
+                                 [("i", j) for j in range(n)])[0]
 
 
 def compose_except(f: FctnFactors, k: int) -> np.ndarray:
     """Partial network around factor k in :func:`matrix_labels` order, so its
     network matrix is a view: the plain chain over the remaining factors in
-    ascending order (:func:`_chain_partial`), no intermediate kept."""
+    ascending order (:func:`_plain_chain`), no intermediate kept."""
     rest = tuple(j for j in range(f.n) if j != k)
     with FLOPS.scoped("mk"):
-        return _chain_partial(f, rest, None, matrix_labels(k, f.n))[0]
+        return _run(_factors(f), _plain_chain(f.rank, f.dims, rest)[3], {})[0]
 
 
 def property1_unfold(partial: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -322,38 +335,30 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
     Built from the doubled network, not from M: each other factor j first
     meets its own copy over physical mode j in the small Gram ``U_j^T U_j``
     of its mode-j unfolding, a tensor over its bonds and their twins; then
-    those n-1 Grams are chained in ascending order over every bond not at k,
-    and the last step writes the s x s layout directly.  That chain is the
-    plain chain over the other factors of a network with squared bonds and
-    unit extents, so :func:`_chain_plan` sizes it.
+    those n-1 Grams are chained in ascending order over every bond not at k
+    (:func:`_plain_chain`), in their natural layouts, and the last step
+    writes the s x s layout directly.
     """
     n = f.n
-    rest = [j for j in range(n) if j != k]
-    target = [_bond(j, k) for j in rest]
-    target += [_twin(lab) for lab in target]
+
+    def small(j):
+        u = mode_unfold(f.factor(j), j)
+        FLOPS.add(2 * u.shape[0] * u.shape[1] ** 2)
+        extents = [f.factor(j).shape[p] for p in range(n) if p != j]
+        # the product is symmetric, so its transpose is the F-ordered Gram
+        return (u.T @ u).T.reshape(extents * 2, order="F"), _doubled_labels(j, n)
+
+    rest = tuple(j for j in range(n) if j != k)
     with FLOPS.scoped("gram"):
-        arr = labels = None
-        for j in rest:
-            u = mode_unfold(f.factor(j), j)
-            FLOPS.add(2 * u.shape[0] * u.shape[1] ** 2)
-            extents = [f.factor(j).shape[p] for p in range(n) if p != j]
-            # the product is symmetric, so its transpose is the F-ordered Gram
-            g = (u.T @ u).T.reshape(extents * 2, order="F")
-            lg = _doubled_labels(j, n)
-            if arr is None:
-                arr, labels = g, lg
-            else:
-                out = target if j == rest[-1] else None
-                arr, labels = _contract_labeled(arr, labels, g, lg, out)
+        arr = _run(small, _plain_chain(f.rank, f.dims, rest, True)[3], {})[0]
     s = f.factor(k).size // f.dims[k]
-    # (with one other factor, its Gram already has the target modes)
-    return _to_label_order(arr, labels, target).reshape((s, s), order="F")
+    return arr.reshape((s, s), order="F")
 
 
-# ---------- the accelerated partial build ---------- #
+# ---------- planned chains ---------- #
 
 
-def _chain_labels(members, n: int) -> list:
+def _chain_labels(members, n: int) -> tuple:
     """Layout of a chain intermediate over the factors in ``members``: the
     physical modes by ascending factor, then, for each outside factor in
     ascending order, its bonds into the intermediate by ascending member.
@@ -366,88 +371,54 @@ def _chain_labels(members, n: int) -> list:
     for p in range(n):
         if p not in inside:
             out += [_bond(j, p) for j in inside]
-    return out
+    return tuple(out)
 
 
-def _chain_partial(f: FctnFactors, seq, kept: dict | None, target):
-    """Contract the factors listed in ``seq`` left to right into one labeled
-    tensor, its modes in ``target`` order when given, starting from the
-    longest prefix held in ``kept`` (keyed by its sorted factor tuple), which
-    it takes out of ``kept``.  Every intermediate is written in
-    :func:`_chain_labels` layout; a suffix chain is the prefix chain of the
-    reversed sequence (same keys and layouts).
-
-    Multi-factor intermediates are kept except those spanning all but one
-    factor, which no later position of the sweep asks for.  Every kept one is
-    asked for exactly once (see :func:`_compose_except_cached_labeled`), so
-    taking it out when it is used leaves ``kept`` holding only what is still
-    to be used.  With ``kept=None`` the chain starts from ``seq[0]`` and keeps
-    nothing, so each intermediate is freed once the next step has read it.
-    :func:`_chain_plan` sizes the same steps.
-    """
-    n = f.n
-    if not seq:
-        return None, None
-    # growing prefixes, smallest (2 factors) first
-    prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
-    arr, labels = f.factor(seq[0]), factor_labels(seq[0], n)
-    base = 0
-    for idx in range(len(prefixes) - 1, -1, -1) if kept else ():
-        got = kept.pop(tuple(sorted(prefixes[idx])), None)
-        if got is not None:
-            arr, labels = got
-            base = idx + 1
-            break
-    for prefix in prefixes[base:]:
-        nxt = prefix[-1]
-        out = target if target is not None and prefix == seq else _chain_labels(prefix, n)
-        arr, labels = _contract_labeled(arr, labels, f.factor(nxt), factor_labels(nxt, n), out)
-        if kept is not None and len(prefix) < n - 1:
-            kept[tuple(sorted(prefix))] = arr, labels
-    if target is not None:  # a lone factor has had no contraction to lay it out
+def _run(operand, chain, store: dict):
+    """Run a planned chain ``(start, steps, target)`` and return its
+    ``(array, labels)``; ``operand(j)`` is the j-th operand with its labels.
+    The chain starts from ``operand(start)``, or from the tensor kept in
+    ``store`` under the key ``start`` (a tuple), which it takes out.  Each
+    step ``(j, layout, split, flops, key)`` contracts ``operand(j)`` in, its
+    result written in ``layout`` (None: the free modes in operand order) and
+    kept in ``store`` under ``key`` unless that is None.  The result is laid
+    out in ``target`` unless that is None."""
+    start, steps, target = chain
+    arr, labels = store.pop(start) if isinstance(start, tuple) else operand(start)
+    for j, layout, split, _, key in steps:
+        arr, labels = _contract_labeled(arr, labels, *operand(j), layout, split)
+        if key is not None:
+            store[key] = arr, labels
+    if target is not None:
         arr, labels = _to_label_order(arr, labels, target), list(target)
     return arr, labels
 
 
-def _compose_except_cached_labeled(f: FctnFactors, k: int, order, kept: dict | None) -> np.ndarray:
+def _compose_except_cached_labeled(f: FctnFactors, k: int, chains, kept: dict) -> np.ndarray:
     """Partial network around k in :func:`matrix_labels` order, so its network
-    matrix is a view: factors before k in the visiting ``order`` form a prefix
-    chain, those after it a suffix chain, both reusing the intermediates in
-    ``kept``.  Matches :func:`compose_except` to within reassociation
-    roundoff (1e-12 relative).
+    matrix is a view, from the planned ``chains`` (a position's
+    :attr:`~fctnlr.environment.Position.chains`): one chain that lays out the
+    whole partial network, or a prefix and a suffix chain joined.  The build
+    of M in both variants; matches :func:`compose_except` to within
+    reassociation roundoff (1e-12 relative).
 
-    ``kept`` belongs to one sweep, which builds every factor once in
-    ``order`` and replaces factor k only after its own build.  So a prefix
-    chain holds only factors already replaced and a suffix chain only factors
-    not yet replaced, and neither changes before it is used.  Each entry is
-    used exactly once and taken out of ``kept`` then: the prefix over
-    ``order[:p]`` (built at position p) by position p+1, the suffix over
-    ``order[j:]`` (built at position 0) by position j-1.  So after position
-    p, ``kept`` holds the prefix over ``order[:p]`` and the suffixes over
-    ``order[j:]`` for j >= p+2, each only if it spans 2 to n-2 factors, and it
-    is empty when the sweep ends.  Start each sweep from an empty dict.  The
-    benchmark's tracer hooks this name, so it is renamed only with the next
-    benchmark change."""
-    n = f.n
-    order = tuple(int(v) for v in order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of range({n})")
-    pos = order.index(k)
-    target = matrix_labels(k, n)
+    ``kept`` belongs to one sweep, which builds every factor once in its
+    visiting order and replaces factor k only after its own build.  So a
+    prefix chain holds only factors already replaced and a suffix chain only
+    factors not yet replaced, and neither changes before it is used.  Each
+    entry is kept by the position :func:`cached_build_plan` names and taken
+    out by the one later position that starts from it, so ``kept`` is empty
+    when the sweep ends; a chain whose start is not in ``kept`` raises
+    KeyError.  Start each sweep from an empty dict.  The benchmark's tracer
+    hooks this name, so it is renamed only with the next benchmark change."""
     with FLOPS.scoped("mk"):
-        # with k at either end of the order, one chain holds the whole
-        # partial network and lays out its own last step
-        out = target if pos in (0, n - 1) else None
-        left, llab = _chain_partial(f, order[:pos], kept, out)
-        right, rlab = _chain_partial(f, order[pos + 1 :][::-1], kept, out)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return _contract_labeled(left, llab, right, rlab, target)[0]
+        (arr, labels), *right = [_run(_factors(f), chain, kept) for chain in chains]
+        if right:
+            arr = _contract_labeled(arr, labels, *right[0], matrix_labels(k, f.n))[0]
+        return arr
 
 
-# ---------- the builds, sized without running them ---------- #
+# ---------- the chains, sized without running them ---------- #
 
 
 def _mode_sizes(rank: FctnRank, dims) -> dict:
@@ -473,45 +444,92 @@ def _join_flops(sizes: dict, n: int, a, b) -> int:
     return 2 * math.prod(sizes[lab] for lab in _held(a, n) | _held(b, n))
 
 
-def _chain_plan(sizes: dict, n: int, seq, kept: set | None) -> tuple[int, int, int]:
-    """FLOPs, contraction calls and largest tensor taken in or made (entries)
-    of :func:`_chain_partial` over ``seq``, sized, not run; ``kept`` holds the
-    keys of the chains it would hold and is updated the same way."""
+def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
+                laid_out: bool = True) -> tuple:
+    """FLOPs, contraction calls, largest tensor taken in or made (entries)
+    and the chain ``(start, steps, target)`` that :func:`_run` runs: the
+    factors in ``seq`` contracted left to right, from the longest prefix
+    whose key (its sorted factor tuple) is in ``kept``, which it takes out of
+    ``kept``, else from ``seq[0]``.  Every intermediate is written in
+    :func:`_chain_labels` layout (or, unless ``laid_out``, in the free modes'
+    order), the last in ``target`` when given; a suffix chain is the prefix
+    chain of the reversed sequence (same keys and layouts).
+
+    With a ``kept`` set, every multi-factor intermediate is kept (its key
+    added to ``kept`` and named by its step) except those spanning all but
+    one factor, which no later position of the sweep asks for; with
+    ``kept=None`` nothing is, so each intermediate is freed once the next
+    step has read it."""
     prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
-    base = 0
+    start, base = seq[0], 0
     for idx in range(len(prefixes) - 1, -1, -1) if kept else ():
         key = tuple(sorted(prefixes[idx]))
         if key in kept:
             kept.remove(key)
-            base = idx + 1
+            start, base = key, idx + 1
             break
 
     def size(members):
         return math.prod(sizes[lab] for lab in _held(members, n))
 
-    flops, peak = 0, size(seq[: base + 1])
+    flops, peak, steps = 0, size(seq[: base + 1]), []
     for prefix in prefixes[base:]:
-        flops += _join_flops(sizes, n, prefix[:-1], prefix[-1:])
+        count = _join_flops(sizes, n, prefix[:-1], prefix[-1:])
+        flops += count
         peak = max(peak, size(prefix[-1:]), size(prefix))
-        if kept is not None and len(prefix) < n - 1:
-            kept.add(tuple(sorted(prefix)))
-    return flops, len(prefixes) - base, peak
+        key = tuple(sorted(prefix)) if kept is not None and len(prefix) < n - 1 else None
+        if key is not None:
+            kept.add(key)
+        layout = _chain_labels(prefix, n) if laid_out else None
+        if target is not None and prefix == seq:
+            layout = target
+        steps.append((prefix[-1], layout, None, count, key))
+    return flops, len(steps), peak, (start, tuple(steps), target)
+
+
+# holds, per network, the whole chain, each factor's plain and doubled chain,
+# and the last plain chain of the environment route in every visiting order
+# at n <= 6 (720)
+@functools.lru_cache(maxsize=1024)
+def _plain_chain(rank: FctnRank, dims: tuple, seq: tuple, doubled: bool = False) -> tuple:
+    """:func:`_chain_plan` of the chain over ``seq`` that keeps nothing,
+    cached on its arguments: the dense tensor in natural order when ``seq``
+    holds every factor, else the partial network around the factor k left
+    out, in :func:`matrix_labels` order, or, if ``doubled``, the Gram chain
+    of :func:`gram_except`, which is the plain chain over ``seq`` of the
+    network with squared bonds and unit extents, run in natural layouts and
+    written in the Gram's (bond, twin) order."""
+    n = rank.n
+    if len(seq) == n:
+        return _chain_plan(_mode_sizes(rank, dims), n, seq, None, tuple(("i", j) for j in range(n)))
+    k = next(j for j in range(n) if j not in seq)
+    if not doubled:
+        return _chain_plan(_mode_sizes(rank, dims), n, seq, None, tuple(matrix_labels(k, n)))
+    bonds = [_bond(j, k) for j in seq]
+    squared = _mode_sizes(FctnRank(n, [e * e for e in rank.entries]), (1,) * n)
+    return _chain_plan(squared, n, seq, None, tuple(bonds + [_twin(b) for b in bonds]), False)
 
 
 def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
-    """``(FLOPs, contraction calls)`` of :func:`_compose_except_cached_labeled`
-    at each position of one sweep in ``order`` that starts from an empty
-    ``kept``: the same prefix and suffix chains and cross joins, sized, not
-    run."""
+    """``(FLOPs, contraction calls, chains)`` of
+    :func:`_compose_except_cached_labeled` at each position of one sweep in
+    ``order`` that starts from an empty ``kept``: the prefix chain over the
+    factors before it and the suffix chain over those after it, each from
+    the longest one kept, joined when both hold a factor; sized, not run.
+    The prefix over ``order[:p]`` (kept at position p-1) is taken by position
+    p, the suffix over ``order[j:]`` (kept at position 0) by position j-1."""
     n, sizes, kept, out = rank.n, _mode_sizes(rank, dims), set(), []
     order = tuple(order)
-    for pos in range(n):
-        left, right = order[:pos], order[pos + 1 :][::-1]
-        fl, cl, _ = _chain_plan(sizes, n, left, kept)
-        fr, cr, _ = _chain_plan(sizes, n, right, kept)
-        if left and right:
-            fl, cl = fl + _join_flops(sizes, n, left, right), cl + 1
-        out.append((fl + fr, cl + cr))
+    for pos, k in enumerate(order):
+        sides = [seq for seq in (order[:pos], order[pos + 1 :][::-1]) if seq]
+        # with k at either end of the order, one chain holds the whole
+        # partial network and lays out its own last step
+        target = tuple(matrix_labels(k, n)) if len(sides) == 1 else None
+        plans = [_chain_plan(sizes, n, seq, kept, target) for seq in sides]
+        flops, calls = sum(p[0] for p in plans), sum(p[1] for p in plans)
+        if len(sides) == 2:
+            flops, calls = flops + _join_flops(sizes, n, *sides), calls + 1
+        out.append((flops, calls, tuple(p[3] for p in plans)))
     return tuple(out)
 
 

@@ -23,21 +23,23 @@ and :func:`objective`.
 
 The variants differ in how they get each factor's network matrix and data
 product, in how they compose the X-refresh tensor and in their visiting
-order.  Both build a partial network through the same labeled chain, in
+order.  Both build every partial network by the one build
+:func:`~fctnlr.network._compose_except_cached_labeled`, which runs the
+chains their sweep plan names and writes the result in
 :func:`~fctnlr.network.matrix_labels` layout, so its network matrix M is a
-view of it, never a copy.  The baseline rebuilds every partial network from
-scratch by the plain ascending chain, takes every data product from it and
-composes the X-refresh tensor by the whole chain.  The accelerated variant
-composes the X-refresh tensor from the last factor's M as
-``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order every
-sweep, and reuses work within the sweep: it builds each M from prefix and
-suffix chains kept for the one later build that uses them, or takes its
-data products from X-environments kept the same way
-(:func:`~fctnlr.environment.env_data_product`).  Which build, data product
-and Gram matrix each position takes is planned by
-:func:`~fctnlr.environment.sweep_plan`, where the rules are written; a sweep
-runs its plan as it is.  Bonds grow by one when the relative change falls
-below ``10 * eps``.
+view of it, never a copy.  The baseline's chains rebuild every partial
+network from scratch by the plain ascending chain; it takes every data
+product from M and composes the X-refresh tensor by the whole chain.  The
+accelerated variant composes the X-refresh tensor from the last factor's M
+as ``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order
+every sweep, and reuses work within the sweep: its chains build each M from
+prefix and suffix chains kept for the one later build that uses them, or it
+takes its data products from X-environments kept the same way
+(:func:`~fctnlr.environment.env_data_product`), in one store per sweep.
+Which build, data product and Gram matrix each position takes, and the
+chains it runs, are planned by :func:`~fctnlr.environment.sweep_plan`, where
+the rules are written; a sweep runs its plan as it is.  Bonds grow by one
+when the relative change falls below ``10 * eps``.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
 M and its data product are freed before the next M is built, and ``fctnlr``
@@ -67,7 +69,7 @@ from .network import (
     FctnRank,
     _compose_except_cached_labeled,
     compose,
-    compose_except,
+    compose_except,  # unused here; the benchmark's tracer hooks this name
     gram_except,
     property1_unfold,
     shuffle_order,
@@ -445,28 +447,22 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     then refresh X.  Returns the new X, its objective, the summed squared
     factor steps and the squared X step."""
     n = f.n
-    accelerated = cfg.algorithm == "afctnlr"
-    kept = {}  # the accelerated build's chain intermediates, for this sweep only
-    envs = {}  # the environment route's X-environments, for this sweep only
+    kept = {}  # the chains or X-environments kept for later positions of this sweep
     step_sq = 0.0
-    for k, from_envs, chain, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
+    for k, from_envs, chains, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
         m = xm = None  # the previous factor's, freed before the next build
         if from_envs:
-            xm = env_data_product(f, k, order, x, envs)
-        elif accelerated:
-            # a plain chain (k last in the order) keeps nothing
-            m = property1_unfold(
-                _compose_except_cached_labeled(f, k, order, None if chain else kept), k, n
-            )
+            xm = env_data_product(f, k, order, x, kept)
         else:
-            m = property1_unfold(compose_except(f, k), k, n)
+            m = property1_unfold(_compose_except_cached_labeled(f, k, chains, kept), k, n)
         a_prev = mode_unfold(f.factor(k), k)
         xm = data_product(x, k, m) if xm is None else xm
         gram = gram_except(f, k) if doubled else dense_gram(m)
         a_new = solve_factor(xm, a_prev, gram, laps[k], lams[k], cfg.rho)
         step_sq += _sq(a_new - a_prev)
         f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
-    if accelerated:  # the last factor's network matrix holds every other factor as updated
+    # the last factor's network matrix holds every other factor as updated
+    if cfg.algorithm == "afctnlr":
         composed = compose(f, k, m)
     else:
         m = None  # compose's chain builds without it

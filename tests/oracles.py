@@ -1,16 +1,26 @@
 """Test-only reference implementations, kept out of the library: dense and
-einsum oracles, the direct X refresh, and the closed-form FLOP counts of
-equal extents and ranks."""
+einsum oracles, the direct X refresh, the closed-form FLOP counts of equal
+extents and ranks, and the accelerated build of one position run from its
+planned chains."""
 import itertools
 import string
 
 import numpy as np
 
 from fctnlr.environment import sweep_plan
-from fctnlr.network import FctnRank
+from fctnlr.network import FctnRank, _compose_except_cached_labeled, cached_build_plan
 from fctnlr.solver import Observation
 
 _DENSE_LIMIT = 4096
+
+
+def cached_build(f, k, order, kept: dict):
+    """The accelerated build of the partial network around k at its position
+    of a sweep in ``order``, run from the chains
+    :func:`~fctnlr.network.cached_build_plan` plans there."""
+    order = tuple(order)
+    chains = cached_build_plan(f.rank, f.dims, order)[order.index(k)][2]
+    return _compose_except_cached_labeled(f, k, chains, kept)
 
 
 def laplacian_dense(lap) -> np.ndarray:

@@ -75,3 +75,24 @@ def test_non_finite_or_non_positive_peak_exits_one(tmp_path, capsys, peak):
     out, err = capsys.readouterr()
     assert out == ""
     assert "peak" in err
+
+
+@pytest.mark.parametrize("flag, name", [("--est", "estimate"), ("--truth", "reference")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("every", [False, True], ids=["one", "every"])
+def test_non_finite_metrics_tensor_exits_one(tmp_path, capsys, flag, name, bad, every):
+    """A non-finite entry in either tensor, one or every entry, is refused
+    with a message naming that tensor, and no CSV is printed."""
+    rng = np.random.default_rng(0)
+    paths = {"--truth": str(tmp_path / "t.fctn"), "--est": str(tmp_path / "e.fctn")}
+    truth = rng.standard_normal((5, 4, 3))
+    write_tensor(paths["--truth"], truth)
+    write_tensor(paths["--est"], truth + 0.01 * rng.standard_normal(truth.shape))
+    values = np.full(truth.shape, bad) if every else truth.copy()
+    values.flat[7] = bad
+    write_tensor(paths[flag], values)
+    rc = main(["metrics", "--truth", paths["--truth"], "--est", paths["--est"]])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{name} has a non-finite entry" in err

@@ -9,7 +9,6 @@ from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
-    _compose_except_cached_labeled,
     compose,
     compose_except,
     factor_labels,
@@ -21,6 +20,7 @@ from fctnlr.network import (
 from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.tensor import FLOPS, mode_unfold
 from oracles import (
+    cached_build,
     compose_flops,
     compose_from_partial_flops,
     env_proj_flops,
@@ -41,7 +41,7 @@ def plain_m(f, k):
 
 def cached_m(f, k, order, kept):
     """Network matrix of factor k from the cached build: a view of it."""
-    return property1_unfold(_compose_except_cached_labeled(f, k, order, kept), k, f.n)
+    return property1_unfold(cached_build(f, k, order, kept), k, f.n)
 
 
 def random_network(seed, n=None, max_extent=4, max_rank=3):
@@ -279,7 +279,7 @@ def _check_network_matrix_orders(f, orders):
         kept = {}  # one sweep per order
         for k in order:
             want = network_matrix(f, k)
-            arr = _compose_except_cached_labeled(f, k, order, kept)
+            arr = cached_build(f, k, order, kept)
             m = property1_unfold(arr, k, f.n)
             assert np.shares_memory(m, arr)
             assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
@@ -338,41 +338,52 @@ def test_cached_equals_plain_shuffled_orders():
 
 
 def _build_flops(f, k, order, kept):
+    """The ``mk`` FLOPs of factor k's cached build and its network matrix."""
     FLOPS.reset()
-    _compose_except_cached_labeled(f, k, order, kept)
-    return FLOPS.labeled("mk")
+    m = cached_m(f, k, order, kept)
+    return FLOPS.labeled("mk"), m
 
 
 def test_cache_shares_suffix_between_first_two_positions():
     # visiting 0 then 1, the second build reuses the suffix pair 2-3 and
-    # costs only the join of factor 0 with it
+    # costs only the join of factor 0 with it, less than the plain chain
     n, i, r = 4, 5, 2
     rng = np.random.default_rng(13)
     f = FctnFactors.random((i,) * n, FctnRank.uniform(n, r), rng)
     order = (0, 1, 2, 3)
     kept = {}
-    _compose_except_cached_labeled(f, 0, order, kept)
+    cached_build(f, 0, order, kept)
     f.replace(0, rng.standard_normal(f.factor(0).shape))
-    assert _build_flops(f, 1, order, kept) == 2 * i**3 * r**5
-    assert _build_flops(f, 1, order, {}) == partial_chain_flops(n, i, r)
+    flops, got = _build_flops(f, 1, order, kept)
+    assert flops == 2 * i**3 * r**5
+    assert flops < partial_chain_flops(n, i, r)
     want = plain_m(f, 1)
-    assert np.linalg.norm(cached_m(f, 1, order, kept) - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cache_shares_prefix_between_last_two_positions():
     # visiting 2 then 3, the second build extends the kept prefix 0-1 by the
-    # updated factor 2 only
+    # updated factor 2 only, less than the plain chain
     n, i, r = 4, 5, 2
     rng = np.random.default_rng(14)
     f = FctnFactors.random((i,) * n, FctnRank.uniform(n, r), rng)
     order = (0, 1, 2, 3)
     kept = {}
-    _compose_except_cached_labeled(f, 2, order, kept)
+    cached_build(f, 2, order, kept)
     f.replace(2, rng.standard_normal(f.factor(2).shape))
-    assert _build_flops(f, 3, order, kept) == 2 * i**3 * r**5
-    assert _build_flops(f, 3, order, {}) == partial_chain_flops(n, i, r)
+    flops, got = _build_flops(f, 3, order, kept)
+    assert flops == 2 * i**3 * r**5
+    assert flops < partial_chain_flops(n, i, r)
     want = plain_m(f, 3)
-    assert np.linalg.norm(cached_m(f, 3, order, kept) - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_build_without_its_kept_chain_raises():
+    # position 1 of (0, 1, 2, 3) starts its suffix from the pair 2-3 that
+    # position 0 keeps; without it the build refuses rather than rebuild
+    f = random_network(16, n=4)
+    with pytest.raises(KeyError):
+        cached_build(f, 1, (0, 1, 2, 3), {})
 
 
 @pytest.mark.parametrize("n, i, r", [(4, 5, 2), (5, 4, 2)])
@@ -429,7 +440,7 @@ def test_cost_model_matches_measured_counters():
     FLOPS.reset()
     kept = {}
     for k in range(n):
-        _compose_except_cached_labeled(f, k, tuple(range(n)), kept)
+        cached_build(f, k, tuple(range(n)), kept)
     assert FLOPS.labeled("mk") == partial_sweep_flops_cached(n, i, r)
 
     FLOPS.reset()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
-    _compose_except_cached_labeled,
+    cached_build_plan,
     compose,
     compose_except,
     gram_except,
@@ -28,7 +28,7 @@ from fctnlr.environment import _gram_price, _schedule, env_data_product, sweep_p
 from fctnlr.laplacian import CirculantLaplacian
 from fctnlr.solver import Observation, SolverConfig
 from fctnlr.tensor import FLOPS, mode_unfold
-from oracles import gram_dense, nested_sum_compose, network_matrix
+from oracles import cached_build, gram_dense, nested_sum_compose, network_matrix
 
 
 @st.composite
@@ -110,7 +110,7 @@ def _build_flops(f, order, kept):
     flops = []
     for k in order:
         before = FLOPS.labeled("mk")
-        _compose_except_cached_labeled(f, k, order, kept)
+        cached_build(f, k, order, kept)
         flops.append(FLOPS.labeled("mk") - before)
     return flops
 
@@ -140,7 +140,7 @@ def test_cached_build_is_the_network_matrix(case):
         kept = {}
         for t, k in enumerate(order):
             before = FLOPS.labeled("mk")
-            partial = _compose_except_cached_labeled(f, k, order, kept)
+            partial = cached_build(f, k, order, kept)
             assert FLOPS.labeled("mk") - before == want_flops[t]
             assert set(kept) == _asked_for_after(order, t)
             m = property1_unfold(partial, k, n)
@@ -150,6 +150,40 @@ def test_cached_build_is_the_network_matrix(case):
             # as in a sweep: the solved factor replaces k before the next build
             f.replace(k, rng.standard_normal(f.factor(k).shape))
         assert not kept
+
+
+def _replay_store(sweep, held):
+    """Replay one sweep's planned chains, a tuple per position, on the keys
+    of its store alone, starting from the keys in ``held``: each chain takes
+    out the key it starts from, which must be held, and each of its steps
+    keeps its key, which must not be held yet.  Returns what is left."""
+    held = set(held)
+    for chains in sweep:
+        for start, steps, _ in chains:
+            if isinstance(start, tuple):
+                assert start in held, start
+                held.remove(start)
+            for *_, key in steps:
+                if key is not None:
+                    assert key not in held, key
+                    held.add(key)
+    return held
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_plan_keeps_only_what_a_later_chain_starts_from(n):
+    """Over every visiting order, on the plans alone with no contraction
+    run: every key a chain keeps, in ``kept`` (the prefix/suffix route) or in
+    ``envs`` (the environment route, which holds X under ``("env", n)``
+    first), is started from by exactly one later chain of the same sweep,
+    every start key was kept before, and nothing is left when the sweep
+    ends."""
+    rank, dims = FctnRank.uniform(n, 2), (3,) * n
+    for order in itertools.permutations(range(n)):
+        built = [chains for _, _, chains in cached_build_plan(rank, dims, order)]
+        assert _replay_store(built, ()) == set()
+        envs = [(chain,) for chain in _schedule(rank, dims, order)]
+        assert _replay_store(envs, {("env", n)}) == set()
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +217,7 @@ def test_environment_products_match_the_network_matrix(net):
     for order in orders:
         order = tuple(order)
         envs = {}
-        plan = [sum(st[3] for st in steps) for steps in _schedule(rank, tuple(dims), order)]
+        plan = [sum(st[3] for st in steps) for _, steps, _ in _schedule(rank, tuple(dims), order)]
         for pos, k in enumerate(order[:-1]):
             before = FLOPS.labeled("proj")
             got = env_data_product(f, k, order, x, envs)
@@ -299,9 +333,8 @@ def test_sweeps_count_the_planned_flops(case):
 
 def _sweep_calls(f, obs, order, algorithm):
     """The route calls of one solver sweep of ``f``, in call order: each
-    data product from kept X-environments, each build of M (the plain
-    ``compose_except``, or the accelerated build and whether it keeps its
-    chains), each Gram from the doubled network or the dense product, each
+    data product from kept X-environments, each build of M (with the chains
+    it runs), each Gram from the doubled network or the dense product, each
     factor solve and each eigendecomposition of a Gram matrix."""
     calls = []
 
@@ -316,9 +349,8 @@ def _sweep_calls(f, obs, order, algorithm):
 
     spies = [
         spy(solver, "env_data_product", "envs", lambda f, k, *_: (k,)),
-        spy(solver, "compose_except", "plain", lambda f, k: (k,)),
         spy(solver, "_compose_except_cached_labeled", "built",
-            lambda f, k, order, kept: (k, kept is not None)),
+            lambda f, k, chains, kept: (k, chains)),
         spy(solver, "gram_except", "doubled", lambda f, k: (k,)),
         spy(solver, "dense_gram", "dense", lambda m: ()),
         spy(solver, "solve_factor", "solve", lambda xm, a_prev, gram, *_: ()),
@@ -352,10 +384,8 @@ def test_sweeps_run_their_plan(algorithm, order, env):
     for pos in plan.positions:
         if pos.envs:
             want.append(("envs", pos.k))
-        elif algorithm == "fctnlr":
-            want.append(("plain", pos.k))
         else:
-            want.append(("built", pos.k, pos.chain is None))
+            want.append(("built", pos.k, pos.chains))
         want.append(("doubled", pos.k) if pos.doubled else ("dense",))
         want += [("solve",), ("eig",)]
     assert _sweep_calls(FctnFactors.random(dims, rank, rng), obs, order, algorithm) == want
