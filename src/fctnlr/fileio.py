@@ -171,6 +171,13 @@ def _pnm_tokens(blob: bytes):
         i = j
 
 
+def _unsigned(tok: bytes, path: str) -> int:
+    """A header or ASCII raster token, which must be an unsigned decimal."""
+    if not tok.isdigit():
+        raise ValueError(f"{path}: token {tok!r} is not an unsigned decimal")
+    return int(tok)
+
+
 def read_pnm(path: str) -> np.ndarray:
     """Read one P2/P3 (ASCII) or P5/P6 (binary) image as float64 in [0, 1],
     shape (rows, cols, channels)."""
@@ -189,7 +196,7 @@ def read_pnm(path: str) -> np.ndarray:
         (w_tok, _), (h_tok, _), (m_tok, end) = next(toks), next(toks), next(toks)
     except StopIteration:
         raise ValueError(f"{path}: truncated header") from None
-    width, height, maxval = int(w_tok), int(h_tok), int(m_tok)
+    width, height, maxval = (_unsigned(t, path) for t in (w_tok, h_tok, m_tok))
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not 0 < maxval < 65536:
@@ -205,7 +212,7 @@ def read_pnm(path: str) -> np.ndarray:
         if raw.size != count:
             raise ValueError(f"{path}: truncated raster")
     else:
-        rest = [int(t) for t, _ in toks]
+        rest = [_unsigned(t, path) for t, _ in toks]
         if len(rest) < count:
             raise ValueError(f"{path}: truncated raster")
         raw = np.asarray(rest[:count], dtype=np.int64)

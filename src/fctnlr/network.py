@@ -22,9 +22,12 @@ network (:func:`gram_except`) without forming M.  These two and
 Which build, data product and Gram each position of a sweep takes is planned
 in :mod:`fctnlr.environment`.
 
-Modes inside a labeled intermediate are tracked by label, not position:
-``('i', k)`` is the physical mode of factor ``k`` and ``('r', a, b)`` with
-``a < b`` is the bond between factors ``a`` and ``b``.
+Modes are tracked by label, not position: ``('i', k)`` is the physical mode
+of factor ``k`` and ``('r', a, b)`` with ``a < b`` is the bond between
+factors ``a`` and ``b``.  Every contraction, each chain step and each join,
+is one call of the labeled :func:`~fctnlr.tensor.contract`, which contracts
+over the labels both operands carry and writes the result in the layout the
+plan names.
 """
 from __future__ import annotations
 
@@ -205,7 +208,7 @@ class FctnFactors:
         return FctnFactors(grown)
 
 
-# ---------- labeled contraction helpers ---------- #
+# ---------- mode labels ---------- #
 
 
 def factor_labels(k: int, n: int) -> list:
@@ -223,30 +226,6 @@ def matrix_labels(k: int, n: int) -> list:
     modes, then the bonds to k, each by ascending factor."""
     rest = [j for j in range(n) if j != k]
     return [("i", j) for j in rest] + [_bond(j, k) for j in rest]
-
-
-def _contract_labeled(a, la, b, lb, target=None, split=None):
-    """Contract over every label shared by the two operands.  The result's
-    modes follow ``target`` when given (written in that layout directly),
-    else a's free labels then b's; ``split`` is passed to
-    :func:`~fctnlr.tensor.contract`."""
-    shared = [lab for lab in la if lab in lb]
-    if not shared:
-        raise ValueError("operands share no bond")
-    am = [la.index(lab) for lab in shared]
-    bm = [lb.index(lab) for lab in shared]
-    lz = [lab for lab in la if lab not in shared] + [lab for lab in lb if lab not in shared]
-    if target is None:
-        return contract(a, b, am, bm), lz
-    z = contract(a, b, am, bm, [lz.index(lab) for lab in target], split)
-    return z, list(target)
-
-
-def _to_label_order(arr, labels, target):
-    if labels == list(target):
-        return np.asfortranarray(arr)
-    perm = [labels.index(lab) for lab in target]
-    return transpose(arr, perm)
 
 
 # ---------- composition ---------- #
@@ -281,8 +260,8 @@ def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -
         # m.T is the partial network with its physical modes leading; a view
         # when m is C-ordered, as property1_unfold leaves it
         mt = np.reshape(m.T, extents, order="F")
-        return _contract_labeled(mt, matrix_labels(k, n), a_k, factor_labels(k, n),
-                                 [("i", j) for j in range(n)])[0]
+        return contract(mt, matrix_labels(k, n), a_k, factor_labels(k, n),
+                        [("i", j) for j in range(n)])[0]
 
 
 def compose_except(f: FctnFactors, k: int) -> np.ndarray:
@@ -379,18 +358,19 @@ def _run(operand, chain, store: dict):
     ``(array, labels)``; ``operand(j)`` is the j-th operand with its labels.
     The chain starts from ``operand(start)``, or from the tensor kept in
     ``store`` under the key ``start`` (a tuple), which it takes out.  Each
-    step ``(j, layout, split, flops, key)`` contracts ``operand(j)`` in, its
-    result written in ``layout`` (None: the free modes in operand order) and
+    step ``(j, layout, split, flops, key)`` contracts ``operand(j)`` in
+    (:func:`~fctnlr.tensor.contract` over their shared labels), its result
+    written in ``layout`` (None: the free modes in operand order) and
     kept in ``store`` under ``key`` unless that is None.  The result is laid
     out in ``target`` unless that is None."""
     start, steps, target = chain
     arr, labels = store.pop(start) if isinstance(start, tuple) else operand(start)
     for j, layout, split, _, key in steps:
-        arr, labels = _contract_labeled(arr, labels, *operand(j), layout, split)
+        arr, labels = contract(arr, labels, *operand(j), layout, split)
         if key is not None:
             store[key] = arr, labels
-    if target is not None:
-        arr, labels = _to_label_order(arr, labels, target), list(target)
+    if target is not None and labels != list(target):
+        arr, labels = transpose(arr, [labels.index(lab) for lab in target]), list(target)
     return arr, labels
 
 
@@ -414,7 +394,7 @@ def _compose_except_cached_labeled(f: FctnFactors, k: int, chains, kept: dict) -
     with FLOPS.scoped("mk"):
         (arr, labels), *right = [_run(_factors(f), chain, kept) for chain in chains]
         if right:
-            arr = _contract_labeled(arr, labels, *right[0], matrix_labels(k, f.n))[0]
+            arr = contract(arr, labels, *right[0], matrix_labels(k, f.n))[0]
         return arr
 
 

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   permute followed by an ``order='F'`` reshape;
 * a permutation materializes an F-contiguous copy, which makes every
   downstream unfolding a metadata-only reshape;
+* contraction is by mode label: :func:`contract` takes each operand with
+  one label per mode, sums over the labels both carry and returns the result
+  with its labels, laid out in a requested label order if one is given;
 * contraction cost is metered on the global ``FLOPS`` counter, with one
   multiply-add pair counted as 2 FLOPs.
 """
@@ -223,43 +226,45 @@ def _gemm_operand(a: np.ndarray, own, shared, batch, own_fast: bool) -> np.ndarr
     return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=False)
 
 
-def contract(x: np.ndarray, y: np.ndarray, x_modes, y_modes, out_modes=None, split=None) -> np.ndarray:
-    """Contract ``x`` and ``y`` over the paired mode sequences.
+def contract(x: np.ndarray, lx, y: np.ndarray, ly, target=None, split=None) -> tuple:
+    """Contract ``x`` and ``y`` over every label both carry and return the
+    result with its labels, ``(z, labels)``.
 
-    Pair t matches ``x_modes[t]`` with ``y_modes[t]``; the result keeps x's
-    free modes (ascending original order) followed by y's free modes
-    (ascending original order).  ``out_modes``, a permutation of that default
-    order, instead lays the result out F-contiguously with its modes in the
-    given order.  Either way the result is written once, in place: the leading
-    run of result modes that belongs to one operand and the run after it
-    (from the other) span the rows and columns of a GEMM, batched over the
-    remaining modes, so no permutation of the result is ever materialized.
-    ``split`` instead ends the rows at that many leading result modes; the
-    operand's modes between them and the other operand's first run are then
-    batched too, which lets a layout keep modes of both operands side by
-    side without copying either.  Operands are copied only when their layout
-    does not already present those matrices.  Adds
-    ``2 * rows * shared * cols`` to ``FLOPS``.
+    ``lx`` and ``ly`` name the modes of ``x`` and ``y``, one distinct
+    hashable label per mode (a string such as ``"ijk"`` names one mode per
+    character).  The result keeps x's free labels in axis order followed by
+    y's; ``target``, an ordering of those free labels, instead lays the
+    result out F-contiguously with its modes in that order.  Either way the
+    result is written once, in place: the leading run of result modes that
+    belongs to one operand and the run after it (from the other) span the
+    rows and columns of a GEMM, batched over the remaining modes, so no
+    permutation of the result is ever materialized.  ``split`` instead ends
+    the rows at that many leading result modes; the operand's modes between
+    them and the other operand's first run are then batched too, which lets
+    a layout keep modes of both operands side by side without copying
+    either.  Operands are copied only when their layout does not already
+    present those matrices.  Adds ``2 * rows * shared * cols`` to ``FLOPS``.
     """
-    x = _as_array(x)
-    y = _as_array(y)
-    xm = [int(m) for m in x_modes]
-    ym = [int(m) for m in y_modes]
-    if len(xm) != len(ym) or not xm:
-        raise ValueError("x_modes and y_modes must have equal nonzero length")
-    if len(set(xm)) != len(xm) or len(set(ym)) != len(ym):
-        raise ValueError("contracted mode lists must not repeat modes")
-    if not all(0 <= m < x.ndim for m in xm) or not all(0 <= m < y.ndim for m in ym):
-        raise ValueError("contracted mode out of range")
+    x, y, lx, ly = _as_array(x), _as_array(y), list(lx), list(ly)
+    for a, labels in ((x, lx), (y, ly)):
+        if len(labels) != a.ndim or len(set(labels)) != a.ndim:
+            raise ValueError(f"labels {labels} do not name the {a.ndim} modes one each")
+    xm = [m for m, lab in enumerate(lx) if lab in ly]
+    if not xm:
+        raise ValueError(f"labels {lx} and {ly} share none")
+    ym = [ly.index(lx[m]) for m in xm]
     for a, b in zip(xm, ym):
         if x.shape[a] != y.shape[b]:
-            raise ValueError(
-                f"extent mismatch: x mode {a} has {x.shape[a]}, y mode {b} has {y.shape[b]}"
-            )
+            raise ValueError(f"extent mismatch at {lx[a]!r}: x {x.shape[a]}, y {y.shape[b]}")
     free = [(0, m) for m in range(x.ndim) if m not in xm]
     free += [(1, m) for m in range(y.ndim) if m not in ym]
-    if out_modes is not None:
-        free = [free[p] for p in _check_perm(out_modes, len(free))]
+    labels = [lx[m] if o == 0 else ly[m] for o, m in free]
+    if target is not None:
+        target = list(target)
+        if len(target) != len(labels) or set(target) != set(labels):
+            raise ValueError(f"target {target} does not order the free labels {labels}")
+        free = [free[labels.index(lab)] for lab in target]
+        labels = target
     ops, pairs = (x, y), (xm, ym)
 
     # rows: the leading run of result modes owned by one operand (or its
@@ -289,16 +294,17 @@ def contract(x: np.ndarray, y: np.ndarray, x_modes, y_modes, out_modes=None, spl
         # the inputs)
         mat = np.empty(np.broadcast_shapes(bv.shape[:-2], av.shape[:-2]) + (bv.shape[-2], av.shape[-1]))
         np.matmul(bv, av, out=mat)
-        return mat.reshape(-1).reshape(out_shape, order="F")
+        return mat.reshape(-1).reshape(out_shape, order="F"), labels
     # batch modes between rows and cols: the products go into a strided view
-    # of the result, rows still unit-strided
+    # of the result, rows still unit-strided (cols, if the other operand has
+    # no free mode, are one column at any stride)
     out = np.empty(out_shape, order="F")
     pos = {mode: t for t, mode in enumerate(free)}
     view = np.lib.stride_tricks.as_strided(
         out,
         [out_shape[pos[b]] for b in batch] + [bv.shape[-2], av.shape[-1]],
-        [out.strides[pos[b]] for b in batch] + [out.strides[g], out.itemsize],
+        [out.strides[pos[b]] for b in batch] + [out.strides[min(g, out.ndim - 1)], out.itemsize],
         writeable=True,
     )
     np.matmul(bv, av, out=view)
-    return out
+    return out, labels

@@ -279,6 +279,18 @@ def test_import_frames_command(tmp_path, capsys):
     assert vol[0, 0, 0, 1] == pytest.approx(20 / 255)
 
 
+def test_import_frames_rejects_a_negative_sample(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    with open(frames / "frame0.pgm", "wb") as fh:
+        fh.write(b"P2\n2 2\n255\n0 -5 10 255\n")
+    out = tmp_path / "video.fctn"
+    rc = main(["import-frames", "--input-dir", str(frames), "--output", str(out)])
+    assert rc == 1
+    assert "frame0.pgm: token b'-5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_masked_column(tmp_path, capsys):
     dims = (5, 4, 3)
     rng = np.random.default_rng(11)

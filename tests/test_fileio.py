@@ -289,6 +289,20 @@ def test_read_pnm_validation(tmp_path):
         read_pnm(_write(tmp_path / "bad5.pgm", b""))
 
 
+@pytest.mark.parametrize("name, body, token", [
+    ("neg.pgm", b"P2\n2 2\n255\n0 -5 10 255\n", "-5"),
+    ("word.pgm", b"P2\n2 2\n255\n0 x 10 255\n", "x"),
+    ("width.pgm", b"P2\n2x 2\n255\n0 5 10 255\n", "2x"),
+    ("bin.pgm", b"P5\n2 -2\n255\n" + bytes(4), "-2"),
+])
+def test_read_pnm_takes_only_unsigned_decimals(tmp_path, name, body, token):
+    """A header or ASCII raster token that is not an unsigned decimal is an
+    error naming the file and the token, not a sample outside [0, 1]."""
+    path = _write(tmp_path / name, body)
+    with pytest.raises(ValueError, match=f"{name}: token b'{token}'"):
+        read_pnm(path)
+
+
 def test_import_frames_stacks_sorted(tmp_path):
     d = tmp_path / "frames"
     d.mkdir()

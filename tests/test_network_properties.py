@@ -98,23 +98,6 @@ def test_plain_build_and_composition_match_the_oracles(case):
     assert _close(full, nested_sum_compose(f))
 
 
-class _Hoard(dict):
-    """A ``kept`` that hands its entries out without letting go of them."""
-
-    def pop(self, key, default=None):
-        return self.get(key, default)
-
-
-def _build_flops(f, order, kept):
-    """The ``mk`` FLOPs of each accelerated build of one sweep over ``order``."""
-    flops = []
-    for k in order:
-        before = FLOPS.labeled("mk")
-        cached_build(f, k, order, kept)
-        flops.append(FLOPS.labeled("mk") - before)
-    return flops
-
-
 def _asked_for_after(order, t):
     """Keys of the chains built by position t that a later position starts
     from.  Position u takes the prefix over ``order[:u-1]``, built at position
@@ -134,14 +117,13 @@ def test_cached_build_is_the_network_matrix(case):
     f = FctnFactors.random(dims, rank, rng)
     n = f.n
     for order in orders:  # one sweep per order
-        # a kept dict that never lets go reuses the same chains: the FLOPs of
-        # every build must not change when each chain is handed out once
-        want_flops = _build_flops(f, order, _Hoard())
+        # each build meters the FLOPs its plan counted from the extents
+        plan = cached_build_plan(rank, dims, order)
         kept = {}
         for t, k in enumerate(order):
             before = FLOPS.labeled("mk")
             partial = cached_build(f, k, order, kept)
-            assert FLOPS.labeled("mk") - before == want_flops[t]
+            assert FLOPS.labeled("mk") - before == plan[t][0]
             assert set(kept) == _asked_for_after(order, t)
             m = property1_unfold(partial, k, n)
             assert np.shares_memory(m, partial)

@@ -1,7 +1,11 @@
 """Tests for the dense tensor primitives: transpose, unfoldings, contraction,
 and the FLOP meter."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fctnlr.tensor import (
     FLOPS,
@@ -158,7 +162,8 @@ def test_contract_matrix_product():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((2, 3))
     b = rng.standard_normal((3, 4))
-    z = contract(a, b, [1], [0])
+    z, labels = contract(a, "ij", b, "jk")
+    assert labels == ["i", "k"]
     assert np.allclose(z, a @ b, rtol=1e-14, atol=0)
 
 
@@ -166,8 +171,8 @@ def test_contract_full_overlap_gives_inner_product():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, 3, 4))
     y = rng.standard_normal((2, 3, 4))
-    z = contract(x, y, [0, 1, 2], [0, 1, 2])
-    assert z.shape == ()
+    z, labels = contract(x, "ijk", y, "ijk")
+    assert z.shape == () and labels == []
     assert np.allclose(float(z), float(np.vdot(x, y)), rtol=1e-13)
 
 
@@ -176,8 +181,8 @@ def test_contract_matches_nested_summation():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 3, 4))
     y = rng.standard_normal((4, 3, 5))
-    z = contract(x, y, [1, 2], [1, 0])
-    assert z.shape == (2, 5)
+    z, labels = contract(x, "iab", y, "baj")
+    assert z.shape == (2, 5) and labels == ["i", "j"]
     want = np.zeros((2, 5))
     for i in range(2):
         for j in range(5):
@@ -190,13 +195,13 @@ def test_contract_matches_nested_summation():
 
 
 def test_contract_result_mode_order():
-    # free modes of x come first (ascending), then free modes of y (ascending)
+    # free labels of x come first (axis order), then free labels of y
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 3, 4, 5))
     y = rng.standard_normal((5, 6, 3, 7))
-    z = contract(x, y, [1, 3], [2, 0])
+    z, labels = contract(x, "iajb", y, "bcad")
     want = np.einsum("iajb,bcad->ijcd", x, y)
-    assert z.shape == (2, 4, 6, 7)
+    assert z.shape == (2, 4, 6, 7) and labels == list("ijcd")
     assert np.allclose(z, want, rtol=1e-12, atol=1e-14)
 
 
@@ -210,13 +215,14 @@ def test_contract_out_modes_layout():
     for xv, yv in [(x, y), (np.asfortranarray(x), np.ascontiguousarray(y))]:
         for _ in range(6):
             perm = [int(p) for p in rng.permutation(4)]
-            z = contract(xv, yv, [1, 3], [2, 0], perm)
-            assert z.flags["F_CONTIGUOUS"]
+            target = "".join("ijcd"[p] for p in perm)
+            z, labels = contract(xv, "iajb", yv, "bcad", target)
+            assert z.flags["F_CONTIGUOUS"] and labels == list(target)
             assert np.allclose(z, want.transpose(perm), rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
-        contract(x, y, [1, 3], [2, 0], [0, 1, 2])
+        contract(x, "iajb", y, "bcad", "ijc")
     v = rng.standard_normal(5)
-    assert np.isclose(float(contract(v[::-1], v, [0], [0])), float(v[::-1] @ v), rtol=1e-14)
+    assert np.isclose(float(contract(v[::-1], "i", v, "i")[0]), float(v[::-1] @ v), rtol=1e-14)
 
 
 def test_contract_split_batches_the_modes_before_the_other_run():
@@ -239,7 +245,8 @@ def test_contract_split_batches_the_modes_before_the_other_run():
     tensor_module.gunfold = spy
     try:
         for perm, split in [([0, 2, 3, 1, 4], 1), ([0, 1, 2, 3, 4], 1), ([0, 2, 3, 4, 1], 1)]:
-            z = contract(x, y, [2], [0], perm, split)
+            target = "".join("abdef"[p] for p in perm)
+            z = contract(x, "abcd", y, "cef", target, split)[0]
             assert z.flags["F_CONTIGUOUS"]
             assert np.allclose(z, want.transpose(perm), rtol=1e-12, atol=1e-14)
     finally:
@@ -247,19 +254,78 @@ def test_contract_split_batches_the_modes_before_the_other_run():
     assert copies == []
 
 
+@st.composite
+def labeled_pairs(draw):
+    """Two operands of 1-4 modes with extents 1-4 that share at least one
+    label, each in C, F or reversed-stride layout, with a result layout
+    (None or an order of the free labels) and a ``split``."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    s = draw(st.integers(1, min(nx, ny)))
+    shared, own_x, own_y = "abcd"[:s], "efgh"[: nx - s], "ijkl"[: ny - s]
+    lx = "".join(draw(st.permutations(shared + own_x)))
+    ly = "".join(draw(st.permutations(shared + own_y)))
+    extents = {lab: draw(st.integers(1, 4)) for lab in shared + own_x + own_y}
+    free = [lab for lab in lx + ly if lab not in shared]
+    target = draw(st.none() | st.permutations(free).map("".join))
+    split = draw(st.none() | st.integers(1, len(free))) if free else None
+    layouts = draw(st.tuples(st.sampled_from("CFR"), st.sampled_from("CFR")))
+    return lx, ly, extents, layouts, target, split, draw(st.integers(0, 2**32 - 1))
+
+
+def _laid_out(a, layout):
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "R":  # every stride negative
+        rev = (slice(None, None, -1),) * a.ndim
+        return np.ascontiguousarray(a[rev])[rev]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_pairs())
+@example(("ba", "ab", {"a": 3, "b": 2}, ("C", "R"), None, None, 0))  # full overlap
+@example(("abc", "cab", {"a": 2, "b": 1, "c": 4}, ("F", "C"), "", None, 1))
+def test_contract_matches_einsum(case):
+    """Any labeled contraction matches einsum to 1e-12 of the summed
+    magnitudes, returns its labels, is F-contiguous in a requested layout
+    and meters 2 * prod(result extents) * prod(shared extents) FLOPs."""
+    lx, ly, extents, layouts, target, split, seed = case
+    rng = np.random.default_rng(seed)
+    x = _laid_out(rng.standard_normal([extents[lab] for lab in lx]), layouts[0])
+    y = _laid_out(rng.standard_normal([extents[lab] for lab in ly]), layouts[1])
+    shared = "".join(lab for lab in lx if lab in ly)
+    out = target if target is not None else "".join(lab for lab in lx + ly if lab not in shared)
+    spec = f"{lx},{ly}->{out}"
+    before = FLOPS.total
+    z, labels = contract(x, lx, y, ly, target, split)
+    assert labels == list(out)
+    assert z.shape == tuple(extents[lab] for lab in out)
+    assert FLOPS.total - before == 2 * z.size * math.prod(extents[lab] for lab in shared)
+    scale = np.einsum(spec, np.abs(x), np.abs(y))
+    assert np.all(np.abs(z - np.einsum(spec, x, y)) <= 1e-12 * scale)
+    if target is not None:
+        assert z.flags["F_CONTIGUOUS"]
+
+
 def test_contract_validation():
+    """Each bad labeling raises its own ValueError; the same operands with
+    good labels contract."""
     x = np.zeros((2, 3))
     y = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        contract(x, y, [], [])
-    with pytest.raises(ValueError):
-        contract(x, y, [0, 1], [0])
-    with pytest.raises(ValueError):
-        contract(x, y, [1, 1], [0, 1])
-    with pytest.raises(ValueError):
-        contract(x, y, [2], [0])
-    with pytest.raises(ValueError):
-        contract(x, y, [0], [0])  # extent 2 vs 3
+    assert contract(x, "ij", y, "jk", "ki")[0].shape == (2, 2)
+    with pytest.raises(ValueError, match="one each"):
+        contract(x, "i", y, "jk")  # too few labels
+    with pytest.raises(ValueError, match="one each"):
+        contract(x, "ij", y, "jkl")  # too many labels
+    with pytest.raises(ValueError, match="one each"):
+        contract(x, "ii", y, "ik")  # a repeated label
+    with pytest.raises(ValueError, match="share none"):
+        contract(x, "ij", y, "kl")
+    with pytest.raises(ValueError, match="extent mismatch"):
+        contract(x, "ij", y, "ik")  # extent 2 vs 3
+    for target in ("k", "kij", "kj", "kk"):
+        with pytest.raises(ValueError, match="does not order"):
+            contract(x, "ij", y, "jk", target)
 
 
 def test_frobenius_norm_invariance():
@@ -293,5 +359,5 @@ def test_contract_flop_accounting():
     FLOPS.reset()
     a = np.ones((3, 4))
     b = np.ones((4, 5))
-    contract(a, b, [1], [0])
+    contract(a, "ij", b, "jk")
     assert FLOPS.total == 2 * 3 * 4 * 5
