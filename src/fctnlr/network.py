@@ -61,7 +61,8 @@ class FctnRank:
 
     Stores the strict upper triangle row-major: ``(R[0,1], R[0,2], ...,
     R[0,n-1], R[1,2], ..., R[n-2,n-1])``, ``n*(n-1)/2`` entries, every entry a
-    positive int.  Indexing is symmetric: ``rank[i, j] == rank[j, i]``.
+    positive int (an integral float such as 2.0 is taken; 2.5 is refused).
+    Indexing is symmetric: ``rank[i, j] == rank[j, i]``.
     """
 
     n: int
@@ -71,10 +72,13 @@ class FctnRank:
         n = int(self.n)
         if n < 2:
             raise ValueError("a network needs at least two factors")
-        tri = tuple(int(e) for e in self.entries)
+        tri = tuple(self.entries)
         need = n * (n - 1) // 2
         if len(tri) != need:
             raise ValueError(f"expected {need} rank entries for n={n}, got {len(tri)}")
+        if not all(float(e).is_integer() for e in tri):
+            raise ValueError("rank entries must be integers")
+        tri = tuple(int(e) for e in tri)
         if any(e < 1 for e in tri):
             raise ValueError("rank entries must be >= 1")
         object.__setattr__(self, "n", n)
@@ -91,8 +95,8 @@ class FctnRank:
             if value.n != n:
                 raise ValueError(f"rank table is for n={value.n}, need n={n}")
             return value
-        if np.isscalar(value):
-            return cls.uniform(n, int(value))
+        if np.ndim(value) == 0:
+            return cls.uniform(n, value)
         return cls(n, value)
 
     def _idx(self, i: int, j: int) -> int:
@@ -138,7 +142,8 @@ class FctnRank:
 
 
 class FctnFactors:
-    """Ordered list of network factors, each F-ordered float64."""
+    """Ordered, immutable list of network factors, each F-ordered float64.
+    :meth:`with_factor` and :meth:`grow` return new networks."""
 
     def __init__(self, factors) -> None:
         arrays = [np.asfortranarray(np.asarray(a, dtype=np.float64)) for a in factors]
@@ -154,7 +159,7 @@ class FctnFactors:
                     raise ValueError(
                         f"bond ({i}, {j}) disagrees: {arrays[i].shape[j]} vs {arrays[j].shape[i]}"
                     )
-        self._arrays = arrays
+        self._arrays = tuple(arrays)
 
     @classmethod
     def random(cls, dims, rank: FctnRank, rng: np.random.Generator) -> "FctnFactors":
@@ -183,13 +188,14 @@ class FctnFactors:
     def factor(self, k: int) -> np.ndarray:
         return self._arrays[k]
 
-    def replace(self, k: int, arr: np.ndarray) -> None:
-        arr = np.asfortranarray(np.asarray(arr, dtype=np.float64))
-        if arr.shape != self._arrays[k].shape:
+    def with_factor(self, k: int, arr: np.ndarray) -> "FctnFactors":
+        """A new network with factor k swapped for ``arr``; this one is left
+        as it is."""
+        if np.shape(arr) != self._arrays[k].shape:
             raise ValueError(
-                f"replacement for factor {k} has shape {arr.shape}, expected {self._arrays[k].shape}"
+                f"factor {k} needs shape {self._arrays[k].shape}, got {np.shape(arr)}"
             )
-        self._arrays[k] = arr
+        return FctnFactors(self._arrays[:k] + (arr,) + self._arrays[k + 1 :])
 
     def grow(self, new_rank: FctnRank) -> "FctnFactors":
         """Zero-padded embedding into a larger rank table (entrywise >= current)."""

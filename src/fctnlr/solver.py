@@ -5,10 +5,17 @@ Objective over the dense tensor X and the network factors {A_k}:
     f(X, {A_k}) = 1/2 ||X - compose({A_k})||_F^2
                   + sum_k lam_k/2 tr(A_k_(k)^T L_k A_k_(k))
 
-subject to X agreeing with the observed entries.  One iteration sweeps the
-factors in the current visiting order (each solve is exact and proximally
-damped by rho), then refreshes X by blending the composed tensor with the
-previous iterate off the observed set and restoring the observations exactly.
+subject to X agreeing with the observed entries.  A sweep (:func:`_sweep`)
+maps the accepted iterate ``(f, x)`` to a new one and leaves its input as it
+is: it solves the factors in the current visiting order (each solve is exact
+and proximally damped by rho), then refreshes X by blending the composed
+tensor with the previous iterate off the observed set and restoring the
+observations exactly.  :class:`~fctnlr.network.FctnFactors` is immutable, so
+the sweep rebinds its own network at each position.
+
+:func:`run` is one loop: sweep from the accepted ``(f, x)``; check the new
+iterate (finite, no rise); accept it; grow the bonds; check the gauge;
+record; test the stop; reshuffle the visiting order.
 
 The data side touches X as few times as its arithmetic needs.  Each factor
 reads X once, through the data product ``X_(k) M^T``
@@ -39,7 +46,8 @@ takes its data products from X-environments kept the same way
 Which build, data product and Gram matrix each position takes, and the
 chains it runs, are planned by :func:`~fctnlr.environment.sweep_plan`, where
 the rules are written; a sweep runs its plan as it is.  Bonds grow by one
-when the relative change falls below ``10 * eps``.
+when the relative change ``||X_new - X|| / ||X||`` falls below ``10 * eps``,
+and the run stops when it is at most eps after a sweep without growth.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
 M and its data product are freed before the next M is built, and ``fctnlr``
@@ -148,7 +156,7 @@ class Observation:
 
 
 def _per_mode(value, n: int, name: str) -> tuple:
-    if np.isscalar(value):
+    if np.ndim(value) == 0:
         return (float(value),) * n
     seq = tuple(float(v) for v in value)
     if len(seq) != n:
@@ -190,14 +198,17 @@ class SolverConfig:
             raise ValueError("delta must be > 0")
         cap = _rank_spec(self.max_rank)
         start = cap if self.initial_rank is None else _rank_spec(self.initial_rank)
+        if not all(float(e).is_integer() for spec in (cap, start) for e in spec.ravel()):
+            raise ValueError("rank entries must be integers")
         if (cap < 1).any() or (start < 1).any():
             raise ValueError("rank entries must be >= 1")
         # tables of different lengths are refused against the order in run()
         comparable = start.shape == cap.shape or 0 in (start.ndim, cap.ndim)
         if comparable and (start > cap).any():
             raise ValueError("initial rank exceeds max_rank")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not float(self.max_iters).is_integer() or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
+        self.max_iters = int(self.max_iters)
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.rank_policy not in _RANK_POLICIES:
@@ -231,18 +242,18 @@ class IterationRecord:
     proj_flops: int
     gram_flops: int
     step_sq: float
-    x_norm: float = math.nan
-    factor_norm: float = math.nan
-    rank_grown: bool = False
+    x_norm: float
+    factor_norm: float
+    rank_grown: bool
 
 
 @dataclass
 class SolverResult:
     x: np.ndarray
     factors: FctnFactors
-    trace: list = field(default_factory=list)
-    converged: bool = False
-    initial_objective: float = math.nan
+    trace: list
+    converged: bool
+    initial_objective: float
 
     @property
     def iterations(self) -> int:
@@ -349,104 +360,102 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     laps = [CirculantLaplacian(dims[k], deltas[k], cfg.laplacian_sign) for k in range(n)]
 
     cap = FctnRank.from_spec(n, cfg.max_rank)
-    rank = (
-        FctnRank.from_spec(n, cfg.initial_rank)
-        if cfg.initial_rank is not None
-        else FctnRank.uniform(n, 1)
-    )
-
+    rank = FctnRank.from_spec(n, 1 if cfg.initial_rank is None else cfg.initial_rank)
     rng = np.random.default_rng(cfg.seed)
     f = FctnFactors.random(dims, rank, rng)
     x = obs.values.copy(order="F")
     order = tuple(range(n))
-    accelerated = cfg.algorithm == "afctnlr"
 
-    initial_objective = objective(x, f, laps, lams)
-    result = SolverResult(x=x, factors=f, initial_objective=initial_objective)
+    initial_objective = prev_obj = objective(x, f, laps, lams)
     if not math.isfinite(initial_objective):
         raise NumericalFailure("initial objective is not finite")
-    prev_obj = initial_objective
     x_sq = _sq(x)
     least_factor_norm = math.inf
+    trace = []
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         flops0 = FLOPS.snapshot()
 
-        x_new, obj, step_sq, x_step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
-        if not math.isfinite(obj):
-            raise NumericalFailure(f"objective diverged at iteration {it}")
-        base = math.sqrt(x_sq)
-        x_sq = _sq(x_new)
-        if obj > prev_obj + _RISE_SLACK * (abs(prev_obj) + x_sq):
-            raise NumericalFailure(
-                f"objective rose from {prev_obj:.10g} to {obj:.10g} at iteration {it}"
-            )
+        # sweep from the accepted iterate; check the new one, then accept it
+        f_new, x_new, obj, step_sq, x_step_sq = _sweep(f, x, obs, order, laps, lams, cfg)
+        x_new_sq = _sq(x_new)
+        _check_decrease(it, prev_obj, obj, x_new_sq)
+        rel = _rel_change(x_step_sq, x_sq)
+        f, x, x_sq, prev_obj = f_new, x_new, x_new_sq, obj
 
-        diff = math.sqrt(x_step_sq)
-        if diff == 0.0:
-            rel = 0.0
-        elif base == 0.0:
-            rel = math.inf
-        else:
-            rel = diff / base
-        step_sq += x_step_sq
-        x = x_new
-        prev_obj = obj
-
-        rank_during = tuple(f.rank.entries)
-        grown = False
-        can_grow = cfg.rank_policy == "threshold" and f.rank.any_below(cap)
-        if can_grow and rel < 10.0 * cfg.eps:
+        grown = cfg.rank_policy == "threshold" and f.rank.any_below(cap) and rel < 10.0 * cfg.eps
+        if grown:
             f, prev_obj = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
-            grown = True
         factor_norm = max(math.sqrt(_sq(f.factor(k))) for k in range(n))
         least_factor_norm = min(least_factor_norm, factor_norm)
-        if factor_norm > _GAUGE_GROWTH * least_factor_norm:
-            raise NumericalFailure(
-                f"largest factor norm grew from {least_factor_norm:.6g} to "
-                f"{factor_norm:.6g} by iteration {it}"
-            )
+        _check_gauge(it, factor_norm, least_factor_norm)
 
         # a growth sweep is charged its objective evaluations too
         spent = {lab: count - flops0.get(lab, 0) for lab, count in FLOPS.snapshot().items()}
-        result.trace.append(
-            IterationRecord(
-                iteration=it,
-                objective=obj,
-                rel_change=rel,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-                flops=spent["total"],
-                rank=rank_during,
-                mk_flops=spent.get("mk", 0),
-                compose_flops=spent.get("compose", 0),
-                proj_flops=spent.get("proj", 0),
-                gram_flops=spent.get("gram", 0),
-                step_sq=step_sq,
-                x_norm=math.sqrt(x_sq),
-                factor_norm=factor_norm,
-                rank_grown=grown,
-            )
-        )
+        trace.append(IterationRecord(
+            iteration=it,
+            objective=obj,
+            rel_change=rel,
+            wall_ms=(time.perf_counter() - t0) * 1e3,
+            flops=spent["total"],
+            rank=f_new.rank.entries,  # the table in force during the sweep
+            mk_flops=spent.get("mk", 0),
+            compose_flops=spent.get("compose", 0),
+            proj_flops=spent.get("proj", 0),
+            gram_flops=spent.get("gram", 0),
+            step_sq=step_sq + x_step_sq,
+            x_norm=math.sqrt(x_sq),
+            factor_norm=factor_norm,
+            rank_grown=grown,
+        ))
 
-        if not grown and rel <= cfg.eps:
-            result.converged = True
+        converged = not grown and rel <= cfg.eps
+        if converged:
             break
-
-        if accelerated and cfg.shuffle:
+        if cfg.algorithm == "afctnlr" and cfg.shuffle:
             order = shuffle_order(order, rng)
 
-    result.x = x
-    result.factors = f
-    return result
+    return SolverResult(x, f, trace, converged, initial_objective)
+
+
+def _check_decrease(it: int, prev_obj: float, obj: float, x_sq: float) -> None:
+    """Refuse a sweep whose objective is not finite or rose beyond roundoff
+    (``_RISE_SLACK`` of the scale ``|objective| + ||X_new||^2``)."""
+    if not math.isfinite(obj):
+        raise NumericalFailure(f"objective diverged at iteration {it}")
+    if obj > prev_obj + _RISE_SLACK * (abs(prev_obj) + x_sq):
+        raise NumericalFailure(
+            f"objective rose from {prev_obj:.10g} to {obj:.10g} at iteration {it}"
+        )
+
+
+def _rel_change(step_sq: float, base_sq: float) -> float:
+    """The relative change ``||X_new - X|| / ||X||`` of a sweep, from the
+    squared step and the squared norm of the X it started from."""
+    diff, base = math.sqrt(step_sq), math.sqrt(base_sq)
+    if diff == 0.0:
+        return 0.0
+    return math.inf if base == 0.0 else diff / base
+
+
+def _check_gauge(it: int, factor_norm: float, least: float) -> None:
+    """Refuse factors that ran off along the gauge: the largest factor norm
+    beyond ``_GAUGE_GROWTH`` times its smallest value so far."""
+    if factor_norm > _GAUGE_GROWTH * least:
+        raise NumericalFailure(
+            f"largest factor norm grew from {least:.6g} to "
+            f"{factor_norm:.6g} by iteration {it}"
+        )
 
 
 def _sweep(f, x, obs, order, laps, lams, cfg):
-    """One PAM sweep: update every factor of ``f`` in place, in the visiting
-    ``order``, by the routes of its :func:`~fctnlr.environment.sweep_plan`,
-    then refresh X.  Returns the new X, its objective, the summed squared
-    factor steps and the squared X step."""
-    n = f.n
+    """One PAM sweep from the iterate ``(f, x)``, which it leaves as it is:
+    solve every factor in the visiting ``order``, by the routes of its
+    :func:`~fctnlr.environment.sweep_plan`, each against the factors as
+    updated so far, then refresh X.  Returns ``(f_new, x_new, objective,
+    step_sq, x_step_sq)``: the new iterate, its objective, the summed
+    squared factor steps and the squared X step."""
     kept = {}  # the chains or X-environments kept for later positions of this sweep
     step_sq = 0.0
     for k, from_envs, chains, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
@@ -454,13 +463,13 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         if from_envs:
             xm = env_data_product(f, k, order, x, kept)
         else:
-            m = property1_unfold(_compose_except_cached_labeled(f, k, chains, kept), k, n)
+            m = property1_unfold(_compose_except_cached_labeled(f, k, chains, kept), k, f.n)
         a_prev = mode_unfold(f.factor(k), k)
         xm = data_product(x, k, m) if xm is None else xm
         gram = gram_except(f, k) if doubled else dense_gram(m)
         a_new = solve_factor(xm, a_prev, gram, laps[k], lams[k], cfg.rho)
         step_sq += _sq(a_new - a_prev)
-        f.replace(k, mode_fold(a_new, k, f.factor(k).shape))
+        f = f.with_factor(k, mode_fold(a_new, k, f.factor(k).shape))
     # the last factor's network matrix holds every other factor as updated
     if cfg.algorithm == "afctnlr":
         composed = compose(f, k, m)
@@ -468,7 +477,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         m = None  # compose's chain builds without it
         composed = compose(f)
     x_new, data, x_step_sq = refresh_x(composed, x, obs, cfg.rho)
-    return x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
+    return f, x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
 
 
 def _grow_with_continuity(f, cap, rng, laps, lams, x, pre_objective):

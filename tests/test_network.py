@@ -73,6 +73,11 @@ def test_rank_table_validation():
         FctnRank(3, [1, 2])
     with pytest.raises(ValueError):
         FctnRank(3, [1, 0, 2])
+    # a non-integral entry is refused, not truncated; an integral float passes
+    for bad in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="integer"):
+            FctnRank(3, [1, bad, 2])
+    assert FctnRank(3, [1, 2.0, np.int64(2)]).entries == (1, 2, 2)
     r = FctnRank(3, [1, 2, 3])
     with pytest.raises(KeyError):
         r[1, 1]
@@ -84,6 +89,10 @@ def test_rank_uniform_and_from_spec():
     assert FctnRank.uniform(4, 2).entries == (2,) * 6
     assert FctnRank.from_spec(3, 5) == FctnRank.uniform(3, 5)
     assert FctnRank.from_spec(3, [1, 2, 3]) == FctnRank(3, [1, 2, 3])
+    assert FctnRank.from_spec(3, np.array(2)) == FctnRank.from_spec(3, 2.0) == FctnRank.uniform(3, 2)
+    for bad in (2.5, 1.7):
+        with pytest.raises(ValueError, match="integer"):
+            FctnRank.from_spec(3, bad)
     same = FctnRank.uniform(3, 2)
     assert FctnRank.from_spec(3, same) is same
     with pytest.raises(ValueError):
@@ -142,14 +151,17 @@ def test_factors_random_shapes_match_rank_table():
     assert f.rank == rank
 
 
-def test_factors_replace_swaps_one_factor():
+def test_factors_with_factor_swaps_one_factor():
     f = random_network(2, n=3)
     before = [f.factor(k) for k in range(3)]
-    f.replace(1, before[1] * 2.0)
-    assert np.array_equal(f.factor(1), before[1] * 2.0)
-    assert f.factor(0) is before[0] and f.factor(2) is before[2]
+    g = f.with_factor(1, before[1] * 2.0)
+    assert np.array_equal(g.factor(1), before[1] * 2.0)
+    assert g.factor(0) is before[0] and g.factor(2) is before[2]
+    # the original network still holds its old arrays
+    assert all(f.factor(k) is before[k] for k in range(3))
     with pytest.raises(ValueError):
-        f.replace(0, np.zeros((1, 1, 1)))
+        f.with_factor(0, np.zeros((1, 1, 1)))
+    assert not hasattr(f, "replace")
 
 
 def test_factors_grow_embeds_old_block():
@@ -311,13 +323,14 @@ def test_network_matrix_any_label_order_other_orders(n):
 def _sweep_builds(f, order, rng):
     """The builds of one sweep in ``order``: each factor's cached network
     matrix checked against the plain one, then the factor replaced, as the
-    solver does after its solve."""
+    solver does after its solve.  Returns the network after the sweep."""
     kept = {}
     for k in order:
         got = cached_m(f, k, order, kept)
         want = plain_m(f, k)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        f.replace(k, f.factor(k) * rng.uniform(0.5, 1.5))
+        f = f.with_factor(k, f.factor(k) * rng.uniform(0.5, 1.5))
+    return f
 
 
 def test_cached_equals_plain_cold_and_warm():
@@ -325,7 +338,7 @@ def test_cached_equals_plain_cold_and_warm():
     f = random_network(11, n=4)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        _sweep_builds(f, (0, 1, 2, 3), rng)
+        f = _sweep_builds(f, (0, 1, 2, 3), rng)
 
 
 def test_cached_equals_plain_shuffled_orders():
@@ -333,7 +346,7 @@ def test_cached_equals_plain_shuffled_orders():
     rng = np.random.default_rng(0)
     order = tuple(range(5))
     for _ in range(4):
-        _sweep_builds(f, order, rng)
+        f = _sweep_builds(f, order, rng)
         order = shuffle_order(order, rng)
 
 
@@ -353,7 +366,7 @@ def test_cache_shares_suffix_between_first_two_positions():
     order = (0, 1, 2, 3)
     kept = {}
     cached_build(f, 0, order, kept)
-    f.replace(0, rng.standard_normal(f.factor(0).shape))
+    f = f.with_factor(0, rng.standard_normal(f.factor(0).shape))
     flops, got = _build_flops(f, 1, order, kept)
     assert flops == 2 * i**3 * r**5
     assert flops < partial_chain_flops(n, i, r)
@@ -370,7 +383,7 @@ def test_cache_shares_prefix_between_last_two_positions():
     order = (0, 1, 2, 3)
     kept = {}
     cached_build(f, 2, order, kept)
-    f.replace(2, rng.standard_normal(f.factor(2).shape))
+    f = f.with_factor(2, rng.standard_normal(f.factor(2).shape))
     flops, got = _build_flops(f, 3, order, kept)
     assert flops == 2 * i**3 * r**5
     assert flops < partial_chain_flops(n, i, r)

@@ -130,7 +130,7 @@ def test_cached_build_is_the_network_matrix(case):
             assert _close(m, network_matrix(f, k))
             assert _close(mode_unfold(f.factor(k), k) @ m, mode_unfold(compose(f), k))
             # as in a sweep: the solved factor replaces k before the next build
-            f.replace(k, rng.standard_normal(f.factor(k).shape))
+            f = f.with_factor(k, rng.standard_normal(f.factor(k).shape))
         assert not kept
 
 
@@ -206,7 +206,7 @@ def test_environment_products_match_the_network_matrix(net):
             assert FLOPS.labeled("proj") - before == plan[pos]
             want = mode_unfold(x, k) @ network_matrix(f, k).T
             assert _close(got, want)
-            f.replace(k, rng.standard_normal(f.factor(k).shape))
+            f = f.with_factor(k, rng.standard_normal(f.factor(k).shape))
         assert envs == {}
 
 
@@ -277,7 +277,7 @@ _LABELS = ("mk", "compose", "proj", "gram")
 
 
 def _sweep_flops(f, obs, order, algorithm):
-    """FLOPs by label of one solver sweep of ``f`` (updated in place)."""
+    """FLOPs by label of one solver sweep of ``f``."""
     n = f.n
     laps = [CirculantLaplacian(d, 0.5, "positive-definite") for d in f.dims]
     before = {lab: FLOPS.labeled(lab) for lab in _LABELS}

@@ -262,10 +262,13 @@ def test_sweep_objective_matches_oracle(algorithm):
     cfg = SolverConfig(algorithm=algorithm, lam=lams, rho=0.1)
     x = obs.values.copy(order="F")
     for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
-        x_new, obj, _, x_step_sq = solver_module._sweep(f, x, obs, order, laps, lams, cfg)
-        assert obj == pytest.approx(objective(x_new, f, laps, lams, obs=obs), rel=1e-12)
+        # the sweep leaves its input iterate as it is
+        before = [x.tobytes()] + [f.factor(k).tobytes() for k in range(f.n)]
+        f_new, x_new, obj, _, x_step_sq = solver_module._sweep(f, x, obs, order, laps, lams, cfg)
+        assert [x.tobytes()] + [f.factor(k).tobytes() for k in range(f.n)] == before
+        assert obj == pytest.approx(objective(x_new, f_new, laps, lams, obs=obs), rel=1e-12)
         assert x_step_sq == pytest.approx(float(np.sum((x_new - x) ** 2)), rel=1e-12)
-        x = x_new
+        f, x = f_new, x_new
 
 
 def _sweep_peak(extent, algorithm):
@@ -279,7 +282,7 @@ def _sweep_peak(extent, algorithm):
     lams = [0.35] * 5
     cfg = SolverConfig(algorithm=algorithm, max_rank=r)
     order = (3, 0, 4, 1, 2)
-    x = solver_module._sweep(f, obs.values.copy(order="F"), obs, order, laps, lams, cfg)[0]
+    x = solver_module._sweep(f, obs.values.copy(order="F"), obs, order, laps, lams, cfg)[1]
     tracemalloc.start()
     try:
         solver_module._sweep(f, x, obs, order, laps, lams, cfg)
@@ -416,7 +419,22 @@ def test_config_validation():
         SolverConfig(max_rank=0)
     with pytest.raises(ValueError, match="rank"):
         SolverConfig(max_rank=FctnRank.uniform(3, 1), initial_rank=[1, 2, 1])
+    # non-integral ranks and sweep counts are refused, not truncated
+    with pytest.raises(ValueError, match="integer"):
+        SolverConfig(max_rank=2.5)
+    with pytest.raises(ValueError, match="integer"):
+        SolverConfig(initial_rank=1.7)
+    with pytest.raises(ValueError, match="integer"):
+        SolverConfig(max_rank=[2, 2.5, 2])
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=2.5)
     SolverConfig(max_rank=[2, 3, 2], initial_rank=2)
+    # integral floats and 0-d arrays pass
+    assert SolverConfig(max_iters=2.0).max_iters == 2
+    _, obs = small_problem(13)
+    res = run(obs, SolverConfig(max_iters=2.0, max_rank=2.0, initial_rank=1.0,
+                                lam=np.array(0.35), delta=np.array(0.5)))
+    assert res.iterations <= 2 and res.factors.rank == FctnRank.from_spec(3, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
