@@ -13,7 +13,8 @@ import sys
 from . import fileio, metrics
 from .bench import CSV_FIELDS, BenchConfig, run_bench
 from .metrics import quality_report
-from .solver import IterationRecord, Observation, SolverConfig, run
+from .laplacian import _SIGNS
+from .solver import _ALGORITHMS, _RANK_POLICIES, IterationRecord, Observation, SolverConfig, run
 from .sylvester import NumericalFailure
 
 # --report columns: every IterationRecord field, in declaration order
@@ -75,28 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--save-mask", help="write the drawn mask here")
     pc.add_argument("--report", help="write the per-iteration trace CSV here")
-    pc.add_argument(
-        "--algorithm", choices=("fctnlr", "afctnlr"), default="fctnlr"
-    )
-    pc.add_argument("--lambda", dest="lam", type=float, default=0.35,
+    # every default and choice is SolverConfig's
+    pc.add_argument("--algorithm", choices=_ALGORITHMS, default=SolverConfig.algorithm)
+    pc.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
                     help="smoothing penalty weight")
-    pc.add_argument("--delta", type=float, default=0.5,
+    pc.add_argument("--delta", type=float, default=SolverConfig.delta,
                     help="diagonal shift of the smoothing operator")
-    pc.add_argument("--rho", type=float, default=0.1, help="proximal damping")
-    pc.add_argument("--eps", type=float, default=1e-4, help="relative-change stop")
-    pc.add_argument("--max-iters", type=int, default=500)
-    pc.add_argument("--max-rank", default="2",
+    pc.add_argument("--rho", type=float, default=SolverConfig.rho, help="proximal damping")
+    pc.add_argument("--eps", type=float, default=SolverConfig.eps, help="relative-change stop")
+    pc.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    pc.add_argument("--max-rank", default=str(SolverConfig.max_rank),
                     help="one value or the full comma-separated bond table")
-    pc.add_argument("--initial-rank", default=None,
+    pc.add_argument("--initial-rank", default=SolverConfig.initial_rank,
                     help="starting bond table (default: all ones)")
-    pc.add_argument("--rank-policy", choices=("threshold", "fixed"),
-                    default="threshold")
-    pc.add_argument("--laplacian-sign",
-                    choices=("positive-definite", "as-printed"),
-                    default="positive-definite")
-    pc.add_argument("--no-shuffle", action="store_true",
+    pc.add_argument("--rank-policy", choices=_RANK_POLICIES, default=SolverConfig.rank_policy)
+    pc.add_argument("--laplacian-sign", choices=tuple(_SIGNS),
+                    default=SolverConfig.laplacian_sign)
+    pc.add_argument("--no-shuffle", dest="shuffle", action="store_false",
                     help="keep the identity visiting order in afctnlr")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=int, default=SolverConfig.seed)
     pc.set_defaults(func=_cmd_complete)
 
     pb = sub.add_parser("bench", help="paired benchmark of the two variants")
@@ -126,17 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_complete(args) -> int:
-    values = fileio.read_tensor(args.input)
-    if (args.mask is None) == (args.sr is None):
-        raise ValueError("give exactly one of --mask or --sr")
-    if args.mask is not None:
-        mask = fileio.read_mask(args.mask)
-    else:
-        mask = fileio.sample_mask(values.shape, args.sr, args.seed)
-    obs = Observation.from_dense(values, mask)
-    n = values.ndim
-    cfg = SolverConfig(
+def _config(args, n: int) -> SolverConfig:
+    """The solver settings of ``complete``'s arguments, for an order-n tensor."""
+    return SolverConfig(
         lam=args.lam,
         delta=args.delta,
         rho=args.rho,
@@ -149,9 +139,22 @@ def _cmd_complete(args) -> int:
         rank_policy=args.rank_policy,
         algorithm=args.algorithm,
         laplacian_sign=args.laplacian_sign,
-        shuffle=not args.no_shuffle,
+        shuffle=args.shuffle,
         seed=args.seed,
     )
+
+
+def _cmd_complete(args) -> int:
+    values = fileio.read_tensor(args.input)
+    # the settings are checked before the mask is drawn, read or saved
+    cfg = _config(args, values.ndim)
+    if (args.mask is None) == (args.sr is None):
+        raise ValueError("give exactly one of --mask or --sr")
+    if args.mask is not None:
+        mask = fileio.read_mask(args.mask)
+    else:
+        mask = fileio.sample_mask(values.shape, args.sr, args.seed)
+    obs = Observation.from_dense(values, mask)
     if args.save_mask:
         fileio.write_mask(args.save_mask, mask)
     res = run(obs, cfg)

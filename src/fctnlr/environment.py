@@ -12,20 +12,23 @@ contractions are one planned chain (:func:`_schedule`) of the shape
 each result laid out so that the step reading it needs no copy.
 
 Every route choice of a sweep is made here, by :func:`sweep_plan`, and the
-solver runs the plan as it is.  Per position it fixes where the data product
-comes from (kept X-environments or M), the chains that build M (the plain
-chain, or prefix and suffix chains joined) and whether the Gram matrix
+solver runs the plan as it is, planning no chain of its own.  Each
+:class:`Position` carries the chains it runs: the chain that builds its M
+(the plain chain, or a prefix chain whose last step joins the suffix) or
+the environment chain of its data product, and whether the Gram matrix
 ``M M^T`` comes from the doubled network
-(:func:`~fctnlr.network.gram_except`) or the dense product.  ``fctnlr``
-builds every M by the plain chain.  ``afctnlr`` takes the environment route
-or the prefix/suffix route for the whole sweep, whichever the plan prices
-lower, and on the environment route every position before the last takes
-the doubled Gram.  Every other Gram, in both variants, comes from the
-doubled network where :func:`_doubled_gram_pays` finds it cheaper and no
-larger than M: the doubled chain's middle intermediates grow as
-R^(2 t (n-t)), so it loses once R^2 is large against the extents (4^5 at
-R=3, 6^6 at R=2), and on small tensors, where the Python cost of its
-contractions dominates.
+(:func:`~fctnlr.network.gram_except`) or the dense product.  A plan's
+FLOPs and contraction calls are counted from the steps of its chains
+(:func:`~fctnlr.network._cost`).
+``fctnlr`` builds every M by the plain chain.  ``afctnlr`` takes the
+environment route or the prefix/suffix route for the whole sweep, whichever
+the plan prices lower, and on the environment route every position before
+the last takes the doubled Gram.  Every other Gram, in both variants, comes
+from the doubled network where that is priced below the dense product and
+no larger than M (:func:`_gram_price`): the doubled chain's middle
+intermediates grow as R^(2 t (n-t)), so it loses once R^2 is large against
+the extents (4^5 at R=3, 6^6 at R=2), and on small tensors, where the
+Python cost of its contractions dominates.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from .network import (
     FctnFactors,
     FctnRank,
     _bond,
+    _cost,
     _factors,
     _mode_sizes,
     _plain_chain,
@@ -139,8 +143,6 @@ def _leading_split(labels, extents, shared, target):
     return None
 
 
-# holds every visiting order of one network at n <= 6 (720)
-@functools.lru_cache(maxsize=1024)
 def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     """Chains of the environment route of a sweep in ``order``: entry p is
     the chain ``(start, steps, target)`` (:func:`~fctnlr.network._run`) of
@@ -214,16 +216,15 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
 
 
 class Position(NamedTuple):
-    """How one position of a sweep runs.  ``k`` is its factor; ``envs``
-    whether its data product comes from kept X-environments, with no M
-    built; ``chains`` the planned chains
-    (:func:`~fctnlr.network._chain_plan`) that build its M, one or a prefix
-    and a suffix chain to join, or None when no M is built; ``doubled``
-    whether its Gram matrix comes from the doubled network."""
+    """How one position of a sweep runs.  ``k`` is its factor; ``build``
+    the planned chain (:func:`~fctnlr.network._chain_plan`) that builds its
+    M, or None when no M is built; ``product`` the environment chain
+    (:func:`_schedule`) of its data product, or None when that comes from M;
+    ``doubled`` whether its Gram matrix comes from the doubled network."""
 
     k: int
-    envs: bool
-    chains: tuple | None
+    build: tuple | None
+    product: tuple | None
     doubled: bool
 
 
@@ -255,13 +256,14 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
     route, takes the data products of the positions before the last from
     kept X-environments (:func:`_schedule`), their Grams from the doubled
     network, and builds only the last M, by the plain chain in visiting
-    order; off it, every position builds its M from prefix and suffix chains
-    (:func:`~fctnlr.network.cached_build_plan`).  Both routes are priced in
-    the order of the other factors ascending, then the last: with unequal
-    extents the price moves a little with the order of the rest, the choice
-    mostly with the last factor, which the environment route builds M for
-    and which drops out of the environments.  So the choice depends on the
-    rank table, the extents and the last factor only."""
+    order; off it, every position builds its M by a prefix chain that ends
+    by joining the suffix (:func:`~fctnlr.network.cached_build_plan`).
+    Both routes are priced in the order of the other factors ascending,
+    then the last: with unequal extents the price moves a little with the
+    order of the rest, the choice mostly with the last factor, which the
+    environment route builds M for and which drops out of the environments.
+    So the choice depends on the rank table, the extents and the last factor
+    only."""
     n = rank.n
     flops = dict.fromkeys(("mk", "compose", "proj", "gram"), 0)
     price = 0
@@ -272,34 +274,29 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
         flops[label] += count
         price += count + calls * _CALL_FLOPS
 
-    def place(k, chains=None, build=None, schedule=None):
-        """Charge factor k's position: from kept X-environments by the
-        environment chain ``schedule`` (and its Gram from the doubled
-        network), else by its build of M from ``chains`` (FLOPs, calls) and
-        the data product from M."""
+    def place(k, build=None, product=None):
+        """Charge factor k's position: its data product by the environment
+        chain ``product`` (and its Gram from the doubled network), else by
+        the chain ``build`` of M and the data product from M, its Gram by
+        the doubled network where that is priced below the dense product
+        and its largest tensor is no larger than M (:func:`_gram_price`)."""
         nonlocal price
-        if schedule is not None:
-            charge("proj", sum(st[3] for st in schedule[1]), len(schedule[1]))
-            doubled = True
+        if product is not None:
+            charge("proj", *_cost(product))
         else:
-            charge("mk", *build)
+            charge("mk", *_cost(build))
             charge("proj", 2 * math.prod(dims) * rank.bond_product(k), 0)
-            doubled = _doubled_gram_pays(rank, dims, k)
-        count, cost, _ = _gram_price(rank, dims, k, doubled)
+        twin, dense = _gram_price(rank, dims, k, True), _gram_price(rank, dims, k, False)
+        doubled = product is not None or twin[1] < dense[1] and twin[2] <= dense[2]
+        count, cost, _ = twin if doubled else dense
         flops["gram"] += count
         price += cost
-        positions.append(Position(k, schedule is not None, chains, doubled))
-
-    def plain(k, seq):
-        """Charge factor k's position, its M built by the plain chain over
-        ``seq``, which keeps nothing."""
-        count, calls, _, chain = _plain_chain(rank, dims, seq)
-        place(k, (chain,), (count, calls))
+        positions.append(Position(k, build, product, doubled))
 
     if algorithm == "fctnlr":
         for k in order:
-            plain(k, tuple(j for j in range(n) if j != k))
-        charge("compose", *_plain_chain(rank, dims, tuple(range(n)))[:2])
+            place(k, _plain_chain(rank, dims, tuple(j for j in range(n) if j != k))[1])
+        charge("compose", *_cost(_plain_chain(rank, dims, tuple(range(n)))[1]))
     else:
         if env is None:
             last = order[-1]
@@ -308,11 +305,11 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
                    < sweep_plan(rank, dims, ranked, algorithm, False).price)
         if env:
             for k, chain in zip(order, _schedule(rank, dims, order)):
-                place(k, schedule=chain)
-            plain(order[-1], order[:-1])
+                place(k, product=chain)
+            place(order[-1], _plain_chain(rank, dims, order[:-1])[1])
         else:
-            for k, (count, calls, chains) in zip(order, cached_build_plan(rank, dims, order)):
-                place(k, chains, (count, calls))
+            for k, chain in zip(order, cached_build_plan(rank, dims, order)):
+                place(k, chain)
         charge("compose", 2 * math.prod(dims) * rank.bond_product(order[-1]), 1)
     return SweepPlan(tuple(positions), MappingProxyType(flops), price)
 
@@ -331,42 +328,33 @@ def _gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int
     if not doubled:
         return 2 * s * s * p, 2 * s * s * p, s * p
     rest = tuple(j for j in range(n) if j != k)
-    count, calls, peak, _ = _plain_chain(rank, dims, rest, True)
+    peak, chain = _plain_chain(rank, dims, rest, True)
+    count, calls = _cost(chain)
     count += sum(2 * dims[j] * rank.bond_product(j) ** 2 for j in rest)
     return count, _DOUBLED_WEIGHT * count + calls * _CALL_FLOPS, peak
 
 
-def _doubled_gram_pays(rank: FctnRank, dims: tuple, k: int) -> bool:
-    """Whether factor k's Gram matrix comes from the doubled network: its
-    price is below the dense product's and its largest tensor no larger
-    than M (:func:`_gram_price`)."""
-    doubled, dense = _gram_price(rank, dims, k, True), _gram_price(rank, dims, k, False)
-    return doubled[1] < dense[1] and doubled[2] <= dense[2]
+def env_data_product(f: FctnFactors, k: int, chain, x: np.ndarray, envs: dict) -> np.ndarray:
+    """The data product ``X_(k) M^T`` (q x s, M's row order) of factor k
+    from kept X-environments instead of M, metered under ``proj``: the run
+    of its planned ``chain`` (a position's :attr:`Position.product`, from
+    :func:`_schedule`).
 
-
-def env_data_product(f: FctnFactors, k: int, order, x: np.ndarray, envs: dict) -> np.ndarray:
-    """The data product ``X_(k) M^T`` (q x s, M's row order) of the factor k
-    at position p < n-1 of a sweep in ``order``, from kept X-environments
-    instead of M, metered under ``proj``: its chain in :func:`_schedule`.
-
-    Position 0 puts X in ``envs`` under ``("env", n)``, contracts it with
-    ``order[n-1], ..., order[1]`` and keeps each environment E_j (j >= 2)
-    under ``("env", j)``; position p takes E_{p+1} out of ``envs`` and
-    contracts it with the factors ``order[:p]``, which the sweep has updated
-    by then.  So ``envs`` is used the way the accelerated build uses its
-    chains (:func:`~fctnlr.network._compose_except_cached_labeled`): within
-    one sweep that replaces factor k only after its own product, each entry
+    Position 0's chain starts from X, which it puts in ``envs`` under
+    ``("env", n)``, contracts it with ``order[n-1], ..., order[1]`` and
+    keeps each environment E_j (j >= 2) under ``("env", j)``; position p's
+    takes E_{p+1} out of ``envs`` and contracts it with the factors
+    ``order[:p]``, which the sweep has updated by then.  So ``envs`` is used
+    the way the accelerated build uses its chains
+    (:func:`~fctnlr.network._compose_except_cached_labeled`): within one
+    sweep that replaces factor k only after its own product, each entry
     once, and empty when position n-2 is done.  The layouts let no step copy
     X or an environment (only the small factors), and each position's last
     step writes its product in M's row order wherever that reads its tensor
     in place."""
     n = f.n
-    order = tuple(int(v) for v in order)
-    pos = order.index(k)
-    if pos == n - 1:
-        raise ValueError("the last position of a sweep takes its data product from M")
     with FLOPS.scoped("proj"):
-        if pos == 0:
-            envs[("env", n)] = x, [("i", j) for j in range(n)]
-        arr = _run(_factors(f), _schedule(f.rank, f.dims, order)[pos], envs)[0]
+        if chain[0] == ("env", n):
+            envs[chain[0]] = x, [("i", j) for j in range(n)]
+        arr = _run(_factors(f), chain, envs)[0]
     return arr.reshape((f.dims[k], -1), order="F")

@@ -7,14 +7,16 @@ order-N tensor.  The partial network around ``k`` (everything contracted except
 factor ``k``) is the workhorse of the alternating solver.
 
 Every chain of contractions is planned before it runs: :func:`_chain_plan`
-sizes it and returns it as ``(start, steps, target)``, and :func:`_run`, the
-one loop that contracts, runs it.  Both variants build the partial network
-through :func:`_compose_except_cached_labeled` from the chains their sweep
-plan names, in :func:`matrix_labels` order, so its network matrix is a view.
-The baseline's chain is the plain ascending chain over the other factors;
-the accelerated build joins a prefix chain over the factors already updated
-in the sweep with a suffix chain over those not yet updated, each starting
-from the intermediate an earlier position kept (:func:`cached_build_plan`).
+sizes it and returns it as ``(start, steps, target)``, :func:`_cost` counts
+its FLOPs and contraction calls from its steps, and :func:`_run`, the one
+loop that contracts, runs it.  Both variants build the partial network
+through :func:`_compose_except_cached_labeled` from the one chain their
+sweep plan names, in :func:`matrix_labels` order, so its network matrix is
+a view.  The baseline's chain is the plain ascending chain over the other
+factors.  The accelerated build's chain runs the prefix over the factors
+already updated in the sweep, from the longest one an earlier position
+kept, and its last step joins the suffix over those not yet updated, kept
+by the sweep's first position or a single factor (:func:`cached_build_plan`).
 Composition runs the plain chain over every factor (:func:`compose`), and the
 Gram matrix ``M M^T`` of a network matrix can also come from the doubled
 network (:func:`gram_except`) without forming M.  These two and
@@ -24,10 +26,11 @@ in :mod:`fctnlr.environment`.
 
 Modes are tracked by label, not position: ``('i', k)`` is the physical mode
 of factor ``k`` and ``('r', a, b)`` with ``a < b`` is the bond between
-factors ``a`` and ``b``.  Every contraction, each chain step and each join,
-is one call of the labeled :func:`~fctnlr.tensor.contract`, which contracts
-over the labels both operands carry and writes the result in the layout the
-plan names.
+factors ``a`` and ``b``.  Every contraction is one call of the labeled
+:func:`~fctnlr.tensor.contract`, which contracts over the labels both
+operands carry and writes the result in the layout the plan names; all but
+the one product of :func:`compose` from M are chain steps run by
+:func:`_run`.
 """
 from __future__ import annotations
 
@@ -259,7 +262,7 @@ def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -
     n = f.n
     with FLOPS.scoped("compose"):
         if m is None:
-            return _run(_factors(f), _plain_chain(f.rank, f.dims, tuple(range(n)))[3], {})[0]
+            return _run(_factors(f), _plain_chain(f.rank, f.dims, tuple(range(n)))[1], {})[0]
         a_k = f.factor(k)
         rest = [j for j in range(n) if j != k]
         extents = [f.dims[j] for j in rest] + [a_k.shape[j] for j in rest]
@@ -276,7 +279,7 @@ def compose_except(f: FctnFactors, k: int) -> np.ndarray:
     ascending order (:func:`_plain_chain`), no intermediate kept."""
     rest = tuple(j for j in range(f.n) if j != k)
     with FLOPS.scoped("mk"):
-        return _run(_factors(f), _plain_chain(f.rank, f.dims, rest)[3], {})[0]
+        return _run(_factors(f), _plain_chain(f.rank, f.dims, rest)[1], {})[0]
 
 
 def property1_unfold(partial: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -335,7 +338,7 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
 
     rest = tuple(j for j in range(n) if j != k)
     with FLOPS.scoped("gram"):
-        arr = _run(small, _plain_chain(f.rank, f.dims, rest, True)[3], {})[0]
+        arr = _run(small, _plain_chain(f.rank, f.dims, rest, True)[1], {})[0]
     s = f.factor(k).size // f.dims[k]
     return arr.reshape((s, s), order="F")
 
@@ -362,17 +365,18 @@ def _chain_labels(members, n: int) -> tuple:
 def _run(operand, chain, store: dict):
     """Run a planned chain ``(start, steps, target)`` and return its
     ``(array, labels)``; ``operand(j)`` is the j-th operand with its labels.
-    The chain starts from ``operand(start)``, or from the tensor kept in
-    ``store`` under the key ``start`` (a tuple), which it takes out.  Each
-    step ``(j, layout, split, flops, key)`` contracts ``operand(j)`` in
-    (:func:`~fctnlr.tensor.contract` over their shared labels), its result
-    written in ``layout`` (None: the free modes in operand order) and
-    kept in ``store`` under ``key`` unless that is None.  The result is laid
-    out in ``target`` unless that is None."""
+    The chain's start and each step's operand ``j`` are ``operand(j)``, or,
+    when ``j`` is a key (a tuple), the tensor kept in ``store`` under it,
+    which the chain takes out.  Each step ``(j, layout, split, flops, key)``
+    contracts its operand in (:func:`~fctnlr.tensor.contract` over their
+    shared labels), writes the result in ``layout`` (None: the free modes in
+    operand order) and keeps it in ``store`` under ``key`` unless that is
+    None.  The result is laid out in ``target`` unless that is None."""
     start, steps, target = chain
     arr, labels = store.pop(start) if isinstance(start, tuple) else operand(start)
     for j, layout, split, _, key in steps:
-        arr, labels = contract(arr, labels, *operand(j), layout, split)
+        other = store.pop(j) if isinstance(j, tuple) else operand(j)
+        arr, labels = contract(arr, labels, *other, layout, split)
         if key is not None:
             store[key] = arr, labels
     if target is not None and labels != list(target):
@@ -380,28 +384,26 @@ def _run(operand, chain, store: dict):
     return arr, labels
 
 
-def _compose_except_cached_labeled(f: FctnFactors, k: int, chains, kept: dict) -> np.ndarray:
-    """Partial network around k in :func:`matrix_labels` order, so its network
-    matrix is a view, from the planned ``chains`` (a position's
-    :attr:`~fctnlr.environment.Position.chains`): one chain that lays out the
-    whole partial network, or a prefix and a suffix chain joined.  The build
-    of M in both variants; matches :func:`compose_except` to within
-    reassociation roundoff (1e-12 relative).
+def _compose_except_cached_labeled(f: FctnFactors, chain, kept: dict) -> np.ndarray:
+    """Partial network around a factor in :func:`matrix_labels` order, so
+    its network matrix is a view, from the planned ``chain`` (a position's
+    :attr:`~fctnlr.environment.Position.build`): the plain chain, or a
+    prefix chain whose last step joins it with a suffix.  The build of M in
+    both variants; matches :func:`compose_except` to within reassociation
+    roundoff (1e-12 relative).
 
     ``kept`` belongs to one sweep, which builds every factor once in its
     visiting order and replaces factor k only after its own build.  So a
-    prefix chain holds only factors already replaced and a suffix chain only
-    factors not yet replaced, and neither changes before it is used.  Each
-    entry is kept by the position :func:`cached_build_plan` names and taken
-    out by the one later position that starts from it, so ``kept`` is empty
-    when the sweep ends; a chain whose start is not in ``kept`` raises
-    KeyError.  Start each sweep from an empty dict.  The benchmark's tracer
-    hooks this name, so it is renamed only with the next benchmark change."""
+    prefix holds only factors already replaced and a suffix only factors
+    not yet replaced, and neither changes before it is used.  Each entry is
+    kept by the position :func:`cached_build_plan` names and taken out by
+    the one later position that starts or joins from it, so ``kept`` is
+    empty when the sweep ends; a chain that takes a key not in ``kept``
+    raises KeyError.  Start each sweep from an empty dict.  The benchmark's
+    tracer hooks this name, so it is renamed only with the next benchmark
+    change."""
     with FLOPS.scoped("mk"):
-        (arr, labels), *right = [_run(_factors(f), chain, kept) for chain in chains]
-        if right:
-            arr = contract(arr, labels, *right[0], matrix_labels(k, f.n))[0]
-        return arr
+        return _run(_factors(f), chain, kept)[0]
 
 
 # ---------- the chains, sized without running them ---------- #
@@ -430,13 +432,18 @@ def _join_flops(sizes: dict, n: int, a, b) -> int:
     return 2 * math.prod(sizes[lab] for lab in _held(a, n) | _held(b, n))
 
 
+def _cost(chain) -> tuple[int, int]:
+    """FLOPs and contraction calls of a planned chain, from its steps."""
+    return sum(step[3] for step in chain[1]), len(chain[1])
+
+
 def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
                 laid_out: bool = True) -> tuple:
-    """FLOPs, contraction calls, largest tensor taken in or made (entries)
-    and the chain ``(start, steps, target)`` that :func:`_run` runs: the
-    factors in ``seq`` contracted left to right, from the longest prefix
-    whose key (its sorted factor tuple) is in ``kept``, which it takes out of
-    ``kept``, else from ``seq[0]``.  Every intermediate is written in
+    """Largest tensor taken in or made (entries) and the chain ``(start,
+    steps, target)`` that :func:`_run` runs: the factors in ``seq``
+    contracted left to right, from the longest prefix whose key (its sorted
+    factor tuple) is in ``kept``, which it takes out of ``kept``, else from
+    ``seq[0]``.  Every intermediate is written in
     :func:`_chain_labels` layout (or, unless ``laid_out``, in the free modes'
     order), the last in ``target`` when given; a suffix chain is the prefix
     chain of the reversed sequence (same keys and layouts).
@@ -458,10 +465,9 @@ def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
     def size(members):
         return math.prod(sizes[lab] for lab in _held(members, n))
 
-    flops, peak, steps = 0, size(seq[: base + 1]), []
+    peak, steps = size(seq[: base + 1]), []
     for prefix in prefixes[base:]:
         count = _join_flops(sizes, n, prefix[:-1], prefix[-1:])
-        flops += count
         peak = max(peak, size(prefix[-1:]), size(prefix))
         key = tuple(sorted(prefix)) if kept is not None and len(prefix) < n - 1 else None
         if key is not None:
@@ -470,7 +476,7 @@ def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
         if target is not None and prefix == seq:
             layout = target
         steps.append((prefix[-1], layout, None, count, key))
-    return flops, len(steps), peak, (start, tuple(steps), target)
+    return peak, (start, tuple(steps), target)
 
 
 # holds, per network, the whole chain, each factor's plain and doubled chain,
@@ -497,25 +503,26 @@ def _plain_chain(rank: FctnRank, dims: tuple, seq: tuple, doubled: bool = False)
 
 
 def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
-    """``(FLOPs, contraction calls, chains)`` of
-    :func:`_compose_except_cached_labeled` at each position of one sweep in
-    ``order`` that starts from an empty ``kept``: the prefix chain over the
-    factors before it and the suffix chain over those after it, each from
-    the longest one kept, joined when both hold a factor; sized, not run.
-    The prefix over ``order[:p]`` (kept at position p-1) is taken by position
-    p, the suffix over ``order[j:]`` (kept at position 0) by position j-1."""
+    """The chain of :func:`_compose_except_cached_labeled` at each position
+    of one sweep in ``order`` that starts from an empty ``kept``; planned,
+    not run.  With k at either end of the order, one chain over the other
+    factors holds the whole partial network; else the prefix chain over the
+    factors before k, from the longest one kept, ends by joining the suffix
+    over those after it: kept at position 0, or a single factor.  The prefix
+    over ``order[:p]`` (kept at position p-1) is taken by position p, the
+    suffix over ``order[j:]`` (kept at position 0) by position j-1."""
     n, sizes, kept, out = rank.n, _mode_sizes(rank, dims), set(), []
     order = tuple(order)
     for pos, k in enumerate(order):
-        sides = [seq for seq in (order[:pos], order[pos + 1 :][::-1]) if seq]
-        # with k at either end of the order, one chain holds the whole
-        # partial network and lays out its own last step
-        target = tuple(matrix_labels(k, n)) if len(sides) == 1 else None
-        plans = [_chain_plan(sizes, n, seq, kept, target) for seq in sides]
-        flops, calls = sum(p[0] for p in plans), sum(p[1] for p in plans)
-        if len(sides) == 2:
-            flops, calls = flops + _join_flops(sizes, n, *sides), calls + 1
-        out.append((flops, calls, tuple(p[3] for p in plans)))
+        target = tuple(matrix_labels(k, n))
+        before, after = order[:pos], order[pos + 1 :][::-1]
+        if before and after:
+            start, steps, _ = _chain_plan(sizes, n, before, kept)[1]
+            join = (_chain_plan(sizes, n, after, kept)[1][0], target, None,
+                    _join_flops(sizes, n, before, after), None)
+            out.append((start, steps + (join,), None))
+        else:
+            out.append(_chain_plan(sizes, n, before or after, kept, target)[1])
     return tuple(out)
 
 

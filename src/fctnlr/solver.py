@@ -31,23 +31,25 @@ and :func:`objective`.
 The variants differ in how they get each factor's network matrix and data
 product, in how they compose the X-refresh tensor and in their visiting
 order.  Both build every partial network by the one build
-:func:`~fctnlr.network._compose_except_cached_labeled`, which runs the
-chains their sweep plan names and writes the result in
+:func:`~fctnlr.network._compose_except_cached_labeled`, which runs the chain
+their sweep plan names and writes the result in
 :func:`~fctnlr.network.matrix_labels` layout, so its network matrix M is a
 view of it, never a copy.  The baseline's chains rebuild every partial
 network from scratch by the plain ascending chain; it takes every data
 product from M and composes the X-refresh tensor by the whole chain.  The
 accelerated variant composes the X-refresh tensor from the last factor's M
 as ``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order
-every sweep, and reuses work within the sweep: its chains build each M from
-prefix and suffix chains kept for the one later build that uses them, or it
-takes its data products from X-environments kept the same way
+every sweep, and reuses work within the sweep: each M's chain extends a
+prefix kept by an earlier position and joins a suffix kept the same way,
+each kept for the one later build that uses it, or it takes its data
+products from X-environments kept the same way
 (:func:`~fctnlr.environment.env_data_product`), in one store per sweep.
 Which build, data product and Gram matrix each position takes, and the
-chains it runs, are planned by :func:`~fctnlr.environment.sweep_plan`, where
-the rules are written; a sweep runs its plan as it is.  Bonds grow by one
-when the relative change ``||X_new - X|| / ||X||`` falls below ``10 * eps``,
-and the run stops when it is at most eps after a sweep without growth.
+chains it runs, are planned by :func:`~fctnlr.environment.sweep_plan` and
+carried by its positions; a sweep runs them as they are and plans no chain
+itself.  Bonds grow by one when the relative change
+``||X_new - X|| / ||X||`` falls below ``10 * eps``, and the run stops when
+it is at most eps after a sweep without growth.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
 M and its data product are freed before the next M is built, and ``fctnlr``
@@ -209,6 +211,9 @@ class SolverConfig:
         if not float(self.max_iters).is_integer() or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
         self.max_iters = int(self.max_iters)
+        if not float(self.seed).is_integer() or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
+        self.seed = int(self.seed)
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.rank_policy not in _RANK_POLICIES:
@@ -458,12 +463,12 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     squared factor steps and the squared X step."""
     kept = {}  # the chains or X-environments kept for later positions of this sweep
     step_sq = 0.0
-    for k, from_envs, chains, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
+    for k, build, product, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
         m = xm = None  # the previous factor's, freed before the next build
-        if from_envs:
-            xm = env_data_product(f, k, order, x, kept)
+        if product is not None:
+            xm = env_data_product(f, k, product, x, kept)
         else:
-            m = property1_unfold(_compose_except_cached_labeled(f, k, chains, kept), k, f.n)
+            m = property1_unfold(_compose_except_cached_labeled(f, build, kept), k, f.n)
         a_prev = mode_unfold(f.factor(k), k)
         xm = data_product(x, k, m) if xm is None else xm
         gram = gram_except(f, k) if doubled else dense_gram(m)

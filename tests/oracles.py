@@ -1,7 +1,7 @@
 """Test-only reference implementations, kept out of the library: dense and
 einsum oracles, the direct X refresh, the closed-form FLOP counts of equal
 extents and ranks, and the accelerated build of one position run from its
-planned chains."""
+planned chain."""
 import itertools
 import string
 
@@ -16,11 +16,11 @@ _DENSE_LIMIT = 4096
 
 def cached_build(f, k, order, kept: dict):
     """The accelerated build of the partial network around k at its position
-    of a sweep in ``order``, run from the chains
+    of a sweep in ``order``, run from the chain
     :func:`~fctnlr.network.cached_build_plan` plans there."""
     order = tuple(order)
-    chains = cached_build_plan(f.rank, f.dims, order)[order.index(k)][2]
-    return _compose_except_cached_labeled(f, k, chains, kept)
+    chain = cached_build_plan(f.rank, f.dims, order)[order.index(k)]
+    return _compose_except_cached_labeled(f, chain, kept)
 
 
 def laplacian_dense(lap) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 from fctnlr import metrics
 from fctnlr.bench import CSV_FIELDS
-from fctnlr.cli import REPORT_FIELDS, build_parser, main
+from fctnlr.cli import REPORT_FIELDS, _config, build_parser, main
 from fctnlr.fileio import (
     read_tensor,
     sample_mask,
@@ -18,6 +18,7 @@ from fctnlr.fileio import (
     write_tensor,
 )
 from fctnlr.network import FctnFactors, FctnRank, compose
+from fctnlr.solver import SolverConfig
 
 
 def _truth(seed, dims=(6, 5, 4), rank=2):
@@ -130,6 +131,14 @@ def test_readme_lists_report_columns_and_complete_options():
     assert len(options) > 10
     missing = [o for o in options if not re.search(rf"(?<![\w-]){o}(?![\w-])", section)]
     assert missing == []
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_complete_defaults_are_the_solver_defaults(n):
+    """`complete` with only its required flags runs SolverConfig's default
+    in every field."""
+    args = build_parser().parse_args(["complete", "--input", "a", "--output", "b"])
+    assert _config(args, n) == SolverConfig()
 
 
 def test_repeated_runs_are_reproducible(tmp_path):

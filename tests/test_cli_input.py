@@ -5,7 +5,7 @@ import pytest
 
 import fctnlr.solver
 from fctnlr.cli import main
-from fctnlr.fileio import write_tensor
+from fctnlr.fileio import write_mask, write_tensor
 
 
 @pytest.fixture
@@ -52,14 +52,30 @@ def test_non_finite_observation_exits_one(tmp_path, capsys, no_solve, bad):
         ["--delta", "0"],
         ["--initial-rank", "3", "--max-rank", "2"],
         ["--max-rank", "0"],
+        ["--seed", "-1"],
     ],
-    ids=["negative-lambda", "zero-delta", "initial-above-max-rank", "zero-rank"],
+    ids=["negative-lambda", "zero-delta", "initial-above-max-rank", "zero-rank", "negative-seed"],
 )
 def test_out_of_range_hyperparameter_exits_one(tmp_path, capsys, no_solve, extra):
     values = np.random.default_rng(0).standard_normal((4, 4, 3))
     rc, out, saved = _complete(tmp_path, values, *extra)
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()
+
+
+def test_negative_seed_with_a_mask_file_saves_no_mask(tmp_path, capsys, no_solve):
+    """With --mask as with --sr, the settings are refused before the mask is
+    read or saved."""
+    values = np.random.default_rng(0).standard_normal((4, 4, 3))
+    src, mask = str(tmp_path / "in.fctn"), str(tmp_path / "m.fctn")
+    write_tensor(src, values)
+    write_mask(mask, np.random.default_rng(1).random(values.shape) < 0.5)
+    out, saved = tmp_path / "out.fctn", tmp_path / "s.fctn"
+    rc = main(["complete", "--input", src, "--output", str(out), "--mask", mask,
+               "--seed", "-1", "--save-mask", str(saved)])
+    assert rc == 1
+    assert "seed" in capsys.readouterr().err
     assert not out.exists() and not saved.exists()
 
 

@@ -503,7 +503,7 @@ def _env_route(rank, dims, last):
     """Whether the plan of an afctnlr sweep ending in factor ``last`` takes
     the environment route."""
     order = tuple(j for j in range(rank.n) if j != last) + (last,)
-    return sweep_plan(rank, dims, order, "afctnlr").positions[0].envs
+    return sweep_plan(rank, dims, order, "afctnlr").positions[0].product is not None
 
 
 def test_doubled_gram_route_follows_cost():

@@ -10,12 +10,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fctnlr.environment as environment
+import fctnlr.network as network
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
+    _compose_except_cached_labeled,
+    _cost,
     cached_build_plan,
     compose,
     compose_except,
@@ -123,7 +127,7 @@ def test_cached_build_is_the_network_matrix(case):
         for t, k in enumerate(order):
             before = FLOPS.labeled("mk")
             partial = cached_build(f, k, order, kept)
-            assert FLOPS.labeled("mk") - before == plan[t][0]
+            assert FLOPS.labeled("mk") - before == _cost(plan[t])[0]
             assert set(kept) == _asked_for_after(order, t)
             m = property1_unfold(partial, k, n)
             assert np.shares_memory(m, partial)
@@ -135,20 +139,25 @@ def test_cached_build_is_the_network_matrix(case):
 
 
 def _replay_store(sweep, held):
-    """Replay one sweep's planned chains, a tuple per position, on the keys
-    of its store alone, starting from the keys in ``held``: each chain takes
-    out the key it starts from, which must be held, and each of its steps
-    keeps its key, which must not be held yet.  Returns what is left."""
+    """Replay one sweep's planned chains, one per position, on the keys of
+    its store alone, starting from the keys in ``held``: each chain takes out
+    the key it starts from and each key a step joins, which must be held,
+    and each of its steps keeps its key, which must not be held yet.
+    Returns what is left."""
     held = set(held)
-    for chains in sweep:
-        for start, steps, _ in chains:
-            if isinstance(start, tuple):
-                assert start in held, start
-                held.remove(start)
-            for *_, key in steps:
-                if key is not None:
-                    assert key not in held, key
-                    held.add(key)
+
+    def take(src):
+        if isinstance(src, tuple):
+            assert src in held, src
+            held.remove(src)
+
+    for start, steps, _ in sweep:
+        take(start)
+        for j, *_, key in steps:
+            take(j)
+            if key is not None:
+                assert key not in held, key
+                held.add(key)
     return held
 
 
@@ -158,28 +167,67 @@ def test_every_plan_keeps_only_what_a_later_chain_starts_from(n):
     run: every key a chain keeps, in ``kept`` (the prefix/suffix route) or in
     ``envs`` (the environment route, which holds X under ``("env", n)``
     first), is started from by exactly one later chain of the same sweep,
-    every start key was kept before, and nothing is left when the sweep
-    ends."""
+    every start or join key was kept before, and nothing is left when the
+    sweep ends."""
     rank, dims = FctnRank.uniform(n, 2), (3,) * n
     for order in itertools.permutations(range(n)):
-        built = [chains for _, _, chains in cached_build_plan(rank, dims, order)]
-        assert _replay_store(built, ()) == set()
-        envs = [(chain,) for chain in _schedule(rank, dims, order)]
-        assert _replay_store(envs, {("env", n)}) == set()
+        assert _replay_store(cached_build_plan(rank, dims, order), ()) == set()
+        assert _replay_store(_schedule(rank, dims, order), {("env", n)}) == set()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_planned_chain_makes_its_planned_calls(n):
+    """Over every visiting order, on both afctnlr routes and the fctnlr
+    plan, each position's build of M makes exactly the contraction calls
+    its chain counts (:func:`~fctnlr.network._cost`), and each data product
+    from kept X-environments those of its chain: the calls a sweep's price
+    charges are the calls it makes."""
+    rng = np.random.default_rng(n)
+    rank, dims = FctnRank.uniform(n, 2), (2,) * n
+    f = FctnFactors.random(dims, rank, rng)
+    x = np.asfortranarray(rng.standard_normal(dims))
+    calls = []
+    real = network.contract
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    with mock.patch.object(network, "contract", counted):
+        for order in itertools.permutations(range(n)):
+            for algorithm, env in (("fctnlr", None), ("afctnlr", False), ("afctnlr", True)):
+                kept = {}
+                for pos in sweep_plan(rank, dims, order, algorithm, env).positions:
+                    calls.clear()
+                    if pos.product is not None:
+                        env_data_product(f, pos.k, pos.product, x, kept)
+                    else:
+                        _compose_except_cached_labeled(f, pos.build, kept)
+                    assert len(calls) == _cost(pos.product or pos.build)[1]
+                assert kept == {}
 
 
 @settings(max_examples=60, deadline=None)
 @given(networks())
+# the entries of M cancel here: its 1x1 Gram at k = 1 is 1.77e-7, which the
+# doubled network (it sums the squared terms before they cancel) matches to
+# 1.04e-10 of itself, but to 7e-17 of the uncancelled scale
+@example(([1, 1, 1, 1], FctnRank(4, (1, 2, 1, 1, 1, 1)), [(0, 1, 2, 3)] * 2, 3))
 def test_doubled_network_gram_is_the_dense_gram(case):
+    """The doubled network's Gram equals the dense one to roundoff of the
+    uncancelled scale: the dense Gram of the network with every factor
+    replaced by its absolute value."""
     dims, rank, _, seed = case
     f = FctnFactors.random(dims, rank, np.random.default_rng(seed))
     n = f.n
+    absolute = FctnFactors([np.abs(f.factor(j)) for j in range(n)])
     for k in range(n):
         want = gram_dense(network_matrix(f, k))
         FLOPS.reset()
         got = gram_except(f, k)
         assert got.shape == want.shape
-        assert _close(got, want)
+        scale = np.linalg.norm(gram_dense(network_matrix(absolute, k)))
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
         # the sweep plan sizes the same chain without running it
         assert FLOPS.labeled("gram") == FLOPS.total == _gram_price(rank, tuple(dims), k, True)[0]
 
@@ -199,11 +247,10 @@ def test_environment_products_match_the_network_matrix(net):
     for order in orders:
         order = tuple(order)
         envs = {}
-        plan = [sum(st[3] for st in steps) for _, steps, _ in _schedule(rank, tuple(dims), order)]
-        for pos, k in enumerate(order[:-1]):
+        for k, chain in zip(order, _schedule(rank, tuple(dims), order)):
             before = FLOPS.labeled("proj")
-            got = env_data_product(f, k, order, x, envs)
-            assert FLOPS.labeled("proj") - before == plan[pos]
+            got = env_data_product(f, k, chain, x, envs)
+            assert FLOPS.labeled("proj") - before == _cost(chain)[0]
             want = mode_unfold(x, k) @ network_matrix(f, k).T
             assert _close(got, want)
             f = f.with_factor(k, rng.standard_normal(f.factor(k).shape))
@@ -229,8 +276,8 @@ def _environment_copies(f, x, orders):
     try:
         for order in orders:
             envs = {}
-            for k in order[:-1]:
-                env_data_product(f, k, order, x, envs)
+            for k, chain in zip(order, _schedule(f.rank, f.dims, tuple(order))):
+                env_data_product(f, k, chain, x, envs)
     finally:
         tensor_module.gunfold = real
     return copied
@@ -260,17 +307,38 @@ def test_environment_steps_copy_no_environment_random(net):
 
 def test_plans_of_every_order_stay_cached():
     """Every visiting order of a 5-factor network is planned once: a second
-    pass over all 120 finds each schedule and each sweep plan cached."""
+    pass over all 120 finds each sweep plan cached."""
     rank, dims = FctnRank(5, [1, 2, 3, 2, 1, 2, 3, 2, 1, 2]), (3, 4, 2, 5, 3)
 
     def plan_all():
         for order in itertools.permutations(range(5)):
-            _schedule(rank, dims, order)
             sweep_plan(rank, dims, order, "afctnlr")
-        return _schedule.cache_info().misses, sweep_plan.cache_info().misses
+        return sweep_plan.cache_info().misses
 
     first = plan_all()
     assert plan_all() == first
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["prefix-suffix", "environments"])
+def test_a_planned_sweep_plans_no_chain(env):
+    """A sweep runs the chains its cached plan holds: once the plan is made,
+    neither route plans a chain of a position again."""
+    dims, rank, order = (5, 4, 3, 4), FctnRank.uniform(4, 2), (2, 0, 3, 1)
+    rng = np.random.default_rng(4)
+    obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
+    plan = sweep_plan(rank, dims, order, "afctnlr", env)
+    assert {pos.product is not None for pos in plan.positions[:-1]} == {env}
+
+    def forbidden(*args):
+        raise AssertionError("a chain was planned during the sweep")
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(solver, "sweep_plan", lambda *args: plan))
+        for attr in ("_schedule", "cached_build_plan", "_plain_chain"):
+            stack.enter_context(mock.patch.object(environment, attr, forbidden))
+        solver._sweep(FctnFactors.random(dims, rank, rng), obs.values.copy(order="F"), obs,
+                      order, [CirculantLaplacian(d, 0.5, "positive-definite") for d in dims],
+                      (0.35,) * 4, SolverConfig(algorithm="afctnlr"))
 
 
 _LABELS = ("mk", "compose", "proj", "gram")
@@ -315,9 +383,10 @@ def test_sweeps_count_the_planned_flops(case):
 
 def _sweep_calls(f, obs, order, algorithm):
     """The route calls of one solver sweep of ``f``, in call order: each
-    data product from kept X-environments, each build of M (with the chains
-    it runs), each Gram from the doubled network or the dense product, each
-    factor solve and each eigendecomposition of a Gram matrix."""
+    data product from kept X-environments and each build of M (with the
+    chain it runs), each Gram from the doubled network or the dense
+    product, each factor solve and each eigendecomposition of a Gram
+    matrix."""
     calls = []
 
     def spy(owner, attr, name, what):
@@ -330,9 +399,8 @@ def _sweep_calls(f, obs, order, algorithm):
         return mock.patch.object(owner, attr, wrapped)
 
     spies = [
-        spy(solver, "env_data_product", "envs", lambda f, k, *_: (k,)),
-        spy(solver, "_compose_except_cached_labeled", "built",
-            lambda f, k, chains, kept: (k, chains)),
+        spy(solver, "env_data_product", "product", lambda f, k, chain, *_: (k, chain)),
+        spy(solver, "_compose_except_cached_labeled", "built", lambda f, chain, kept: (chain,)),
         spy(solver, "gram_except", "doubled", lambda f, k: (k,)),
         spy(solver, "dense_gram", "dense", lambda m: ()),
         spy(solver, "solve_factor", "solve", lambda xm, a_prev, gram, *_: ()),
@@ -360,14 +428,14 @@ def test_sweeps_run_their_plan(algorithm, order, env):
     rng = np.random.default_rng(8)
     obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
     plan = sweep_plan(rank, dims, order, algorithm)
-    assert [pos.envs for pos in plan.positions[:-1]] == [env] * 3
+    assert [pos.product is not None for pos in plan.positions[:-1]] == [env] * 3
     assert len({pos.doubled for pos in plan.positions}) == 2
     want = []
     for pos in plan.positions:
-        if pos.envs:
-            want.append(("envs", pos.k))
+        if pos.product is not None:
+            want.append(("product", pos.k, pos.product))
         else:
-            want.append(("built", pos.k, pos.chains))
+            want.append(("built", pos.build))
         want.append(("doubled", pos.k) if pos.doubled else ("dense",))
         want += [("solve",), ("eig",)]
     assert _sweep_calls(FctnFactors.random(dims, rank, rng), obs, order, algorithm) == want

@@ -428,6 +428,9 @@ def test_config_validation():
         SolverConfig(max_rank=[2, 2.5, 2])
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=2.5)
+    for seed in (2.5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
     SolverConfig(max_rank=[2, 3, 2], initial_rank=2)
     # integral floats and 0-d arrays pass
     assert SolverConfig(max_iters=2.0).max_iters == 2
