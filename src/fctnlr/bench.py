@@ -15,6 +15,7 @@ from these.
 from __future__ import annotations
 
 import itertools
+import os
 import statistics
 from dataclasses import dataclass
 from operator import attrgetter
@@ -26,7 +27,7 @@ from .environment import sweep_plan
 from .network import FctnRank
 from .solver import _ALGORITHMS, Observation, SolverConfig, run
 
-__all__ = ["BenchConfig", "BenchResult", "parse_shape", "run_bench"]
+__all__ = ["BenchConfig", "BenchResult", "host_facts", "parse_shape", "run_bench"]
 
 CSV_FIELDS = [
     "kind",
@@ -168,3 +169,15 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
             walls[alg].append(sum(rec.wall_ms for rec in res.trace))
             first[alg], totals[alg] = res.trace[0], sum(rec.flops for rec in res.trace)
     return BenchResult(cfg, walls, first, totals, predicted)
+
+
+def host_facts() -> str:
+    """One line naming what a timing depends on: numpy, its BLAS, the core
+    count and the ``FCTN_THREADS`` cap."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = "unknown"
+    return (f"host: numpy={np.__version__} blas={blas} cpus={os.cpu_count()} "
+            f"FCTN_THREADS={os.environ.get('FCTN_THREADS', 'unset')}")

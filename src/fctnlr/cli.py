@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import fileio, metrics
-from .bench import CSV_FIELDS, BenchConfig, run_bench
+from .bench import CSV_FIELDS, BenchConfig, host_facts, run_bench
 from .metrics import quality_report
 from .laplacian import _SIGNS
 from .solver import _ALGORITHMS, _RANK_POLICIES, IterationRecord, Observation, SolverConfig, run
@@ -92,8 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--rank-policy", choices=_RANK_POLICIES, default=SolverConfig.rank_policy)
     pc.add_argument("--laplacian-sign", choices=tuple(_SIGNS),
                     default=SolverConfig.laplacian_sign)
-    pc.add_argument("--no-shuffle", dest="shuffle", action="store_false",
-                    help="keep the identity visiting order in afctnlr")
+    pc.add_argument("--shuffle", action=argparse.BooleanOptionalAction,
+                    default=SolverConfig.shuffle,
+                    help="draw a fresh random visiting order every afctnlr sweep, as "
+                    "the paper does; --no-shuffle keeps fctnlr's identity order")
     pc.add_argument("--seed", type=int, default=SolverConfig.seed)
     pc.set_defaults(func=_cmd_complete)
 
@@ -184,6 +186,7 @@ def _cmd_bench(args) -> int:
     res = run_bench(cfg)
     if args.out:
         fileio.write_report_csv(args.out, res.rows(), CSV_FIELDS)
+        print(host_facts())
         for alg in ("fctnlr", "afctnlr"):
             print(
                 f"{alg}: median_wall_ms={res.medians[alg]:.3f} "

@@ -15,7 +15,8 @@ the sweep rebinds its own network at each position.
 
 :func:`run` is one loop: sweep from the accepted ``(f, x)``; check the new
 iterate (finite, no rise); accept it; grow the bonds; check the gauge;
-record; test the stop; reshuffle the visiting order.
+record; test the stop; and, when ``shuffle`` is set, draw the next visiting
+order.
 
 The data side touches X as few times as its arithmetic needs.  Each factor
 reads X once, through the data product ``X_(k) M^T``
@@ -38,18 +39,20 @@ view of it, never a copy.  The baseline's chains rebuild every partial
 network from scratch by the plain ascending chain; it takes every data
 product from M and composes the X-refresh tensor by the whole chain.  The
 accelerated variant composes the X-refresh tensor from the last factor's M
-as ``X_(k) = A_(k) M``, (by default) draws a fresh random visiting order
-every sweep, and reuses work within the sweep: each M's chain extends a
-prefix kept by an earlier position and joins a suffix kept the same way,
-each kept for the one later build that uses it, or it takes its data
-products from X-environments kept the same way
+as ``X_(k) = A_(k) M`` and reuses work within the sweep: each M's chain
+extends a prefix kept by an earlier position and joins a suffix kept the
+same way, each kept for the one later build that uses it, or it takes its
+data products from X-environments kept the same way
 (:func:`~fctnlr.environment.env_data_product`), in one store per sweep.
 Which build, data product and Gram matrix each position takes, and the
 chains it runs, are planned by :func:`~fctnlr.environment.sweep_plan` and
 carried by its positions; a sweep runs them as they are and plans no chain
-itself.  Bonds grow by one when the relative change
-``||X_new - X|| / ||X||`` falls below ``10 * eps``, and the run stops when
-it is at most eps after a sweep without growth.
+itself.  Both variants visit the factors in the identity order by default,
+so they follow the same iterates and ``afctnlr`` runs every sweep from one
+cached plan; ``shuffle`` draws a fresh random order for ``afctnlr`` every
+sweep instead, as the paper does.  Bonds grow by one when the relative
+change ``||X_new - X|| / ||X||`` falls below ``10 * eps``, and the run stops
+when it is at most eps after a sweep without growth.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
 M and its data product are freed before the next M is built, and ``fctnlr``
@@ -183,7 +186,7 @@ class SolverConfig:
     rank_policy: str = "threshold"
     algorithm: str = "fctnlr"
     laplacian_sign: str = "positive-definite"
-    shuffle: bool = True
+    shuffle: bool = False
     seed: int = 0
 
     def __post_init__(self):

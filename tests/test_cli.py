@@ -2,6 +2,7 @@
 import argparse
 import csv
 import io
+import os
 import re
 from pathlib import Path
 
@@ -141,6 +142,12 @@ def test_complete_defaults_are_the_solver_defaults(n):
     assert _config(args, n) == SolverConfig()
 
 
+@pytest.mark.parametrize("flag, shuffle", [("--shuffle", True), ("--no-shuffle", False)])
+def test_complete_shuffle_flags(flag, shuffle):
+    args = build_parser().parse_args(["complete", "--input", "a", "--output", "b", flag])
+    assert _config(args, 4) == SolverConfig(shuffle=shuffle)
+
+
 def test_repeated_runs_are_reproducible(tmp_path):
     src = str(tmp_path / "in.fctn")
     write_tensor(src, _truth(5, dims=(7, 6, 5)))
@@ -269,6 +276,17 @@ def test_bench_out_file_and_flop_integers(tmp_path, capsys):
                 == predicted[alg]["compose_flops_iter1"])
         assert (measured[alg]["factor_matmul_flops_iter1"]
                 == predicted[alg]["factor_matmul_flops_iter1"])
+
+
+def test_bench_out_prints_the_host_facts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FCTN_THREADS", "3")
+    rc = main(["bench", "--shape", "6,6,6", "--rank", "2", "--iters", "1",
+               "--repeat", "1", "--out", str(tmp_path / "bench.csv")])
+    assert rc == 0
+    host = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("host:")]
+    assert len(host) == 1
+    assert f"numpy={np.__version__} blas=" in host[0]
+    assert host[0].endswith(f"cpus={os.cpu_count()} FCTN_THREADS=3")
 
 
 def test_import_frames_command(tmp_path, capsys):

@@ -608,6 +608,51 @@ def test_run_shuffled_schedule_still_descends():
     assert np.array_equal(res.x[obs.mask], truth[obs.mask])
 
 
+def smooth_clip(dims, seed):
+    """A clip smooth in every mode: the sum of two separable products of
+    one-period cosines with random phases."""
+    rng = np.random.default_rng(seed)
+    clip = 0.0
+    for _ in range(2):
+        term = np.ones(())
+        for d in dims:
+            t = np.arange(d) / d
+            term = np.multiply.outer(term, 1.0 + np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi)))
+        clip = clip + term
+    return clip
+
+
+def _clip_problem():
+    dims = (8, 8, 3, 5)
+    return Observation.from_dense(smooth_clip(dims, 3), sample_mask(dims, 0.3, 3))
+
+
+def test_run_default_afctnlr_follows_fctnlr():
+    """By default afctnlr keeps the baseline's identity order, so through
+    rank growth and the eps stop it takes the baseline's iterates."""
+    obs = _clip_problem()
+    common = dict(eps=1e-3, max_rank=2, seed=3)
+    base = run(obs, SolverConfig(algorithm="fctnlr", **common))
+    accel = run(obs, SolverConfig(algorithm="afctnlr", **common))
+    assert base.converged and accel.converged
+    assert accel.iterations == base.iterations
+    grown = [[rec.iteration for rec in res.trace if rec.rank_grown] for res in (base, accel)]
+    assert grown[0] == grown[1] and len(grown[0]) == 1
+    assert np.linalg.norm(accel.x - base.x) <= 1e-10 * np.linalg.norm(base.x)
+
+
+def test_run_shuffle_keeps_the_papers_order():
+    """``shuffle=True`` runs the paper's order, a fresh random visiting order
+    every afctnlr sweep drawn from the run's generator; its sweep count,
+    growth sweep and objective bits are pinned, so a change to the draws or
+    to where they fall in the run shows."""
+    res = run(_clip_problem(), SolverConfig(eps=1e-3, max_rank=2, seed=3,
+                                            algorithm="afctnlr", shuffle=True))
+    assert res.converged and res.iterations == 103
+    assert [rec.iteration for rec in res.trace if rec.rank_grown] == [20]
+    assert res.objective.hex() == "0x1.6e82b03c88612p+3"
+
+
 def test_run_threshold_policy_grows_rank():
     dims = (10, 10, 3, 6)
     truth = np.random.default_rng(0).standard_normal(dims)
