@@ -1,14 +1,19 @@
 """Test-only reference implementations, kept out of the library: dense and
 einsum oracles, the direct X refresh, the closed-form FLOP counts of equal
-extents and ranks, and the accelerated build of one position run from its
-planned chain."""
+extents and ranks, the accelerated build of one position run from its
+planned chain, and the smooth low-rank test data the recovery tests share."""
 import itertools
 import string
 
 import numpy as np
 
 from fctnlr.environment import sweep_plan
-from fctnlr.network import FctnRank, _compose_except_cached_labeled, cached_build_plan
+from fctnlr.network import (
+    FctnFactors,
+    FctnRank,
+    _compose_except_cached_labeled,
+    cached_build_plan,
+)
 from fctnlr.solver import Observation
 
 _DENSE_LIMIT = 4096
@@ -183,3 +188,31 @@ def uniform_plan(n: int, i: int, r: int, algorithm: str):
     rank r (with equal extents and ranks every order costs the same), which
     the closed forms above must match."""
     return sweep_plan(FctnRank.uniform(n, r), (i,) * n, tuple(range(n)), algorithm)
+
+
+def smooth_factors(dims, r, seed, decay=0.4, amp=2.0):
+    """Factors whose fibers along the physical mode are low-frequency cosine
+    mixtures, so the composed tensor is smooth in every mode."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    rank = FctnRank.uniform(n, r)
+    arrs = []
+    for k in range(n):
+        shape = rank.factor_shape(k, dims)
+        ik = dims[k]
+        t = np.arange(ik) / ik
+        basis = np.stack(
+            [
+                np.ones(ik),
+                np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi)),
+                np.cos(4 * np.pi * t + rng.uniform(0, 2 * np.pi)),
+            ]
+        )
+        coef = amp * rng.standard_normal((3,) + shape[:k] + shape[k + 1 :])
+        a = np.moveaxis(np.tensordot(basis.T, coef, axes=(1, 0)), 0, k)
+        for ax in [j for j in range(n) if j != k]:
+            sl = [slice(None)] * n
+            sl[ax] = slice(1, None)
+            a[tuple(sl)] *= decay
+        arrs.append(a)
+    return FctnFactors(arrs)

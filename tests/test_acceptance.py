@@ -25,6 +25,7 @@ from fctnlr.network import (
 from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.sylvester import dense_gram, solve_factor
 from fctnlr.tensor import mode_unfold
+from oracles import smooth_factors
 
 
 def _report(num, name, ok, detail=""):
@@ -114,34 +115,6 @@ def _loop_ssim(x, ref, peak):
         den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
         vals.append(num / den)
     return sum(vals) / len(vals)
-
-
-def _smooth_factors(dims, r, seed, decay=0.4, amp=2.0):
-    """Factors whose fibers along the physical mode are low-frequency cosine
-    mixtures, so the composed tensor is smooth in every mode."""
-    rng = np.random.default_rng(seed)
-    n = len(dims)
-    rank = FctnRank.uniform(n, r)
-    arrs = []
-    for k in range(n):
-        shape = rank.factor_shape(k, dims)
-        ik = dims[k]
-        t = np.arange(ik) / ik
-        basis = np.stack(
-            [
-                np.ones(ik),
-                np.cos(2 * np.pi * t + rng.uniform(0, 2 * np.pi)),
-                np.cos(4 * np.pi * t + rng.uniform(0, 2 * np.pi)),
-            ]
-        )
-        coef = amp * rng.standard_normal((3,) + shape[:k] + shape[k + 1 :])
-        a = np.moveaxis(np.tensordot(basis.T, coef, axes=(1, 0)), 0, k)
-        for ax in [j for j in range(n) if j != k]:
-            sl = [slice(None)] * n
-            sl[ax] = slice(1, None)
-            a[tuple(sl)] *= decay
-        arrs.append(a)
-    return FctnFactors(arrs)
 
 
 # ---------- the ten checks ---------- #
@@ -298,7 +271,7 @@ def test_05_sufficient_decrease():
 
 def test_06_desk_scale_recovery():
     dims = (12, 12, 3, 8)
-    gt = compose(_smooth_factors(dims, 2, 3))
+    gt = compose(smooth_factors(dims, 2, 3))
     mask = sample_mask(dims, 0.3, 3)
     obs = Observation.from_dense(gt, mask)
     cfg = SolverConfig(

@@ -149,24 +149,30 @@ def test_complete_shuffle_flags(flag, shuffle):
 
 
 def test_repeated_runs_are_reproducible(tmp_path):
+    """Both visiting orders reproduce from the seed, and --shuffle reaches
+    the solver: its run ends elsewhere than the identity order's."""
     src = str(tmp_path / "in.fctn")
     write_tensor(src, _truth(5, dims=(7, 6, 5)))
-    outputs, reports = [], []
-    for tag in ("a", "b"):
-        out = str(tmp_path / f"out_{tag}.fctn")
-        rep = str(tmp_path / f"rep_{tag}.csv")
-        rc = main(["complete", "--input", src, "--output", out,
-                   "--sr", "0.3", "--algorithm", "afctnlr",
-                   "--max-iters", "12", "--eps", "0", "--seed", "7",
-                   "--report", rep])
-        assert rc == 0
-        outputs.append(open(out, "rb").read())
-        reports.append(_read_rows(rep))
-    assert outputs[0] == outputs[1]
-    for ra, rb in zip(*reports):
-        ra.pop("wall_ms")
-        rb.pop("wall_ms")
-        assert ra == rb
+    first = {}
+    for order in ("--no-shuffle", "--shuffle"):
+        outputs, reports = [], []
+        for tag in ("a", "b"):
+            out = str(tmp_path / f"out{order}_{tag}.fctn")
+            rep = str(tmp_path / f"rep{order}_{tag}.csv")
+            rc = main(["complete", "--input", src, "--output", out,
+                       "--sr", "0.3", "--algorithm", "afctnlr", order,
+                       "--max-iters", "12", "--eps", "0", "--seed", "7",
+                       "--report", rep])
+            assert rc == 0
+            outputs.append(open(out, "rb").read())
+            reports.append(_read_rows(rep))
+        assert outputs[0] == outputs[1]
+        for ra, rb in zip(*reports):
+            ra.pop("wall_ms")
+            rb.pop("wall_ms")
+            assert ra == rb
+        first[order] = outputs[0]
+    assert first["--shuffle"] != first["--no-shuffle"]
 
 
 def test_saved_mask_reruns_identically(tmp_path):
