@@ -7,7 +7,7 @@ benchmark keeps only what it measures (:class:`BenchResult`): each repeat's
 wall time (the sum of its per-iteration times, so setup is excluded), the
 last repeat's first :class:`~fctnlr.solver.IterationRecord`, which splits the
 first sweep's FLOPs by phase, that run's total FLOPs, and the FLOPs the sweep
-plan (:func:`fctnlr.environment.sweep_plan`) sizes for the same first sweep,
+plan (:func:`fctnlr.network.sweep_plan`) sizes for the same first sweep,
 so measured counts can be checked against it exactly.  Medians, the
 per-phase counts and the accelerated-over-baseline wall ratio are derived
 from these.
@@ -23,8 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from .fileio import sample_mask
-from .environment import sweep_plan
-from .network import FctnRank
+from .network import FctnRank, sweep_plan
 from .solver import _ALGORITHMS, Observation, SolverConfig, run
 
 __all__ = ["BenchConfig", "BenchResult", "host_facts", "parse_shape", "run_bench"]

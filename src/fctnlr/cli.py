@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--max-rank", default=str(SolverConfig.max_rank),
                     help="one value or the full comma-separated bond table")
     pc.add_argument("--initial-rank", default=SolverConfig.initial_rank,
-                    help="starting bond table (default: all ones)")
+                    help="starting bond table (default: all ones; under the fixed "
+                    "policy the run stays at --max-rank, which this must equal)")
     pc.add_argument("--rank-policy", choices=_RANK_POLICIES, default=SolverConfig.rank_policy)
     pc.add_argument("--laplacian-sign", choices=tuple(_SIGNS),
                     default=SolverConfig.laplacian_sign)
@@ -127,23 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args, n: int) -> SolverConfig:
-    """The solver settings of ``complete``'s arguments, for an order-n tensor."""
-    return SolverConfig(
-        lam=args.lam,
-        delta=args.delta,
-        rho=args.rho,
-        eps=args.eps,
-        max_iters=args.max_iters,
-        max_rank=_parse_rank(args.max_rank, n),
-        initial_rank=(
-            _parse_rank(args.initial_rank, n) if args.initial_rank is not None else None
-        ),
-        rank_policy=args.rank_policy,
-        algorithm=args.algorithm,
-        laplacian_sign=args.laplacian_sign,
-        shuffle=args.shuffle,
-        seed=args.seed,
-    )
+    """The solver settings of ``complete``'s arguments, for an order-n
+    tensor: each SolverConfig field is the option of the same name, the
+    rank specs parsed."""
+    settings = {fld.name: getattr(args, fld.name) for fld in dataclasses.fields(SolverConfig)}
+    for name in ("max_rank", "initial_rank"):
+        if settings[name] is not None:
+            settings[name] = _parse_rank(settings[name], n)
+    return SolverConfig(**settings)
 
 
 def _cmd_complete(args) -> int:

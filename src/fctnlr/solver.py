@@ -43,9 +43,9 @@ as ``X_(k) = A_(k) M`` and reuses work within the sweep: each M's chain
 extends a prefix kept by an earlier position and joins a suffix kept the
 same way, each kept for the one later build that uses it, or it takes its
 data products from X-environments kept the same way
-(:func:`~fctnlr.environment.env_data_product`), in one store per sweep.
+(:func:`~fctnlr.network.env_data_product`), in one store per sweep.
 Which build, data product and Gram matrix each position takes, and the
-chains it runs, are planned by :func:`~fctnlr.environment.sweep_plan` and
+chains it runs, are planned by :func:`~fctnlr.network.sweep_plan` and
 carried by its positions; a sweep runs them as they are and plans no chain
 itself.  Both variants visit the factors in the identity order by default,
 so they follow the same iterates and ``afctnlr`` runs every sweep from one
@@ -75,7 +75,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import env_data_product, sweep_plan
 from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
@@ -83,9 +82,11 @@ from .network import (
     _compose_except_cached_labeled,
     compose,
     compose_except,  # unused here; the benchmark's tracer hooks this name
+    env_data_product,
     gram_except,
     property1_unfold,
     shuffle_order,
+    sweep_plan,
 )
 from .sylvester import (
     NumericalFailure,
@@ -211,6 +212,9 @@ class SolverConfig:
         comparable = start.shape == cap.shape or 0 in (start.ndim, cap.ndim)
         if comparable and (start > cap).any():
             raise ValueError("initial rank exceeds max_rank")
+        # a fixed rank never grows, so it runs at max_rank throughout
+        if self.rank_policy == "fixed" and not (comparable and (start == cap).all()):
+            raise ValueError("a fixed rank policy runs at max_rank; initial_rank must equal it")
         if not float(self.max_iters).is_integer() or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
         self.max_iters = int(self.max_iters)
@@ -368,7 +372,8 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     laps = [CirculantLaplacian(dims[k], deltas[k], cfg.laplacian_sign) for k in range(n)]
 
     cap = FctnRank.from_spec(n, cfg.max_rank)
-    rank = FctnRank.from_spec(n, 1 if cfg.initial_rank is None else cfg.initial_rank)
+    start = 1 if cfg.rank_policy == "threshold" else cfg.max_rank
+    rank = FctnRank.from_spec(n, start if cfg.initial_rank is None else cfg.initial_rank)
     rng = np.random.default_rng(cfg.seed)
     f = FctnFactors.random(dims, rank, rng)
     x = obs.values.copy(order="F")
@@ -460,7 +465,7 @@ def _check_gauge(it: int, factor_norm: float, least: float) -> None:
 def _sweep(f, x, obs, order, laps, lams, cfg):
     """One PAM sweep from the iterate ``(f, x)``, which it leaves as it is:
     solve every factor in the visiting ``order``, by the routes of its
-    :func:`~fctnlr.environment.sweep_plan`, each against the factors as
+    :func:`~fctnlr.network.sweep_plan`, each against the factors as
     updated so far, then refresh X.  Returns ``(f_new, x_new, objective,
     step_sq, x_step_sq)``: the new iterate, its objective, the summed
     squared factor steps and the squared X step."""

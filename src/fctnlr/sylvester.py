@@ -20,7 +20,7 @@ eigenbasis turns the system into an entrywise division by
 ``T[w, v] = lam * eig_L[w] + phi[v] + rho``, which is strictly positive in
 the default operator orientation.
 
-The sweep plan (:func:`fctnlr.environment.sweep_plan`) decides per position
+The sweep plan (:func:`fctnlr.network.sweep_plan`) decides per position
 where the Gram matrix comes from: the doubled network
 (:func:`fctnlr.network.gram_except`) or the dense product :func:`dense_gram`,
 which costs ``2 s^2 I^(n-1)`` FLOPs, on large extents the largest single term

@@ -7,12 +7,12 @@ import string
 
 import numpy as np
 
-from fctnlr.environment import sweep_plan
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
     _compose_except_cached_labeled,
     cached_build_plan,
+    sweep_plan,
 )
 from fctnlr.solver import Observation
 
@@ -149,7 +149,7 @@ def partial_chain_flops(n: int, i: int, r: int) -> int:
 
 def env_proj_flops(n: int, i: int, r: int) -> int:
     """Per-sweep data products of the environment route
-    (``fctnlr.environment.env_data_product``, then ``X_(k) M^T`` at the last
+    (``fctnlr.network.env_data_product``, then ``X_(k) M^T`` at the last
     position).  Position 0 runs a chain over X and n-1 factors, which costs
     what composing the network does; position p (0 < p < n-1) the first p
     steps of a chain; the last position one data product.  So merge step t

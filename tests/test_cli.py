@@ -216,6 +216,22 @@ def test_rank_table_parsing(tmp_path, capsys):
     assert "rank list" in capsys.readouterr().err
 
 
+def test_fixed_rank_policy_runs_at_max_rank(tmp_path, capsys):
+    """Under the fixed policy the run stays at --max-rank; a different
+    --initial-rank is refused before any file is written."""
+    src = str(tmp_path / "in.fctn")
+    write_tensor(src, _truth(8))
+    out, rep = tmp_path / "out.fctn", str(tmp_path / "trace.csv")
+    common = ["complete", "--input", src, "--output", str(out), "--sr", "0.4",
+              "--max-iters", "2", "--max-rank", "4", "--rank-policy", "fixed"]
+    assert main(common + ["--report", rep]) == 0
+    assert [r["rank"] for r in _read_rows(rep)] == ["4|4|4"] * 2
+    out.unlink()
+    assert main(common + ["--initial-rank", "2"]) == 1
+    assert "initial_rank must equal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_two(tmp_path, capsys):
     src = str(tmp_path / "in.fctn")
     write_tensor(src, _truth(9))

@@ -78,6 +78,9 @@ def test_header_validation(tmp_path):
     with pytest.raises(ValueError):
         zero_extent = blob[:16] + struct.pack("<QQ", 0, 2) + blob[32:]
         read_tensor(corrupted(zero_extent, "extent.fctn"))
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        zero_order = blob[:12] + struct.pack("<I", 0) + blob[16:]
+        read_tensor(corrupted(zero_order, "order.fctn"))
 
 
 def test_element_code_cross_reads_rejected(tmp_path):
@@ -287,6 +290,13 @@ def test_read_pnm_validation(tmp_path):
         read_pnm(_write(tmp_path / "bad4.pgm", b"P2\n1 1\n10\n11\n"))
     with pytest.raises(ValueError):
         read_pnm(_write(tmp_path / "bad5.pgm", b""))
+    with pytest.raises(ValueError, match="bad6.pgm: truncated header"):
+        read_pnm(_write(tmp_path / "bad6.pgm", b"P2\n2 2\n"))
+    for name, size in (("bad7.pgm", b"0 2"), ("bad8.pgm", b"2 0")):
+        with pytest.raises(ValueError, match=f"{name}: bad dimensions"):
+            read_pnm(_write(tmp_path / name, b"P2\n" + size + b"\n255\n"))
+    with pytest.raises(ValueError, match="bad9.pgm: truncated raster"):
+        read_pnm(_write(tmp_path / "bad9.pgm", b"P2\n2 2\n255\n0 5 10\n"))
 
 
 @pytest.mark.parametrize("name, body, token", [

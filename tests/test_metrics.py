@@ -95,6 +95,14 @@ def test_psnr_validation():
         psnr(np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("peak", [0.0, -1.0, math.inf, math.nan])
+def test_peak_outside_the_open_interval_is_refused(metric, peak):
+    x = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="peak must be finite and > 0"):
+        metric(x, x, peak=peak)
+
+
 def test_ssim_identical_is_exactly_one():
     x = np.random.default_rng(8).random((4, 4, 2, 2))
     assert ssim(x, x) == 1.0

@@ -4,7 +4,6 @@ sweep, and the contraction cost model."""
 import numpy as np
 import pytest
 
-from fctnlr.environment import sweep_plan
 from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
@@ -16,6 +15,7 @@ from fctnlr.network import (
     matrix_labels,
     property1_unfold,
     shuffle_order,
+    sweep_plan,
 )
 from fctnlr.solver import Observation, SolverConfig, run
 from fctnlr.tensor import FLOPS, mode_unfold
@@ -120,8 +120,9 @@ def test_rank_growth_helpers():
     assert again.entries == (2, 2, 3)
     assert not again.any_below(cap)
     assert again.increment_below(cap).entries == (2, 2, 3)
-    with pytest.raises(ValueError):
-        r.any_below(FctnRank.uniform(4, 2))
+    for grow in (r.any_below, r.increment_below):
+        with pytest.raises(ValueError, match="cap table size mismatch"):
+            grow(FctnRank.uniform(4, 2))
 
 
 # ---------- factors ---------- #
@@ -177,6 +178,8 @@ def test_factors_grow_embeds_old_block():
     assert np.allclose(compose(big), compose(f), rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
         big.grow(FctnRank.uniform(3, 1))
+    with pytest.raises(ValueError, match="rank table size mismatch"):
+        big.grow(FctnRank.uniform(4, 2))
 
 
 # ---------- labels ---------- #
@@ -256,6 +259,9 @@ def test_property1_identity_random_networks():
 def test_property1_unfold_order_check():
     with pytest.raises(ValueError):
         property1_unfold(np.zeros((2, 2, 2)), 0, 3)
+    # a partial in any layout but F-contiguous matrix_labels order is refused
+    with pytest.raises(ValueError, match="not F-contiguous"):
+        property1_unfold(np.zeros((2, 3, 2, 3), order="C"), 0, 3)
 
 
 def test_compose_from_partial_matches_compose():

@@ -13,22 +13,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import fctnlr.environment as environment
 import fctnlr.network as network
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
     _compose_except_cached_labeled,
     _cost,
+    _gram_price,
+    _schedule,
     cached_build_plan,
     compose,
     compose_except,
+    env_data_product,
     gram_except,
     property1_unfold,
+    sweep_plan,
 )
 import fctnlr.solver as solver
 import fctnlr.sylvester as sylvester
-from fctnlr.environment import _gram_price, _schedule, env_data_product, sweep_plan
 from fctnlr.laplacian import CirculantLaplacian
 from fctnlr.solver import Observation, SolverConfig
 from fctnlr.tensor import FLOPS, mode_unfold
@@ -322,23 +324,28 @@ def test_plans_of_every_order_stay_cached():
 @pytest.mark.parametrize("env", [False, True], ids=["prefix-suffix", "environments"])
 def test_a_planned_sweep_plans_no_chain(env):
     """A sweep runs the chains its cached plan holds: once the plan is made,
-    neither route plans a chain of a position again."""
+    neither route plans a chain of a position again.  The plain and doubled
+    chains that :func:`gram_except` and :func:`compose` look up are all in
+    :func:`network._plain_chain`'s cache by then."""
     dims, rank, order = (5, 4, 3, 4), FctnRank.uniform(4, 2), (2, 0, 3, 1)
     rng = np.random.default_rng(4)
     obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
-    plan = sweep_plan(rank, dims, order, "afctnlr", env)
+    # planned afresh, so the plain chains it looks up are the cache's newest
+    plan = sweep_plan.__wrapped__(rank, dims, order, "afctnlr", env)
     assert {pos.product is not None for pos in plan.positions[:-1]} == {env}
 
     def forbidden(*args):
         raise AssertionError("a chain was planned during the sweep")
 
+    misses = network._plain_chain.cache_info().misses
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(solver, "sweep_plan", lambda *args: plan))
-        for attr in ("_schedule", "cached_build_plan", "_plain_chain"):
-            stack.enter_context(mock.patch.object(environment, attr, forbidden))
+        for attr in ("_schedule", "cached_build_plan"):
+            stack.enter_context(mock.patch.object(network, attr, forbidden))
         solver._sweep(FctnFactors.random(dims, rank, rng), obs.values.copy(order="F"), obs,
                       order, [CirculantLaplacian(d, 0.5, "positive-definite") for d in dims],
                       (0.35,) * 4, SolverConfig(algorithm="afctnlr"))
+    assert network._plain_chain.cache_info().misses == misses
 
 
 _LABELS = ("mk", "compose", "proj", "gram")

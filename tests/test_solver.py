@@ -458,8 +458,22 @@ def test_run_rejects_inconsistent_config():
         run(obs, SolverConfig(initial_rank=3, max_rank=2))
     with pytest.raises(ValueError):
         run(obs, SolverConfig(lam=-0.5))
-    with pytest.raises(ValueError):
-        run(obs, SolverConfig(lam=(0.1, 0.2)))  # needs 1 or 3 values
+    for name in ("lam", "delta"):
+        with pytest.raises(ValueError, match=f"{name} needs 1 or 3 values, got 2"):
+            run(obs, SolverConfig(**{name: (0.1, 0.2)}))
+
+
+def test_fixed_rank_policy_runs_at_max_rank():
+    """The fixed policy never grows the table, so it starts and stays at
+    max_rank, and refuses any other initial rank."""
+    _, obs = small_problem(13)
+    res = run(obs, SolverConfig(max_iters=2, max_rank=[2, 3, 1], rank_policy="fixed"))
+    assert [rec.rank for rec in res.trace] == [(2, 3, 1)] * 2
+    assert res.factors.rank == FctnRank(3, [2, 3, 1])
+    SolverConfig(max_rank=[2, 2, 2], initial_rank=2, rank_policy="fixed")
+    for initial in (1, [1, 3, 1], [2, 3]):
+        with pytest.raises(ValueError, match="initial_rank must equal"):
+            SolverConfig(max_rank=[2, 3, 1], initial_rank=initial, rank_policy="fixed")
 
 
 # ---------- outer loop ---------- #
@@ -697,6 +711,31 @@ def test_run_rising_objective_is_a_numerical_failure(monkeypatch):
     with pytest.raises(NumericalFailure, match="rose"):
         run(obs, SolverConfig(eps=0.0, max_iters=5, max_rank=2, initial_rank=2,
                               rank_policy="fixed", seed=1))
+
+
+def test_run_non_finite_initial_objective_is_a_numerical_failure():
+    """Finite observations near 1e200 overflow the starting objective; the
+    run stops before its first sweep."""
+    truth, obs = small_problem(13)
+    huge = Observation.from_dense(1e200 * truth, obs.mask)
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="initial objective"):
+        run(huge, SolverConfig(max_iters=1))
+
+
+def test_run_non_finite_objective_is_a_numerical_failure(monkeypatch):
+    """A sweep whose objective is not finite stops the run as diverged,
+    not as a rise."""
+    truth, obs = small_problem(27)
+    solve, calls = solver_module.solve_factor, []
+
+    def last_overflows(*args):
+        calls.append(args)
+        # the first sweep's last factor comes out 1e200 times too large
+        return solve(*args) * (1e200 if len(calls) == obs.values.ndim else 1.0)
+
+    monkeypatch.setattr(solver_module, "solve_factor", last_overflows)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure, match="diverged at iteration 1"):
+        run(obs, SolverConfig(eps=0.0, max_iters=5, max_rank=2, rank_policy="fixed", seed=1))
 
 
 @pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
