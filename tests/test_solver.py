@@ -725,7 +725,7 @@ def test_run_non_finite_initial_objective_is_a_numerical_failure():
 def test_run_non_finite_objective_is_a_numerical_failure(monkeypatch):
     """A sweep whose objective is not finite stops the run as diverged,
     not as a rise."""
-    truth, obs = small_problem(27)
+    _, obs = small_problem(27)
     solve, calls = solver_module.solve_factor, []
 
     def last_overflows(*args):
@@ -734,7 +734,8 @@ def test_run_non_finite_objective_is_a_numerical_failure(monkeypatch):
         return solve(*args) * (1e200 if len(calls) == obs.values.ndim else 1.0)
 
     monkeypatch.setattr(solver_module, "solve_factor", last_overflows)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure, match="diverged at iteration 1"):
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(NumericalFailure, match="diverged at iteration 1")):
         run(obs, SolverConfig(eps=0.0, max_iters=5, max_rank=2, rank_policy="fixed", seed=1))
 
 
