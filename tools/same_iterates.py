@@ -1,11 +1,11 @@
 """Check that two source trees of fctnlr produce the same iterates, bit for bit.
 
-    python tools/same_iterates.py OTHER_SRC [--this SRC] [--grid full|tiny]
+    python tools/same_iterates.py OTHER_SRC [--grid full|tiny]
 
 Runs a fixed grid of ``solver.run`` calls once with ``OTHER_SRC`` (a
 directory holding the ``fctnlr`` package, such as another checkout's
-``src``) and once with ``--this`` (default: this checkout's ``src``), each in
-one subprocess with ``FCTN_THREADS=1``.  For every run it compares the
+``src``) and once with this checkout's ``src``, each in one subprocess with
+``FCTN_THREADS=1``.  For every run it compares the
 SHA-256 of the completed tensor X, of the factors and of every
 ``IterationRecord`` field but ``wall_ms`` (a run that stops on a
 ``NumericalFailure`` is compared by its message).  It lists the runs that differ and exits 1 if any do, else 0.
@@ -115,8 +115,6 @@ def _collect(src: Path, name: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", type=Path, help="the other tree's src directory")
-    parser.add_argument("--this", type=Path, default=Path(__file__).resolve().parents[1] / "src",
-                        help="this tree's src directory (default: this checkout's)")
     parser.add_argument("--grid", choices=("full", "tiny"), default="full")
     parser.add_argument("--worker", choices=("full", "tiny"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -125,7 +123,8 @@ def main(argv=None) -> int:
         return 0
     if args.other is None:
         parser.error("give the other tree's src directory")
-    this, other = _collect(args.this, args.grid), _collect(args.other, args.grid)
+    this_src = Path(__file__).resolve().parents[1] / "src"
+    this, other = _collect(this_src, args.grid), _collect(args.other, args.grid)
     differ = [run_id for run_id in this if this[run_id] != other.get(run_id)]
     for run_id in differ:
         parts = sorted(key for key in this[run_id].keys() | other[run_id].keys()
