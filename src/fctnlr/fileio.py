@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -56,16 +57,26 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _pack(arr: np.ndarray, elem: int, payload: bytes) -> bytes:
+# element code -> (payload dtype, what it holds, array dtype)
+_ELEMS = {
+    ELEM_F64: ("<f8", "a float64 tensor", np.float64),
+    ELEM_MASK: (np.uint8, "a mask", bool),
+}
+
+
+def _write(path: str, arr: np.ndarray, elem: int) -> None:
     head = _HEADER.pack(MAGIC, FORMAT_VERSION, elem, arr.ndim)
     extents = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    return head + extents + payload
+    payload = arr.astype(_ELEMS[elem][0], copy=False).tobytes(order="F")
+    _atomic_write(path, head + extents + payload)
 
 
-def _unpack_header(blob: bytes, path: str):
+def _read(path: str, elem: int) -> np.ndarray:
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated header")
-    magic, version, elem, order = _HEADER.unpack_from(blob, 0)
+    magic, version, code, order = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
@@ -78,49 +89,34 @@ def _unpack_header(blob: bytes, path: str):
     extents = struct.unpack_from(f"<{order}Q", blob, _HEADER.size)
     if any(e < 1 for e in extents):
         raise ValueError(f"{path}: zero extent")
-    return elem, extents, blob[need:]
+    stored, holds, dtype = _ELEMS[elem]
+    if code != elem:
+        raise ValueError(f"{path}: element code {code} is not {holds}")
+    # Python ints: u64 extents must not wrap
+    size = np.dtype(stored).itemsize * math.prod(extents)
+    if len(blob) - need != size:
+        raise ValueError(f"{path}: payload has {len(blob) - need} bytes, expected {size}")
+    flat = np.frombuffer(blob, dtype=stored, offset=need)
+    if elem == ELEM_MASK and not np.all((flat == 0) | (flat == 1)):
+        raise ValueError(f"{path}: mask bytes must be strictly 0 or 1")
+    return flat.astype(dtype).reshape(extents, order="F")
 
 
 def write_tensor(path: str, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim < 1:
-        arr = arr.reshape(1)
-    payload = np.asfortranarray(arr).astype("<f8", copy=False).tobytes(order="F")
-    _atomic_write(path, _pack(arr, ELEM_F64, payload))
+    _write(path, arr.reshape(arr.shape or (1,)), ELEM_F64)
 
 
 def read_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    elem, extents, payload = _unpack_header(blob, path)
-    if elem != ELEM_F64:
-        raise ValueError(f"{path}: element code {elem} is not a float64 tensor")
-    count = math.prod(extents)  # Python ints: u64 extents must not wrap
-    if len(payload) != 8 * count:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {8 * count}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return flat.reshape(extents, order="F")
+    return _read(path, ELEM_F64)
 
 
 def write_mask(path: str, mask: np.ndarray) -> None:
-    mask = np.asarray(mask, dtype=bool)
-    payload = np.asfortranarray(mask).astype(np.uint8).tobytes(order="F")
-    _atomic_write(path, _pack(mask, ELEM_MASK, payload))
+    _write(path, np.asarray(mask, dtype=bool), ELEM_MASK)
 
 
 def read_mask(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    elem, extents, payload = _unpack_header(blob, path)
-    if elem != ELEM_MASK:
-        raise ValueError(f"{path}: element code {elem} is not a mask")
-    count = math.prod(extents)  # Python ints: u64 extents must not wrap
-    if len(payload) != count:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {count}")
-    flat = np.frombuffer(payload, dtype=np.uint8)
-    if not np.all((flat == 0) | (flat == 1)):
-        raise ValueError(f"{path}: mask bytes must be strictly 0 or 1")
-    return flat.astype(bool).reshape(extents, order="F")
+    return _read(path, ELEM_MASK)
 
 
 def sample_mask(shape, sample_rate: float, seed: int) -> np.ndarray:
@@ -151,24 +147,13 @@ def write_report_csv(path: str, rows, fieldnames) -> None:
 # ---------- netpbm frame import ---------- #
 
 
+_PNM_TOKEN = re.compile(rb"#[^\r\n]*|\S+")
+
+
 def _pnm_tokens(blob: bytes):
-    """Yield header tokens, skipping whitespace and # comments."""
-    i = 0
-    n = len(blob)
-    while i < n:
-        c = blob[i : i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and blob[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        j = i
-        while j < n and not blob[j : j + 1].isspace():
-            j += 1
-        yield blob[i:j], j
-        i = j
+    """The tokens of a netpbm file with their end offsets, skipping
+    whitespace and # comments."""
+    return ((m[0], m.end()) for m in _PNM_TOKEN.finditer(blob) if m[0][:1] != b"#")
 
 
 def _unsigned(tok: bytes, path: str) -> int:

@@ -151,13 +151,11 @@ class FctnRank:
         dims = tuple(int(d) for d in dims)
         if len(dims) != self.n:
             raise ValueError("dims length does not match table size")
-        return tuple(
-            dims[k] if j == k else self[min(j, k), max(j, k)] for j in range(self.n)
-        )
+        return tuple(dims[k] if j == k else self[j, k] for j in range(self.n))
 
     def bond_product(self, k: int) -> int:
         """Product of all bond sizes at factor k (row size of its mode unfolding)."""
-        return math.prod(self[min(j, k), max(j, k)] for j in range(self.n) if j != k)
+        return math.prod(self[j, k] for j in range(self.n) if j != k)
 
     def increment_below(self, cap: "FctnRank") -> "FctnRank":
         """Bump every entry that is still below its cap by one."""
@@ -252,13 +250,13 @@ class FctnFactors:
 # ---------- mode labels ---------- #
 
 
-def factor_labels(k: int, n: int) -> list:
-    """Mode labels of factor k in slot order."""
-    return [("i", k) if j == k else ("r", min(j, k), max(j, k)) for j in range(n)]
-
-
 def _bond(j: int, k: int) -> tuple:
     return ("r", min(j, k), max(j, k))
+
+
+def factor_labels(k: int, n: int) -> list:
+    """Mode labels of factor k in slot order."""
+    return [("i", k) if j == k else _bond(j, k) for j in range(n)]
 
 
 def matrix_labels(k: int, n: int) -> list:
@@ -310,8 +308,7 @@ def compose_except(f: FctnFactors, k: int) -> np.ndarray:
     network matrix is a view: the plain chain over the remaining factors in
     ascending order (:func:`_plain_chain`), no intermediate kept."""
     rest = tuple(j for j in range(f.n) if j != k)
-    with FLOPS.scoped("mk"):
-        return _run(_factors(f), _plain_chain(f.rank, f.dims, rest)[1], {})[0]
+    return _compose_except_cached_labeled(f, _plain_chain(f.rank, f.dims, rest)[1], {})
 
 
 def property1_unfold(partial: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -449,19 +446,11 @@ def _mode_sizes(rank: FctnRank, dims) -> dict:
     return sizes
 
 
-def _held(members, n: int) -> set:
-    """Modes of a chain over the factors ``members``: their physical modes
-    and their bonds to every other factor."""
-    return {("i", j) for j in members} | {
-        _bond(j, p) for j in members for p in range(n) if p not in members
-    }
-
-
 def _join_flops(sizes: dict, n: int, a, b) -> int:
     """FLOPs of contracting a chain over the factors ``a`` with one over the
     factors ``b``: twice the product of the extents of every mode either
     holds."""
-    return 2 * math.prod(sizes[lab] for lab in _held(a, n) | _held(b, n))
+    return 2 * math.prod(sizes[lab] for lab in {*_chain_labels(a, n), *_chain_labels(b, n)})
 
 
 def _cost(chain) -> tuple[int, int]:
@@ -495,7 +484,7 @@ def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
             break
 
     def size(members):
-        return math.prod(sizes[lab] for lab in _held(members, n))
+        return math.prod(sizes[lab] for lab in _chain_labels(members, n))
 
     peak, steps = size(seq[: base + 1]), []
     for prefix in prefixes[base:]:
@@ -798,6 +787,8 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
     environment route builds M for and which drops out of the environments.
     So the choice depends on the rank table, the extents and the last factor
     only."""
+    if algorithm not in ("fctnlr", "afctnlr"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     n = rank.n
     flops = dict.fromkeys(("mk", "compose", "proj", "gram"), 0)
     price = 0

@@ -126,7 +126,8 @@ _GAUGE_GROWTH = 1e10
 
 @dataclass
 class Observation:
-    """Observed entries of a tensor: values where mask is True, zeros elsewhere."""
+    """Observed entries of a tensor: values where mask is True, zeros elsewhere.
+    Both are copies, so the caller's arrays may change afterwards."""
 
     values: np.ndarray
     mask: np.ndarray
@@ -134,7 +135,7 @@ class Observation:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = np.asfortranarray(np.asarray(self.mask, dtype=bool))
+        self.mask = np.array(self.mask, dtype=bool, order="F")
         if self.values.shape != self.mask.shape:
             raise ValueError("values and mask shapes differ")
         if self.values.ndim < 2:
@@ -175,7 +176,7 @@ def _rank_spec(value) -> np.ndarray:
     return np.asarray(value.entries if isinstance(value, FctnRank) else value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     lam: object = 0.35
     delta: object = 0.5
@@ -217,10 +218,10 @@ class SolverConfig:
             raise ValueError("a fixed rank policy runs at max_rank; initial_rank must equal it")
         if not float(self.max_iters).is_integer() or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        self.max_iters = int(self.max_iters)
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         if not float(self.seed).is_integer() or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
-        self.seed = int(self.seed)
+        object.__setattr__(self, "seed", int(self.seed))
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.rank_policy not in _RANK_POLICIES:
@@ -337,28 +338,6 @@ def refresh_x(composed: np.ndarray, x: np.ndarray, obs: Observation, rho: float)
     r += x
     shrink = rho / (1.0 + rho)
     return r, 0.5 * (shrink * shrink * off_sq + on_sq), off_sq / (1.0 + rho) ** 2
-
-
-def _grow_parts(f: FctnFactors, cap: FctnRank, rng: np.random.Generator):
-    """Zero-padded embedding plus unit noise masks for the new entries."""
-    new_rank = f.rank.increment_below(cap)
-    grown = f.grow(new_rank)
-    noises = []
-    for k in range(f.n):
-        noise = rng.standard_normal(grown.factor(k).shape)
-        old_block = tuple(slice(0, s) for s in f.factor(k).shape)
-        noise[old_block] = 0.0
-        noises.append(noise)
-    return grown, noises
-
-
-def _add_noise(f: FctnFactors, grown: FctnFactors, noises, scale: float) -> FctnFactors:
-    """``grown`` plus ``scale`` times each old factor's RMS times its noise."""
-    out = []
-    for k in range(f.n):
-        rms = float(np.sqrt(np.mean(f.factor(k) ** 2)))
-        out.append(grown.factor(k) + scale * rms * noises[k])
-    return FctnFactors(out)
 
 
 # ---------- main loop ---------- #
@@ -494,12 +473,20 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
 
 
 def _grow_with_continuity(f, cap, rng, laps, lams, x, pre_objective):
-    """Enlarge the rank table; retry with smaller noise until the objective
-    stays within 5% of its pre-growth value (zero noise restores it up to
-    roundoff).  Returns the grown factors and their objective."""
-    grown, noises = _grow_parts(f, cap, rng)
+    """Enlarge the rank table: embed each factor zero-padded and add, on its
+    new entries only, unit noise times ``scale`` times the old factor's RMS.
+    Retry with smaller noise until the objective stays within 5% of its
+    pre-growth value (zero noise restores it up to roundoff).  Returns the
+    grown factors and their objective."""
+    grown = f.grow(f.rank.increment_below(cap))
+    noises, rms = [], []
+    for k in range(f.n):
+        noise = rng.standard_normal(grown.factor(k).shape)
+        noise[tuple(slice(0, s) for s in f.factor(k).shape)] = 0.0
+        noises.append(noise)
+        rms.append(float(np.sqrt(np.mean(f.factor(k) ** 2))))
     for scale in (_GROW_NOISE, _GROW_NOISE / 10.0, 0.0):
-        cand = _add_noise(f, grown, noises, scale)
+        cand = FctnFactors([grown.factor(k) + scale * rms[k] * noises[k] for k in range(f.n)])
         post = objective(x, cand, laps, lams)
         if scale == 0.0 or (math.isfinite(post) and post <= 1.05 * pre_objective + 1e-12):
             return cand, post

@@ -99,35 +99,32 @@ def transpose(x: np.ndarray, perm) -> np.ndarray:
     return np.asfortranarray(np.transpose(x, perm))
 
 
+def _unfolding(extents, perm, split: int):
+    """The checked ``perm``, the permuted extents and the ``(rows, cols)``
+    shape of the unfolding that maps the first ``split`` of them to rows."""
+    perm = _check_perm(perm, len(extents))
+    if not 1 <= split < len(extents):
+        raise ValueError(f"split must be in [1, {len(extents) - 1}], got {split}")
+    pshape = tuple(extents[p] for p in perm)
+    return perm, pshape, (math.prod(pshape[:split]), math.prod(pshape[split:]))
+
+
 def gunfold(x: np.ndarray, perm, split: int) -> np.ndarray:
     """Generalized unfolding: permute by ``perm``, then map the first
     ``split`` permuted modes to rows and the rest to columns, both linearized
     first-index-fastest."""
     x = _as_array(x)
-    perm = _check_perm(perm, x.ndim)
-    if not 1 <= split < x.ndim:
-        raise ValueError(f"split must be in [1, {x.ndim - 1}], got {split}")
-    xt = np.asfortranarray(np.transpose(x, perm))
-    rows = math.prod(xt.shape[:split])
-    cols = math.prod(xt.shape[split:])
-    return xt.reshape((rows, cols), order="F")
+    perm, _, shape = _unfolding(x.shape, perm, split)
+    return np.asfortranarray(np.transpose(x, perm)).reshape(shape, order="F")
 
 
 def gfold(mat: np.ndarray, perm, split: int, extents) -> np.ndarray:
     """Inverse of :func:`gunfold` for a tensor with the given ``extents``."""
     mat = np.asarray(mat, dtype=np.float64)
-    extents = tuple(int(e) for e in extents)
-    perm = _check_perm(perm, len(extents))
-    if not 1 <= split < len(extents):
-        raise ValueError(f"split must be in [1, {len(extents) - 1}], got {split}")
-    pshape = tuple(extents[p] for p in perm)
-    rows = math.prod(pshape[:split])
-    cols = math.prod(pshape[split:])
-    if mat.shape != (rows, cols):
-        raise ValueError(f"matrix shape {mat.shape} does not match ({rows}, {cols})")
-    xt = mat.reshape(pshape, order="F")
-    inv = np.argsort(perm)
-    return np.asfortranarray(np.transpose(xt, inv))
+    perm, pshape, shape = _unfolding(tuple(int(e) for e in extents), perm, split)
+    if mat.shape != shape:
+        raise ValueError(f"matrix shape {mat.shape} does not match {shape}")
+    return np.asfortranarray(np.transpose(mat.reshape(pshape, order="F"), np.argsort(perm)))
 
 
 def mode_unfold(x: np.ndarray, mode: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Test-only reference implementations, kept out of the library: dense and
 einsum oracles, the direct X refresh, the closed-form FLOP counts of equal
 extents and ranks, the accelerated build of one position run from its
-planned chain, and the smooth low-rank test data the recovery tests share."""
+planned chain, the byte-by-byte netpbm header scanner, and the smooth
+low-rank test data the recovery tests share."""
 import itertools
 import string
 
@@ -26,6 +27,28 @@ def cached_build(f, k, order, kept: dict):
     order = tuple(order)
     chain = cached_build_plan(f.rank, f.dims, order)[order.index(k)]
     return _compose_except_cached_labeled(f, chain, kept)
+
+
+def pnm_tokens(blob: bytes):
+    """The netpbm header scanner, byte by byte: yield each token with its
+    end offset, skipping whitespace and # comments (to the end of the line).
+    The reference for :func:`fctnlr.fileio._pnm_tokens`."""
+    i = 0
+    n = len(blob)
+    while i < n:
+        c = blob[i : i + 1]
+        if c.isspace():
+            i += 1
+            continue
+        if c == b"#":
+            while i < n and blob[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+            continue
+        j = i
+        while j < n and not blob[j : j + 1].isspace():
+            j += 1
+        yield blob[i:j], j
+        i = j
 
 
 def laplacian_dense(lap) -> np.ndarray:

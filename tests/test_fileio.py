@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fctnlr import fileio
+from oracles import pnm_tokens
 from fctnlr.fileio import (
     import_frames,
     read_mask,
@@ -53,6 +54,35 @@ def test_mask_roundtrip(tmp_path):
     back = read_mask(path)
     assert back.dtype == bool
     assert np.array_equal(back, mask)
+
+
+# format-version-1 containers, byte for byte: magic, version, element code,
+# order, the u64 extents, then the payload first-index-fastest; a 0-d tensor
+# is stored as order 1, extent 1
+GOLDEN = [
+    ("2x3", write_tensor, read_tensor, np.array([[0.5, -1.0, 2.0], [3.25, 0.0, -0.125]]),
+     "4643544e 01000000 01000000 02000000 0200000000000000 0300000000000000"
+     " 000000000000e03f 0000000000000a40 000000000000f0bf"
+     " 0000000000000000 0000000000000040 000000000000c0bf"),
+    ("scalar", write_tensor, read_tensor, np.float64(-2.5),
+     "4643544e 01000000 01000000 01000000 0100000000000000 00000000000004c0"),
+    ("mask", write_mask, read_mask, np.array([[True, False, True], [False, True, True]]),
+     "4643544e 01000000 02000000 02000000 0200000000000000 0300000000000000"
+     " 010000010101"),
+]
+
+
+@pytest.mark.parametrize("writer, reader, arr, hexed", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_containers_match_the_format_bytes(tmp_path, writer, reader, arr, hexed):
+    """The writers emit these bytes and the readers take them back, so a
+    change to both sides of the codec cannot pass by agreeing with itself."""
+    path = str(tmp_path / "golden.fctn")
+    writer(path, arr)
+    assert open(path, "rb").read() == bytes.fromhex(hexed)
+    back = reader(path)
+    assert back.dtype == arr.dtype and back.shape == (np.shape(arr) or (1,))
+    assert np.array_equal(back.ravel(), np.ravel(arr))
 
 
 def test_header_validation(tmp_path):
@@ -239,6 +269,18 @@ def _write(path, data):
     with open(path, "wb") as fh:
         fh.write(data)
     return str(path)
+
+
+# the netpbm header alphabet: the six ASCII whitespace bytes, the comment
+# mark, digits, letters, and bytes that str.isspace but not bytes.isspace
+# takes for whitespace (\x1c) or that are not ASCII at all
+_PNM_BYTES = b" \t\n\r\x0b\x0c#0123456789PpxZ\x00\x1c\xff"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(list(_PNM_BYTES)), max_size=60).map(bytes))
+def test_pnm_tokens_match_the_reference_scanner(blob):
+    assert list(fileio._pnm_tokens(blob)) == list(pnm_tokens(blob))
 
 
 def test_read_pnm_ascii_gray(tmp_path):

@@ -512,6 +512,11 @@ def _env_route(rank, dims, last):
     return sweep_plan(rank, dims, order, "afctnlr").positions[0].product is not None
 
 
+def test_sweep_plan_refuses_an_unknown_algorithm():
+    with pytest.raises(ValueError, match="bogus"):
+        sweep_plan(FctnRank.uniform(3, 2), (4, 5, 6), (0, 1, 2), "bogus")
+
+
 def test_doubled_gram_route_follows_cost():
     """The doubled network wins on the benchmark shapes and loses where its
     middle intermediates (R^(2 t (n-t)) entries) or its per-call overhead

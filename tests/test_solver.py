@@ -1,5 +1,6 @@
 """Tests for the alternating proximal solver: problem data, block updates,
 the outer loop, rank growth, and the two variants."""
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -16,8 +17,7 @@ from fctnlr.network import FctnFactors, FctnRank, compose
 from fctnlr.solver import (
     Observation,
     SolverConfig,
-    _add_noise,
-    _grow_parts,
+    _grow_with_continuity,
     _penalty,
     objective,
     refresh_x,
@@ -75,6 +75,22 @@ def test_observation_rejects_non_finite_observed_values(bad):
     values[0, 3] = bad
     with pytest.raises(ValueError, match="finite"):
         Observation(values=values, mask=mask)
+
+
+def test_observation_keeps_its_own_mask():
+    """The caller's mask may change after construction: the observation
+    holds a copy (sample_mask's F-ordered array would otherwise be shared,
+    and flat_index, computed later, would restore the wrong entries)."""
+    truth, obs = small_problem(2)
+    mask = sample_mask(truth.shape, 0.4, 2)
+    held = Observation.from_dense(truth, mask)
+    mask[...] = False
+    assert not np.shares_memory(held.mask, mask)
+    cfg = SolverConfig(max_iters=3, max_rank=2, seed=2)
+    want, got = run(obs, cfg), run(held, cfg)
+    assert np.array_equal(got.x.view(np.uint64), want.x.view(np.uint64))
+    for k in range(3):
+        assert np.array_equal(got.factors.factor(k), want.factors.factor(k))
 
 
 # ---------- objective ---------- #
@@ -365,12 +381,22 @@ def test_run_rel_change_and_x_norm_match_direct_recomputation(algorithm):
 # ---------- rank growth ---------- #
 
 
+def _grow(f, cap, seed, pre_objective):
+    """run()'s growth step of ``f`` toward ``cap``: a pre-growth objective of
+    -inf refuses every noisy candidate, so the zero-noise one is taken, and
+    +inf takes the first (noise 1e-2)."""
+    laps = [CirculantLaplacian(d, 0.5) for d in f.dims]
+    x = np.zeros(f.dims)
+    return _grow_with_continuity(f, cap, np.random.default_rng(seed), laps, (0.35,) * f.n,
+                                 x, pre_objective)[0]
+
+
 def test_increase_rank_zero_noise_preserves_composition():
     rng = np.random.default_rng(10)
     f = FctnFactors.random((4, 3, 5), FctnRank.uniform(3, 1), rng)
     before = compose(f)
     cap = FctnRank.uniform(3, 2)
-    grown = _add_noise(f, *_grow_parts(f, cap, np.random.default_rng(0)), 0.0)
+    grown = _grow(f, cap, 0, -math.inf)
     assert grown.rank == cap
     assert np.array_equal(compose(grown), before)
 
@@ -379,7 +405,7 @@ def test_increase_rank_embeds_and_perturbs():
     rng = np.random.default_rng(11)
     f = FctnFactors.random((5, 4, 3), FctnRank.uniform(3, 1), rng)
     cap = FctnRank.uniform(3, 2)
-    grown = _add_noise(f, *_grow_parts(f, cap, np.random.default_rng(1)), 1e-2)
+    grown = _grow(f, cap, 1, math.inf)
     for k in range(3):
         old = f.factor(k)
         sl = tuple(slice(0, s) for s in old.shape)
@@ -392,7 +418,7 @@ def test_increase_rank_at_cap_is_identity_data():
     rng = np.random.default_rng(12)
     cap = FctnRank.uniform(3, 2)
     f = FctnFactors.random((4, 3, 5), cap, rng)
-    same = _add_noise(f, *_grow_parts(f, cap, np.random.default_rng(2)), 1e-2)
+    same = _grow(f, cap, 2, math.inf)
     for k in range(3):
         assert np.array_equal(same.factor(k), f.factor(k))
 
@@ -438,6 +464,20 @@ def test_config_validation():
     res = run(obs, SolverConfig(max_iters=2.0, max_rank=2.0, initial_rank=1.0,
                                 lam=np.array(0.35), delta=np.array(0.5)))
     assert res.iterations <= 2 and res.factors.rank == FctnRank.from_spec(3, 1)
+
+
+@pytest.mark.parametrize("field, value", [("algorithm", "bogus"), ("eps", math.nan),
+                                          ("rank_policy", "grow"), ("max_iters", 7)])
+def test_config_is_frozen(field, value):
+    """A config cannot change after its checks ran; replace() builds a new
+    one and checks it again."""
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    assert dataclasses.replace(cfg, max_iters=7.0).max_iters == 7
+    if field != "max_iters":
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: value})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
