@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--shuffle", action=argparse.BooleanOptionalAction,
                     default=SolverConfig.shuffle,
                     help="draw a fresh random visiting order every afctnlr sweep, as "
-                    "the paper does; --no-shuffle keeps fctnlr's identity order")
+                    "the paper does (afctnlr only); --no-shuffle keeps fctnlr's "
+                    "identity order")
     pc.add_argument("--seed", type=int, default=SolverConfig.seed)
     pc.set_defaults(func=_cmd_complete)
 

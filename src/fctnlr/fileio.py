@@ -65,6 +65,7 @@ _ELEMS = {
 
 
 def _write(path: str, arr: np.ndarray, elem: int) -> None:
+    arr = arr.reshape(arr.shape or (1,))  # a 0-d array as order 1, extent 1
     head = _HEADER.pack(MAGIC, FORMAT_VERSION, elem, arr.ndim)
     extents = struct.pack(f"<{arr.ndim}Q", *arr.shape)
     payload = arr.astype(_ELEMS[elem][0], copy=False).tobytes(order="F")
@@ -103,8 +104,7 @@ def _read(path: str, elem: int) -> np.ndarray:
 
 
 def write_tensor(path: str, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.float64)
-    _write(path, arr.reshape(arr.shape or (1,)), ELEM_F64)
+    _write(path, np.asarray(arr, dtype=np.float64), ELEM_F64)
 
 
 def read_tensor(path: str) -> np.ndarray:

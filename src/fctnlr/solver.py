@@ -50,7 +50,7 @@ carried by its positions; a sweep runs them as they are and plans no chain
 itself.  Both variants visit the factors in the identity order by default,
 so they follow the same iterates and ``afctnlr`` runs every sweep from one
 cached plan; ``shuffle`` draws a fresh random order for ``afctnlr`` every
-sweep instead, as the paper does.  Bonds grow by one when the relative
+sweep instead, as the paper does (``fctnlr`` refuses it).  Bonds grow by one when the relative
 change ``||X_new - X|| / ||X||`` falls below ``10 * eps``, and the run stops
 when it is at most eps after a sweep without growth.
 
@@ -226,6 +226,9 @@ class SolverConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.rank_policy not in _RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {_RANK_POLICIES}")
+        # fctnlr has no reshuffled order to run
+        if self.shuffle and self.algorithm != "afctnlr":
+            raise ValueError("shuffle needs algorithm='afctnlr'")
 
 
 @dataclass
@@ -405,7 +408,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         converged = not grown and rel <= cfg.eps
         if converged:
             break
-        if cfg.algorithm == "afctnlr" and cfg.shuffle:
+        if cfg.shuffle:
             order = shuffle_order(order, rng)
 
     return SolverResult(x, f, trace, converged, initial_objective)

@@ -103,16 +103,32 @@ def eig_gram(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # column to column, so each touches s pages; the route also needs few slices
 # against a long a.
 #
-# For the last mode (b = 1), a C-ordered M's one GEMM runs faster as
-# (M X_(k)^T)^T than as X_(k) M^T where I_k < s, and slower where I_k > s
-# (ms, same host, median of three medians of 5):
+# Every other route multiplies X_(k) as one matrix: X's view for the first
+# and last modes (a = 1 or b = 1), mode_unfold's copy for a middle mode the
+# batched route does not take.  With the C-ordered M of a sweep, that GEMM
+# runs faster as (M X_(k)^T)^T than as X_(k) M^T where I_k < s (ms,
+# FCTN_THREADS=1 on a 2-core x86 host, median of three interleaved medians
+# of 9):
 #
-#   shape       R  k     I_k     s     (M X^T)^T   X M^T
-#   16^5        3  4      16    81          4.34    6.13
-#   8^6         2  5       8    32          0.70    0.93
-#   40^4        4  3      40    64          6.23    6.46
-#   128^3       4  2     128    16          2.25    1.57
-_CHUNK_BYTES = 2 << 20  # bytes of per-slice products held at once
+#   shape       R  k  X_(k)  I_k     s   (M X^T)^T    X M^T
+#   16^5        3  0  view    16    81       12.21    16.41
+#   16^5        3  1  copy    16    81       15.00    19.23
+#   16^5        3  2  copy    16    81       14.70    19.17
+#   16^5        3  4  view    16    81       12.44    15.86
+#   40^4        4  0  view    40    64       13.73    16.91
+#   40^4        4  1  copy    40    64       18.36    19.84
+#   40^4        4  3  view    40    64       12.95    12.80
+#   8^6         2  0  view     8    32        1.22     1.84
+#   8^6         2  1  copy     8    32        1.48     1.92
+#   8^6         2  2  copy     8    32        1.59     2.15
+#   8^6         2  5  view     8    32        1.22     1.67
+#   128^3       4  0  view   128    16        3.70     4.38
+#   128^3       4  2  view   128    16        4.16     3.30
+#
+# Where I_k >= s the rule keeps X_(k) M^T, the form these products have
+# always taken.  The threshold is not tight: the flip lost at 128^3's last
+# mode but won at its first, and at every view and copy mode of 32^4 R=3
+# (I_k = 32 > s = 27).
 
 
 def _batched_pays(a: int, b: int) -> bool:
@@ -128,13 +144,13 @@ def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
 
     X is read through its F-ordered view as (a, I_k, b), with a the product
     of the extents before mode k and b of those after it; M's columns run
-    over the same (a, b) pairs, first index fastest.  For a = 1 or b = 1 (k
-    first or last) that view is X_(k) or its transpose, and one GEMM on it
-    gives the product (for k last, as ``(M X_(k)^T)^T`` where that is faster,
-    see the timings above).  For a middle mode where :func:`_batched_pays`, the
-    product is the sum over the slices v of b of ``X[:, :, v]^T M_v^T``,
-    batched over a few MB of slices at a time: no copy of X either way.
-    Otherwise X_(k) is unfolded (one copy of X) and multiplied by ``m.T``.
+    over the same (a, b) pairs, first index fastest.  For a middle mode
+    where :func:`_batched_pays`, the product is the sum over the slices v of
+    b of ``X[:, :, v]^T M_v^T``, one batched GEMM.  Every other route forms
+    X_(k), a view of X for a = 1 or b = 1 (k first or last) and an unfolded
+    copy otherwise, and multiplies it by M in one GEMM: as
+    ``(M X_(k)^T)^T`` where I_k < s, else as ``X_(k) M^T`` (the timings
+    above).
     """
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
@@ -144,30 +160,15 @@ def data_product(x: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
         raise ValueError(f"m has {m.shape[1]} columns, expected {a * b}")
     with FLOPS.scoped("proj"):
         FLOPS.add(2 * q * a * b * s)
-        if a == 1:
-            return x.reshape((q, b), order="F") @ m.T
-        if b == 1:
-            xv = x.reshape((a, q), order="F")
-            if m.flags.c_contiguous and q < s:
-                return (m @ xv).T
-            return xv.T @ m.T
-        if not _batched_pays(a, b):
-            return mode_unfold(x, k) @ m.T
-        x3 = x.reshape((a, q, b), order="F")
-        mt3 = m.T.reshape((a, b, s), order="F")
-        chunk = max(1, min(b, _CHUNK_BYTES // (8 * q * s)))
-        y = np.zeros((q, s))
-        buf = np.empty((chunk, q, s))
-        for lo in range(0, b, chunk):
-            hi = min(b, lo + chunk)
-            part = buf[: hi - lo]
-            np.matmul(
-                x3[:, :, lo:hi].transpose(2, 1, 0),
-                mt3[:, lo:hi, :].transpose(1, 0, 2),
-                out=part,
-            )
-            y += part.sum(axis=0)
-        return y
+        if a == 1 or b == 1:
+            xk = x.reshape((q, b), order="F") if a == 1 else x.reshape((a, q), order="F").T
+        elif _batched_pays(a, b):
+            x3 = x.reshape((a, q, b), order="F").transpose(2, 1, 0)
+            mt3 = m.T.reshape((a, b, s), order="F").transpose(1, 0, 2)
+            return np.matmul(x3, mt3).sum(axis=0)
+        else:
+            xk = mode_unfold(x, k)
+        return (m @ xk.T).T if q < s else xk @ m.T
 
 
 def solve_factor(xm, a_prev, gram, lap, lam: float, rho: float) -> np.ndarray:

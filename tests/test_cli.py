@@ -144,8 +144,9 @@ def test_complete_defaults_are_the_solver_defaults(n):
 
 @pytest.mark.parametrize("flag, shuffle", [("--shuffle", True), ("--no-shuffle", False)])
 def test_complete_shuffle_flags(flag, shuffle):
-    args = build_parser().parse_args(["complete", "--input", "a", "--output", "b", flag])
-    assert _config(args, 4) == SolverConfig(shuffle=shuffle)
+    args = build_parser().parse_args(["complete", "--input", "a", "--output", "b",
+                                      "--algorithm", "afctnlr", flag])
+    assert _config(args, 4) == SolverConfig(algorithm="afctnlr", shuffle=shuffle)
 
 
 def test_repeated_runs_are_reproducible(tmp_path):
@@ -203,6 +204,19 @@ def test_extrapolation_flag(tmp_path, capsys):
     assert err.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_shuffle_under_fctnlr_exits_one(tmp_path, capsys):
+    """fctnlr has no reshuffled order: --shuffle with it is refused before
+    a mask is drawn or saved, and no file is written."""
+    src = str(tmp_path / "in.fctn")
+    write_tensor(src, _truth(8))
+    out, saved = tmp_path / "out.fctn", tmp_path / "mask.fctn"
+    rc = main(["complete", "--input", src, "--output", str(out), "--sr", "0.4",
+               "--save-mask", str(saved), "--algorithm", "fctnlr", "--shuffle"])
+    assert rc == 1
+    assert "shuffle needs algorithm='afctnlr'" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()
 
 
 def test_rank_table_parsing(tmp_path, capsys):

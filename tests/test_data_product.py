@@ -29,24 +29,20 @@ def cases(draw):
     n = draw(st.integers(2, 5))
     dims = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     tri = draw(st.lists(st.integers(1, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    # the middle-mode route: forced to batch, forced to copy, or as chosen;
-    # a chunk of 8 bytes makes the batched route take one slice at a time
+    # the middle-mode route: forced to batch, forced to copy, or as chosen
     batched = draw(st.sampled_from([True, False, None]))
-    chunk = draw(st.sampled_from([8, None]))
-    return dims, FctnRank(n, tri), batched, chunk, draw(st.integers(0, 2**32 - 1))
+    return dims, FctnRank(n, tri), batched, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(cases())
 def test_data_product_is_the_unfolded_product(case):
-    dims, rank, batched, chunk, seed = case
+    dims, rank, batched, seed = case
     rng = np.random.default_rng(seed)
     f = FctnFactors.random(dims, rank, rng)
     x = np.asfortranarray(rng.standard_normal(dims))
-    patches = {"_CHUNK_BYTES": chunk or sylvester._CHUNK_BYTES}
-    if batched is not None:
-        patches["_batched_pays"] = lambda a, b: batched
-    with mock.patch.multiple(sylvester, **patches):
+    pays = sylvester._batched_pays if batched is None else (lambda a, b: batched)
+    with mock.patch.object(sylvester, "_batched_pays", pays):
         for k in range(f.n):
             for layout in ("C", "F"):
                 m = network_matrix(f, k, layout)
@@ -67,13 +63,18 @@ def test_data_product_rejects_mismatched_columns():
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_data_product_makes_no_copy_of_x_at_128_cubed(k, layout):
+@pytest.mark.parametrize("dims, s, k", [
+    ((128,) * 3, 16, 0), ((128,) * 3, 16, 1), ((128,) * 3, 16, 2),
+    ((8,) * 6, 32, 0), ((8,) * 6, 32, 5),
+], ids=["0", "1", "2", "8^6-0", "8^6-5"])
+def test_data_product_makes_no_copy_of_x_at_128_cubed(dims, s, k, layout):
     """On the 128^3 R=4 benchmark tensor every factor's route reads X in
-    place: the largest allocation stays far below one copy of X."""
+    place, and so do the end modes of 8^6 at R=2, which run as
+    ``(M X_(k)^T)^T`` (I_k = 8 < s = 32): the largest allocation stays far
+    below one copy of X."""
     rng = np.random.default_rng(k)
-    x = np.asfortranarray(rng.standard_normal((128, 128, 128)))
-    m = rng.standard_normal((16, 128 * 128))
+    x = np.asfortranarray(rng.standard_normal(dims))
+    m = rng.standard_normal((s, x.size // dims[k]))
     m = np.ascontiguousarray(m) if layout == "C" else np.asfortranarray(m)
     tracemalloc.start()
     try:

@@ -58,7 +58,7 @@ def test_mask_roundtrip(tmp_path):
 
 # format-version-1 containers, byte for byte: magic, version, element code,
 # order, the u64 extents, then the payload first-index-fastest; a 0-d tensor
-# is stored as order 1, extent 1
+# or mask is stored as order 1, extent 1
 GOLDEN = [
     ("2x3", write_tensor, read_tensor, np.array([[0.5, -1.0, 2.0], [3.25, 0.0, -0.125]]),
      "4643544e 01000000 01000000 02000000 0200000000000000 0300000000000000"
@@ -69,6 +69,8 @@ GOLDEN = [
     ("mask", write_mask, read_mask, np.array([[True, False, True], [False, True, True]]),
      "4643544e 01000000 02000000 02000000 0200000000000000 0300000000000000"
      " 010000010101"),
+    ("scalar-mask", write_mask, read_mask, np.bool_(True),
+     "4643544e 01000000 02000000 01000000 0100000000000000 01"),
 ]
 
 

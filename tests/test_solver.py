@@ -457,6 +457,9 @@ def test_config_validation():
     for seed in (2.5, -1):
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=seed)
+    # only afctnlr reshuffles its visiting order
+    with pytest.raises(ValueError, match="shuffle"):
+        SolverConfig(algorithm="fctnlr", shuffle=True)
     SolverConfig(max_rank=[2, 3, 2], initial_rank=2)
     # integral floats and 0-d arrays pass
     assert SolverConfig(max_iters=2.0).max_iters == 2

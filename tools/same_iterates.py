@@ -8,7 +8,12 @@ directory holding the ``fctnlr`` package, such as another checkout's
 ``FCTN_THREADS=1``.  For every run it compares the
 SHA-256 of the completed tensor X, of the factors and of every
 ``IterationRecord`` field but ``wall_ms`` (a run that stops on a
-``NumericalFailure`` is compared by its message).  It lists the runs that differ and exits 1 if any do, else 0.
+``NumericalFailure`` is compared by its message).  It lists the runs that
+differ and exits 1 if any do, else 0.  Under each run that differs it says
+how far the run moved: its largest X difference relative to X's largest
+entry, its largest relative objective difference over the sweeps both trees
+ran, and whether the sweep count, the growth sweeps and ``converged`` all
+match, as they do when an edit changes only roundoff.
 
 The full grid covers 8 shapes of orders 3 to 6 (both of ``afctnlr``'s
 routes), each with both variants under rank growth and under a fixed rank,
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -63,8 +69,10 @@ def grid(name: str) -> list:
     return runs
 
 
-def _digests(name: str) -> dict:
-    """Run the grid with the fctnlr on the path; the digests of each run."""
+def _digests(name: str) -> bytes:
+    """Run the grid with the fctnlr on the path; an ``.npz`` holding the
+    digests and the course (objectives, growth sweeps, ``converged``) of
+    each run as JSON, and each run's X under its id."""
     import fctnlr  # before numpy, so FCTN_THREADS caps its BLAS
     import numpy as np
 
@@ -79,7 +87,7 @@ def _digests(name: str) -> dict:
             h.update(np.asarray(a, dtype=np.float64).tobytes(order="F"))
         return h.hexdigest()
 
-    out = {"fctnlr": fctnlr.__file__, "runs": {}}
+    out, xs = {"fctnlr": fctnlr.__file__, "runs": {}, "course": {}}, {}
     for seed, (run_id, shape, kwargs) in enumerate(grid(name)):
         rng = np.random.default_rng(seed)
         obs = Observation.from_dense(rng.standard_normal(shape), sample_mask(shape, 0.5, seed))
@@ -95,21 +103,44 @@ def _digests(name: str) -> dict:
             "factors": sha(*(res.factors.factor(k) for k in range(res.factors.n))),
             "trace": hashlib.sha256(json.dumps([records, res.converged]).encode()).hexdigest(),
         }
-    return out
+        out["course"][run_id] = {
+            "objectives": [rec.objective for rec in res.trace],
+            "growth": [rec.iteration for rec in res.trace if rec.rank_grown],
+            "converged": res.converged,
+        }
+        xs[run_id] = res.x
+    buf = io.BytesIO()
+    np.savez(buf, meta=json.dumps(out), **xs)
+    return buf.getvalue()
 
 
-def _collect(src: Path, name: str) -> dict:
-    """The digests of the grid run in a subprocess that imports fctnlr from
-    ``src``."""
+def _collect(src: Path, name: str) -> tuple:
+    """The digests and the courses, each with its X, of the grid run in a
+    subprocess that imports fctnlr from ``src``."""
+    import numpy as np
+
     env = dict(os.environ, PYTHONPATH=str(src), FCTN_THREADS="1")
     proc = subprocess.run([sys.executable, __file__, "--worker", name],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True)
     if proc.returncode != 0:
-        raise SystemExit(f"the grid failed to run from {src}:\n{proc.stderr}")
-    got = json.loads(proc.stdout)
+        raise SystemExit(f"the grid failed to run from {src}:\n{proc.stderr.decode()}")
+    with np.load(io.BytesIO(proc.stdout)) as npz:
+        got = json.loads(str(npz["meta"]))
+        for run_id, course in got["course"].items():
+            course["x"] = npz[run_id]
     if not Path(got["fctnlr"]).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"{src}: fctnlr was imported from {got['fctnlr']} instead")
-    return got["runs"]
+    return got["runs"], got["course"]
+
+
+def _moved(this: dict, other: dict) -> str:
+    """How far a differing run moved between the two trees' courses."""
+    dx = abs(this["x"] - other["x"]).max() / abs(other["x"]).max()
+    dobj = max(abs(a - b) / abs(b) for a, b in zip(this["objectives"], other["objectives"]))
+    same = all(this[key] == other[key] for key in ("growth", "converged"))
+    same = same and len(this["objectives"]) == len(other["objectives"])
+    return (f"  X within {dx:.1e}, objectives within {dobj:.1e}; sweeps, growth and "
+            f"converged {'match' if same else 'differ'}")
 
 
 def main(argv=None) -> int:
@@ -119,17 +150,20 @@ def main(argv=None) -> int:
     parser.add_argument("--worker", choices=("full", "tiny"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        json.dump(_digests(args.worker), sys.stdout)
+        sys.stdout.buffer.write(_digests(args.worker))
         return 0
     if args.other is None:
         parser.error("give the other tree's src directory")
     this_src = Path(__file__).resolve().parents[1] / "src"
-    this, other = _collect(this_src, args.grid), _collect(args.other, args.grid)
+    (this, this_course), (other, other_course) = (
+        _collect(this_src, args.grid), _collect(args.other, args.grid))
     differ = [run_id for run_id in this if this[run_id] != other.get(run_id)]
     for run_id in differ:
         parts = sorted(key for key in this[run_id].keys() | other[run_id].keys()
                        if this[run_id].get(key) != other[run_id].get(key))
         print(f"differs: {run_id} ({', '.join(parts)})")
+        if run_id in this_course and run_id in other_course:
+            print(_moved(this_course[run_id], other_course[run_id]))
     print(f"{len(this) - len(differ)} of {len(this)} runs identical")
     return 1 if differ else 0
 
