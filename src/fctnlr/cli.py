@@ -95,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SolverConfig.laplacian_sign)
     pc.add_argument("--shuffle", action=argparse.BooleanOptionalAction,
                     default=SolverConfig.shuffle,
-                    help="draw a fresh random visiting order every afctnlr sweep, as "
-                    "the paper does (afctnlr only); --no-shuffle keeps fctnlr's "
-                    "identity order")
+                    help="afctnlr only: draw a fresh random visiting order every sweep, "
+                    "as the paper does; --no-shuffle keeps fctnlr's identity order")
     pc.add_argument("--seed", type=int, default=SolverConfig.seed)
     pc.set_defaults(func=_cmd_complete)
 
