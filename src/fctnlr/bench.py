@@ -157,7 +157,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     predicted = {alg: dict(sweep_plan(rank, dims, order, alg).flops) for alg in _ALGORITHMS}
     configs = {
         alg: SolverConfig(eps=0.0, max_iters=cfg.iters, max_rank=cfg.rank, initial_rank=cfg.rank,
-                          rank_policy="fixed", algorithm=alg, seed=cfg.seed)
+                          algorithm=alg, seed=cfg.seed)
         for alg in _ALGORITHMS
     }
     walls = {alg: [] for alg in _ALGORITHMS}

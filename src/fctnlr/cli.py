@@ -8,13 +8,15 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 
 from . import fileio, metrics
 from .bench import CSV_FIELDS, BenchConfig, host_facts, run_bench
 from .metrics import quality_report
 from .laplacian import _SIGNS
-from .solver import _ALGORITHMS, _RANK_POLICIES, IterationRecord, Observation, SolverConfig, run
+from .network import _broadcast
+from .solver import _ALGORITHMS, IterationRecord, Observation, SolverConfig, run
 from .sylvester import NumericalFailure
 
 # --report columns: every IterationRecord field, in declaration order
@@ -45,16 +47,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_rank(text: str, n: int):
-    vals = [int(p) for p in text.replace(",", " ").split()]
-    need = n * (n - 1) // 2
-    if len(vals) == 1:
-        return vals[0]
-    if len(vals) == need:
-        return vals
-    raise ValueError(
-        f"rank list needs 1 or {need} entries for an order-{n} tensor, got {len(vals)}"
-    )
+def _check_output_dirs(*paths) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write {path}: its directory does not exist")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--max-rank", default=str(SolverConfig.max_rank),
                     help="one value or the full comma-separated bond table")
     pc.add_argument("--initial-rank", default=SolverConfig.initial_rank,
-                    help="starting bond table (default: all ones; under the fixed "
-                    "policy the run stays at --max-rank, which this must equal)")
-    pc.add_argument("--rank-policy", choices=_RANK_POLICIES, default=SolverConfig.rank_policy)
+                    help="starting bond table (default: all ones); --max-rank's for a fixed rank")
     pc.add_argument("--laplacian-sign", choices=tuple(_SIGNS),
                     default=SolverConfig.laplacian_sign)
     pc.add_argument("--shuffle", action=argparse.BooleanOptionalAction,
@@ -129,16 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args, n: int) -> SolverConfig:
     """The solver settings of ``complete``'s arguments, for an order-n
-    tensor: each SolverConfig field is the option of the same name, the
-    rank specs parsed."""
-    settings = {fld.name: getattr(args, fld.name) for fld in dataclasses.fields(SolverConfig)}
+    tensor: each option named after a SolverConfig field sets it.  A rank
+    option holds one bond size or the full bond table, counted against the
+    tensor's bonds here, before any mask I/O."""
+    fields = {fld.name for fld in dataclasses.fields(SolverConfig)}
+    settings = {name: value for name, value in vars(args).items() if name in fields}
     for name in ("max_rank", "initial_rank"):
         if settings[name] is not None:
-            settings[name] = _parse_rank(settings[name], n)
+            vals = [int(p) for p in settings[name].replace(",", " ").split()]
+            settings[name] = vals[0] if len(vals) == 1 else vals
+            _broadcast(settings[name], n * (n - 1) // 2, "--" + name.replace("_", "-"))
     return SolverConfig(**settings)
 
 
 def _cmd_complete(args) -> int:
+    _check_output_dirs(args.output, args.report, args.save_mask)
     values = fileio.read_tensor(args.input)
     # the settings are checked before the mask is drawn, read or saved
     cfg = _config(args, values.ndim)
@@ -167,6 +167,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_output_dirs(args.out)
     cfg = BenchConfig.from_shape(
         args.shape,
         rank=args.rank,
@@ -207,6 +208,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_import_frames(args) -> int:
+    _check_output_dirs(args.output)
     tensor = fileio.import_frames(args.input_dir)
     fileio.write_tensor(args.output, tensor)
     print(f"imported: shape={tensor.shape}")

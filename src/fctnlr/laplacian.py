@@ -35,12 +35,6 @@ class CirculantLaplacian:
         self.delta = delta
         self._s = _SIGNS[sign]
 
-        printed = np.zeros(n)
-        printed[0] += -2.0 - delta
-        printed[1 % n] += 1.0
-        printed[(n - 1) % n] += 1.0
-        self.first_col = self._s * printed
-
         j = np.arange(n)
         self.eigenvalues = self._s * (-2.0 - delta + 2.0 * np.cos(2.0 * np.pi * j / n))
 

@@ -32,8 +32,10 @@ contractions are one planned chain (:func:`_schedule`) of the same shape,
 run by :func:`_run` (:func:`env_data_product`), each result laid out so
 that the step reading it needs no copy.
 
-Every route choice of a sweep is made here, by :func:`sweep_plan`, and the
-solver runs the plan as it is, planning no chain of its own.  Each
+Each position's build and Gram route are chosen here, by
+:func:`sweep_plan`, and the solver plans no chain of its own; the GEMM form
+of a data product from M is :func:`~fctnlr.sylvester.data_product`'s
+choice, and the compose route the solver's, by variant.  Each
 :class:`Position` carries the chains it runs: the chain that builds its M
 (the plain chain, or a prefix chain whose last step joins the suffix) or
 the environment chain of its data product, and whether the Gram matrix
@@ -90,14 +92,36 @@ __all__ = [
 # ---------- rank table ---------- #
 
 
+def _broadcast(value, count: int, name: str) -> tuple:
+    """``value`` as ``count`` entries: a scalar repeated, or a sequence of
+    exactly ``count`` values, as given."""
+    if np.ndim(value) == 0:
+        return (value,) * count
+    seq = tuple(value)
+    if len(seq) != count:
+        raise ValueError(f"{name} takes one number or a list of {count}, got a list of {len(seq)}")
+    return seq
+
+
+def _rank_entries(spec) -> np.ndarray:
+    """The entries of a rank spec (an int, a bond list or a :class:`FctnRank`)
+    in the spec's shape, each checked to be an integer >= 1."""
+    entries = np.asarray(spec.entries if isinstance(spec, FctnRank) else spec)
+    if not all(float(e).is_integer() for e in entries.ravel()):
+        raise ValueError("rank entries must be integers")
+    if (entries < 1).any():
+        raise ValueError("rank entries must be >= 1")
+    return entries.astype(int)
+
+
 @dataclass(frozen=True)
 class FctnRank:
     """Symmetric bond-size table.
 
     Stores the strict upper triangle row-major: ``(R[0,1], R[0,2], ...,
     R[0,n-1], R[1,2], ..., R[n-2,n-1])``, ``n*(n-1)/2`` entries, every entry a
-    positive int (an integral float such as 2.0 is taken; 2.5 is refused).
-    Indexing is symmetric: ``rank[i, j] == rank[j, i]``.
+    positive int (an integral float such as 2.0 is taken; 2.5 is refused);
+    one int is taken for every bond.  Indexing is symmetric: ``rank[i, j] == rank[j, i]``.
     """
 
     n: int
@@ -107,31 +131,22 @@ class FctnRank:
         n = int(self.n)
         if n < 2:
             raise ValueError("a network needs at least two factors")
-        tri = tuple(self.entries)
-        need = n * (n - 1) // 2
-        if len(tri) != need:
-            raise ValueError(f"expected {need} rank entries for n={n}, got {len(tri)}")
-        if not all(float(e).is_integer() for e in tri):
-            raise ValueError("rank entries must be integers")
-        tri = tuple(int(e) for e in tri)
-        if any(e < 1 for e in tri):
-            raise ValueError("rank entries must be >= 1")
+        tri = tuple(_rank_entries(_broadcast(self.entries, math.comb(n, 2), "rank table")).tolist())
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", tri)
 
     @classmethod
     def uniform(cls, n: int, r: int) -> "FctnRank":
-        return cls(n, [r] * (n * (n - 1) // 2))
+        return cls(n, r)
 
     @classmethod
     def from_spec(cls, n: int, value) -> "FctnRank":
-        """Accept an int (broadcast) or a full upper-triangle sequence."""
+        """Accept a table for ``n``, an int (broadcast) or a full
+        upper-triangle sequence."""
         if isinstance(value, FctnRank):
             if value.n != n:
                 raise ValueError(f"rank table is for n={value.n}, need n={n}")
             return value
-        if np.ndim(value) == 0:
-            return cls.uniform(n, value)
         return cls(n, value)
 
     def _idx(self, i: int, j: int) -> int:

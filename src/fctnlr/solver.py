@@ -44,10 +44,11 @@ extends a prefix kept by an earlier position and joins a suffix kept the
 same way, each kept for the one later build that uses it, or it takes its
 data products from X-environments kept the same way
 (:func:`~fctnlr.network.env_data_product`), in one store per sweep.
-Which build, data product and Gram matrix each position takes, and the
-chains it runs, are planned by :func:`~fctnlr.network.sweep_plan` and
-carried by its positions; a sweep runs them as they are and plans no chain
-itself.  Both variants visit the factors in the identity order by default,
+Which build and Gram matrix each position takes, and the chains it runs,
+are planned by :func:`~fctnlr.network.sweep_plan` and carried by its
+positions; a sweep runs them and plans no chain itself, and
+:func:`~fctnlr.sylvester.data_product` picks the GEMM form of a product
+from M.  Both variants visit the factors in the identity order by default,
 so they follow the same iterates and ``afctnlr`` runs every sweep from one
 cached plan; ``shuffle`` draws a fresh random order for ``afctnlr`` every
 sweep instead, as the paper does (``fctnlr`` refuses it).  Bonds grow by one when the relative
@@ -79,7 +80,9 @@ from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
     FctnRank,
+    _broadcast,
     _compose_except_cached_labeled,
+    _rank_entries,
     compose,
     compose_except,  # unused here; the benchmark's tracer hooks this name
     env_data_product,
@@ -162,20 +165,6 @@ class Observation:
         return self._flat
 
 
-def _per_mode(value, n: int, name: str) -> tuple:
-    if np.ndim(value) == 0:
-        return (float(value),) * n
-    seq = tuple(float(v) for v in value)
-    if len(seq) != n:
-        raise ValueError(f"{name} needs 1 or {n} values, got {len(seq)}")
-    return seq
-
-
-def _rank_spec(value) -> np.ndarray:
-    """A rank spec (an int, a bond list or a table) as an array of entries."""
-    return np.asarray(value.entries if isinstance(value, FctnRank) else value)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     lam: object = 0.35
@@ -185,6 +174,7 @@ class SolverConfig:
     max_iters: int = 500
     max_rank: object = 2
     initial_rank: object = None
+    # "fixed" is the default run with initial_rank equal to max_rank
     rank_policy: str = "threshold"
     algorithm: str = "fctnlr"
     laplacian_sign: str = "positive-definite"
@@ -203,12 +193,8 @@ class SolverConfig:
             raise ValueError("lam must be >= 0")
         if not (np.asarray(self.delta, dtype=np.float64) > 0.0).all():
             raise ValueError("delta must be > 0")
-        cap = _rank_spec(self.max_rank)
-        start = cap if self.initial_rank is None else _rank_spec(self.initial_rank)
-        if not all(float(e).is_integer() for spec in (cap, start) for e in spec.ravel()):
-            raise ValueError("rank entries must be integers")
-        if (cap < 1).any() or (start < 1).any():
-            raise ValueError("rank entries must be >= 1")
+        cap = _rank_entries(self.max_rank)
+        start = cap if self.initial_rank is None else _rank_entries(self.initial_rank)
         # tables of different lengths are refused against the order in run()
         comparable = start.shape == cap.shape or 0 in (start.ndim, cap.ndim)
         if comparable and (start > cap).any():
@@ -349,9 +335,9 @@ def refresh_x(composed: np.ndarray, x: np.ndarray, obs: Observation, rho: float)
 def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
     n = obs.values.ndim
     dims = obs.dims
-    lams = _per_mode(cfg.lam, n, "lam")
-    deltas = _per_mode(cfg.delta, n, "delta")
-    laps = [CirculantLaplacian(dims[k], deltas[k], cfg.laplacian_sign) for k in range(n)]
+    lams = [float(lam) for lam in _broadcast(cfg.lam, n, "lam")]
+    laps = [CirculantLaplacian(dim, delta, cfg.laplacian_sign)
+            for dim, delta in zip(dims, _broadcast(cfg.delta, n, "delta"))]
 
     cap = FctnRank.from_spec(n, cfg.max_rank)
     start = 1 if cfg.rank_policy == "threshold" else cfg.max_rank
@@ -379,7 +365,8 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         rel = _rel_change(x_step_sq, x_sq)
         f, x, x_sq, prev_obj = f_new, x_new, x_new_sq, obj
 
-        grown = cfg.rank_policy == "threshold" and f.rank.any_below(cap) and rel < 10.0 * cfg.eps
+        # a fixed rank starts at its cap, so it never has a bond to grow
+        grown = f.rank.any_below(cap) and rel < 10.0 * cfg.eps
         if grown:
             f, prev_obj = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
         factor_norm = max(math.sqrt(_sq(f.factor(k))) for k in range(n))

@@ -53,9 +53,15 @@ def pnm_tokens(blob: bytes):
 
 def laplacian_dense(lap) -> np.ndarray:
     """The circulant operator as an explicit n x n matrix, from its first
-    column."""
-    i = np.arange(lap.n)
-    return lap.first_col[(i[:, None] - i[None, :]) % lap.n]
+    column: the printed stencil, ``-2 - delta`` at offset 0 and ``+1`` at
+    offsets ``1 mod n`` and ``n-1 mod n`` accumulated, times the sign."""
+    n = lap.n
+    col = np.zeros(n)
+    col[0] += -2.0 - lap.delta
+    col[1 % n] += 1.0
+    col[(n - 1) % n] += 1.0
+    i = np.arange(n)
+    return (lap._s * col)[(i[:, None] - i[None, :]) % n]
 
 
 def update_x(composed, x_prev, obs: Observation, rho: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface, run in process."""
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fctnlr.cli
+import fctnlr.fileio
 from fctnlr import metrics
 from fctnlr.bench import CSV_FIELDS
 from fctnlr.cli import REPORT_FIELDS, _config, build_parser, main
@@ -19,7 +22,8 @@ from fctnlr.fileio import (
     write_tensor,
 )
 from fctnlr.network import FctnFactors, FctnRank, compose
-from fctnlr.solver import SolverConfig
+from fctnlr.laplacian import _SIGNS
+from fctnlr.solver import _ALGORITHMS, SolverConfig
 
 
 def _truth(seed, dims=(6, 5, 4), rank=2):
@@ -94,7 +98,7 @@ def test_report_csv_structure(tmp_path):
     write_tensor(src, _truth(4))
     rc = main(["complete", "--input", src, "--output", out,
                "--sr", "0.4", "--eps", "0", "--max-iters", "8",
-               "--max-rank", "2", "--rank-policy", "fixed",
+               "--max-rank", "2", "--initial-rank", "2",
                "--report", rep, "--seed", "1"])
     assert rc == 0
     rows = _read_rows(rep)
@@ -140,6 +144,25 @@ def test_complete_defaults_are_the_solver_defaults(n):
     in every field."""
     args = build_parser().parse_args(["complete", "--input", "a", "--output", "b"])
     assert _config(args, n) == SolverConfig()
+
+
+def test_complete_offers_every_solver_setting():
+    """Every SolverConfig field but rank_policy (a fixed rank is
+    --initial-rank equal to --max-rank) is a `complete` option of the same
+    name with the field's default and choices, so no field takes its
+    default unseen."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices["complete"]._actions}
+    defaults = {fld.name: fld.default for fld in dataclasses.fields(SolverConfig)}
+    assert set(defaults) - set(actions) == {"rank_policy"}
+    del defaults["rank_policy"]
+    for name, default in defaults.items():
+        # the rank options are text, parsed against the tensor's order
+        want = str(default) if name == "max_rank" else default
+        assert actions[name].default == want, name
+    choices = {name: tuple(actions[name].choices) for name in defaults if actions[name].choices}
+    assert choices == {"algorithm": _ALGORITHMS, "laplacian_sign": tuple(_SIGNS)}
 
 
 @pytest.mark.parametrize("flag, shuffle", [("--shuffle", True), ("--no-shuffle", False)])
@@ -227,22 +250,23 @@ def test_rank_table_parsing(tmp_path, capsys):
               "--sr", "0.4", "--max-iters", "4"]
     assert main(common + ["--max-rank", "2,2,2"]) == 0
     assert main(common + ["--max-rank", "2,2"]) == 1
-    assert "rank list" in capsys.readouterr().err
+    assert "--max-rank takes one number or a list of 3, got a list of 2" in capsys.readouterr().err
 
 
 def test_fixed_rank_policy_runs_at_max_rank(tmp_path, capsys):
-    """Under the fixed policy the run stays at --max-rank; a different
-    --initial-rank is refused before any file is written."""
+    """A fixed rank is --initial-rank equal to --max-rank, and the run stays
+    there; an --initial-rank above --max-rank is refused before any file is
+    written."""
     src = str(tmp_path / "in.fctn")
     write_tensor(src, _truth(8))
     out, rep = tmp_path / "out.fctn", str(tmp_path / "trace.csv")
     common = ["complete", "--input", src, "--output", str(out), "--sr", "0.4",
-              "--max-iters", "2", "--max-rank", "4", "--rank-policy", "fixed"]
-    assert main(common + ["--report", rep]) == 0
+              "--max-iters", "2", "--max-rank", "4"]
+    assert main(common + ["--initial-rank", "4", "--report", rep]) == 0
     assert [r["rank"] for r in _read_rows(rep)] == ["4|4|4"] * 2
     out.unlink()
-    assert main(common + ["--initial-rank", "2"]) == 1
-    assert "initial_rank must equal" in capsys.readouterr().err
+    assert main(common + ["--initial-rank", "5"]) == 1
+    assert "initial rank exceeds max_rank" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -380,3 +404,48 @@ def test_metrics_masked_column(tmp_path, capsys):
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert row[3] == "nan"
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("work ran before the output paths were checked")
+
+
+@pytest.mark.parametrize("flag", ["--output", "--report", "--save-mask"])
+def test_complete_output_in_a_missing_directory_exits_one(tmp_path, capsys, monkeypatch, flag):
+    """An output path in a missing directory is refused before a mask is
+    drawn or the solve runs, and no file is written."""
+    src = str(tmp_path / "in.fctn")
+    write_tensor(src, _truth(8))
+    monkeypatch.setattr(fctnlr.fileio, "sample_mask", _forbidden)
+    monkeypatch.setattr(fctnlr.cli, "run", _forbidden)
+    paths = {"--output": tmp_path / "out.fctn", "--report": tmp_path / "trace.csv",
+             "--save-mask": tmp_path / "mask.fctn"}
+    paths[flag] = tmp_path / "nodir" / "x"
+    rc = main(["complete", "--input", src, "--sr", "0.4",
+               *(part for opt, path in paths.items() for part in (opt, str(path)))])
+    assert rc == 1
+    assert f"cannot write {paths[flag]}: its directory does not exist" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fctn"]
+
+
+@pytest.mark.parametrize("folder", ["nodir", "file.txt"])
+def test_bench_out_in_a_missing_directory_exits_one(tmp_path, capsys, monkeypatch, folder):
+    (tmp_path / "file.txt").write_text("")
+    monkeypatch.setattr(fctnlr.cli, "run_bench", _forbidden)
+    out = tmp_path / folder / "bench.csv"
+    rc = main(["bench", "--shape", "6,6,6", "--rank", "2", "--out", str(out)])
+    assert rc == 1
+    assert "its directory does not exist" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+
+def test_import_frames_output_in_a_missing_directory_exits_one(tmp_path, capsys, monkeypatch):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "frame0.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(6))
+    monkeypatch.setattr(fctnlr.fileio, "import_frames", _forbidden)
+    out = tmp_path / "nodir" / "video.fctn"
+    rc = main(["import-frames", "--input-dir", str(frames), "--output", str(out)])
+    assert rc == 1
+    assert "its directory does not exist" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frames"]

@@ -69,7 +69,7 @@ def test_rank_table_upper_triangle_layout():
 def test_rank_table_validation():
     with pytest.raises(ValueError):
         FctnRank(1, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank table takes one number or a list of 3, got a list of 2"):
         FctnRank(3, [1, 2])
     with pytest.raises(ValueError):
         FctnRank(3, [1, 0, 2])
@@ -86,7 +86,7 @@ def test_rank_table_validation():
 
 
 def test_rank_uniform_and_from_spec():
-    assert FctnRank.uniform(4, 2).entries == (2,) * 6
+    assert FctnRank.uniform(4, 2).entries == FctnRank(4, 2).entries == (2,) * 6
     assert FctnRank.from_spec(3, 5) == FctnRank.uniform(3, 5)
     assert FctnRank.from_spec(3, [1, 2, 3]) == FctnRank(3, [1, 2, 3])
     assert FctnRank.from_spec(3, np.array(2)) == FctnRank.from_spec(3, 2.0) == FctnRank.uniform(3, 2)

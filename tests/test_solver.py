@@ -2,6 +2,7 @@
 the outer loop, rank growth, and the two variants."""
 import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -501,8 +502,29 @@ def test_run_rejects_inconsistent_config():
     with pytest.raises(ValueError):
         run(obs, SolverConfig(lam=-0.5))
     for name in ("lam", "delta"):
-        with pytest.raises(ValueError, match=f"{name} needs 1 or 3 values, got 2"):
-            run(obs, SolverConfig(**{name: (0.1, 0.2)}))
+        for value in ((0.1, 0.2), [0.2]):
+            want = f"{name} takes one number or a list of 3, got a list of {len(value)}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                run(obs, SolverConfig(**{name: value}))
+
+
+def test_run_per_mode_lam_and_delta():
+    """Each factor takes its own lam_k and shift delta_k: the last record's
+    objective is objective() with the per-mode Laplacians, and both
+    variants reach the same iterate."""
+    _, obs = small_problem(21)
+    lams, deltas = [0.1, 0.35, 0.7], [0.3, 0.5, 0.9]
+    laps = [CirculantLaplacian(d, delta) for d, delta in zip(obs.dims, deltas)]
+    res = {}
+    for algorithm in ("fctnlr", "afctnlr"):
+        res[algorithm] = run(obs, SolverConfig(lam=lams, delta=deltas, eps=0.0, max_iters=8,
+                                               max_rank=2, initial_rank=2,
+                                               algorithm=algorithm, seed=3))
+        want = objective(res[algorithm].x, res[algorithm].factors, laps, lams, obs)
+        assert res[algorithm].objective == pytest.approx(want, rel=1e-12, abs=0.0)
+    base, accel = res["fctnlr"], res["afctnlr"]
+    assert np.linalg.norm(accel.x - base.x) <= 1e-10 * np.linalg.norm(base.x)
+    assert accel.objective == pytest.approx(base.objective, rel=1e-10, abs=0.0)
 
 
 def test_fixed_rank_policy_runs_at_max_rank():

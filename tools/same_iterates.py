@@ -34,8 +34,9 @@ import sys
 from pathlib import Path
 
 # (shape, rank): the growth runs grow every bond to the rank, the fixed runs
-# start there; 64x64x3x32 at rank 3 and 8^6 at rank 2 take afctnlr's
-# environment route, the others its prefix/suffix route
+# start there (initial_rank = max_rank), so no bond grows; 64x64x3x32 at
+# rank 3 and 8^6 at rank 2 take afctnlr's environment route, the others its
+# prefix/suffix route
 SHAPES = [
     ((8, 7, 5), 3),
     ((24, 3, 16), 3),
@@ -50,8 +51,8 @@ SHAPES = [
 
 def grid(name: str) -> list:
     """The runs of a grid, each ``(id, shape, SolverConfig keywords)``."""
-    growth = dict(rank_policy="threshold", eps=0.1, max_iters=30)
-    fixed = dict(rank_policy="fixed", eps=0.0, max_iters=5)
+    growth = dict(eps=0.1, max_iters=30)
+    fixed = dict(eps=0.0, max_iters=5)
     if name == "tiny":
         shape = (4, 3, 3)
         return [(f"4x3x3/{alg}/growth", shape,
