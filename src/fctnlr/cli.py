@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--max-rank", default=str(SolverConfig.max_rank),
                     help="one value or the full comma-separated bond table")
     pc.add_argument("--initial-rank", default=SolverConfig.initial_rank,
-                    help="starting bond table (default: all ones); --max-rank's for a fixed rank")
+                    help="starting bond table (default: all ones); set it equal to "
+                    "--max-rank for a fixed rank")
     pc.add_argument("--laplacian-sign", choices=tuple(_SIGNS),
                     default=SolverConfig.laplacian_sign)
     pc.add_argument("--shuffle", action=argparse.BooleanOptionalAction,

@@ -121,7 +121,8 @@ class FctnRank:
     Stores the strict upper triangle row-major: ``(R[0,1], R[0,2], ...,
     R[0,n-1], R[1,2], ..., R[n-2,n-1])``, ``n*(n-1)/2`` entries, every entry a
     positive int (an integral float such as 2.0 is taken; 2.5 is refused);
-    one int is taken for every bond.  Indexing is symmetric: ``rank[i, j] == rank[j, i]``.
+    one int is taken for every bond.  Indexing is symmetric:
+    ``rank[i, j] == rank[j, i]``.
     """
 
     n: int
