@@ -15,7 +15,7 @@ from . import fileio, metrics
 from .bench import CSV_FIELDS, BenchConfig, host_facts, run_bench
 from .metrics import quality_report
 from .laplacian import _SIGNS
-from .network import _broadcast
+from .network import _broadcast, _rank_entries
 from .solver import _ALGORITHMS, IterationRecord, Observation, SolverConfig, run
 from .sylvester import NumericalFailure
 
@@ -126,15 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(args, n: int) -> SolverConfig:
     """The solver settings of ``complete``'s arguments, for an order-n
     tensor: each option named after a SolverConfig field sets it.  A rank
-    option holds one bond size or the full bond table, counted against the
-    tensor's bonds here, before any mask I/O."""
+    option holds one bond size or the full bond table, its entries checked
+    and counted against the tensor's bonds here, before any mask I/O."""
     fields = {fld.name for fld in dataclasses.fields(SolverConfig)}
     settings = {name: value for name, value in vars(args).items() if name in fields}
     for name in ("max_rank", "initial_rank"):
         if settings[name] is not None:
-            vals = [int(p) for p in settings[name].replace(",", " ").split()]
+            option = "--" + name.replace("_", "-")
+            vals = _rank_entries(settings[name].replace(",", " ").split(), option).tolist()
             settings[name] = vals[0] if len(vals) == 1 else vals
-            _broadcast(settings[name], n * (n - 1) // 2, "--" + name.replace("_", "-"))
+            _broadcast(settings[name], n * (n - 1) // 2, option)
     return SolverConfig(**settings)
 
 

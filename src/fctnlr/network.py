@@ -103,14 +103,18 @@ def _broadcast(value, count: int, name: str) -> tuple:
     return seq
 
 
-def _rank_entries(spec) -> np.ndarray:
-    """The entries of a rank spec (an int, a bond list or a :class:`FctnRank`)
-    in the spec's shape, each checked to be an integer >= 1."""
-    entries = np.asarray(spec.entries if isinstance(spec, FctnRank) else spec)
-    if not all(float(e).is_integer() for e in entries.ravel()):
-        raise ValueError("rank entries must be integers")
+def _rank_entries(spec, name: str = "rank") -> np.ndarray:
+    """The entries of a rank spec (an int, a bond list or a :class:`FctnRank`,
+    as numbers or as text) in the spec's shape, each checked to be an
+    integer >= 1; the errors name the spec ``name``."""
+    try:
+        entries = np.asarray(spec.entries if isinstance(spec, FctnRank) else spec).astype(float)
+    except ValueError:  # text that is not a number
+        entries = np.array(math.nan)
+    if not all(e.is_integer() for e in entries.ravel().tolist()):
+        raise ValueError(f"{name} entries must be integers")
     if (entries < 1).any():
-        raise ValueError("rank entries must be >= 1")
+        raise ValueError(f"{name} entries must be >= 1")
     return entries.astype(int)
 
 
@@ -275,12 +279,28 @@ def factor_labels(k: int, n: int) -> list:
     return [("i", k) if j == k else _bond(j, k) for j in range(n)]
 
 
+def _chain_labels(members, n: int) -> tuple:
+    """Layout of a chain intermediate over the factors in ``members``: the
+    physical modes by ascending factor, then, for each outside factor in
+    ascending order, its bonds into the intermediate by ascending member.
+    A later step that takes the intermediate as an operand then finds the
+    physical modes in the network matrix's order and the bonds to any one
+    outside factor in one contiguous group, so the (large) operand needs no
+    copy.  Over every factor it is the natural order of the dense tensor."""
+    inside = sorted(members)
+    out = [("i", j) for j in inside]
+    for p in range(n):
+        if p not in inside:
+            out += [_bond(j, p) for j in inside]
+    return tuple(out)
+
+
 def matrix_labels(k: int, n: int) -> list:
     """Mode order of the partial network around k that makes its network
     matrix (:func:`property1_unfold`) a free view: the remaining physical
-    modes, then the bonds to k, each by ascending factor."""
-    rest = [j for j in range(n) if j != k]
-    return [("i", j) for j in rest] + [_bond(j, k) for j in rest]
+    modes, then the bonds to k, each by ascending factor; the
+    :func:`_chain_labels` layout of the factors but k."""
+    return list(_chain_labels([j for j in range(n) if j != k], n))
 
 
 # ---------- composition ---------- #
@@ -391,22 +411,6 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
 # ---------- planned chains ---------- #
 
 
-def _chain_labels(members, n: int) -> tuple:
-    """Layout of a chain intermediate over the factors in ``members``: the
-    physical modes by ascending factor, then, for each outside factor in
-    ascending order, its bonds into the intermediate by ascending member.
-    A later step that takes the intermediate as an operand then finds the
-    physical modes in the network matrix's order and the bonds to any one
-    outside factor in one contiguous group, so the (large) operand needs no
-    copy."""
-    inside = sorted(members)
-    out = [("i", j) for j in inside]
-    for p in range(n):
-        if p not in inside:
-            out += [_bond(j, p) for j in inside]
-    return tuple(out)
-
-
 def _run(operand, chain, store: dict):
     """Run a planned chain ``(start, steps, target)`` and return its
     ``(array, labels)``; ``operand(j)`` is the j-th operand with its labels.
@@ -474,22 +478,25 @@ def _cost(chain) -> tuple[int, int]:
     return sum(step[3] for step in chain[1]), len(chain[1])
 
 
-def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
-                laid_out: bool = True) -> tuple:
+def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None) -> tuple:
     """Largest tensor taken in or made (entries) and the chain ``(start,
     steps, target)`` that :func:`_run` runs: the factors in ``seq``
     contracted left to right, from the longest prefix whose key (its sorted
     factor tuple) is in ``kept``, which it takes out of ``kept``, else from
-    ``seq[0]``.  Every intermediate is written in
-    :func:`_chain_labels` layout (or, unless ``laid_out``, in the free modes'
-    order), the last in ``target`` when given; a suffix chain is the prefix
-    chain of the reversed sequence (same keys and layouts).
+    ``seq[0]``.  Every intermediate is written in :func:`_chain_labels`
+    layout, so the last, the chain's target, in ``_chain_labels(seq)``: the
+    natural order over every factor, :func:`matrix_labels` order over all
+    but one.  Given a ``target`` (the doubled Gram's), the intermediates
+    are written in the free modes' order and the last in ``target``.  A
+    suffix chain is the prefix chain of the reversed sequence (same keys
+    and layouts).
 
     With a ``kept`` set, every multi-factor intermediate is kept (its key
     added to ``kept`` and named by its step) except those spanning all but
     one factor, which no later position of the sweep asks for; with
     ``kept=None`` nothing is, so each intermediate is freed once the next
     step has read it."""
+    given, target = target is not None, target or _chain_labels(seq, n)
     prefixes = [seq[: i + 2] for i in range(len(seq) - 1)]
     start, base = seq[0], 0
     for idx in range(len(prefixes) - 1, -1, -1) if kept else ():
@@ -509,9 +516,7 @@ def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None,
         key = tuple(sorted(prefix)) if kept is not None and len(prefix) < n - 1 else None
         if key is not None:
             kept.add(key)
-        layout = _chain_labels(prefix, n) if laid_out else None
-        if target is not None and prefix == seq:
-            layout = target
+        layout = target if prefix == seq else (None if given else _chain_labels(prefix, n))
         steps.append((prefix[-1], layout, None, count, key))
     return peak, (start, tuple(steps), target)
 
@@ -529,14 +534,12 @@ def _plain_chain(rank: FctnRank, dims: tuple, seq: tuple, doubled: bool = False)
     network with squared bonds and unit extents, run in natural layouts and
     written in the Gram's (bond, twin) order."""
     n = rank.n
-    if len(seq) == n:
-        return _chain_plan(_mode_sizes(rank, dims), n, seq, None, tuple(("i", j) for j in range(n)))
-    k = next(j for j in range(n) if j not in seq)
     if not doubled:
-        return _chain_plan(_mode_sizes(rank, dims), n, seq, None, tuple(matrix_labels(k, n)))
+        return _chain_plan(_mode_sizes(rank, dims), n, seq, None)
+    k = next(j for j in range(n) if j not in seq)
     bonds = [_bond(j, k) for j in seq]
     squared = _mode_sizes(FctnRank(n, [e * e for e in rank.entries]), (1,) * n)
-    return _chain_plan(squared, n, seq, None, tuple(bonds + [_twin(b) for b in bonds]), False)
+    return _chain_plan(squared, n, seq, None, tuple(bonds + [_twin(b) for b in bonds]))
 
 
 def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
@@ -551,15 +554,14 @@ def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
     n, sizes, kept, out = rank.n, _mode_sizes(rank, dims), set(), []
     order = tuple(order)
     for pos, k in enumerate(order):
-        target = tuple(matrix_labels(k, n))
         before, after = order[:pos], order[pos + 1 :][::-1]
         if before and after:
             start, steps, _ = _chain_plan(sizes, n, before, kept)[1]
-            join = (_chain_plan(sizes, n, after, kept)[1][0], target, None,
-                    _join_flops(sizes, n, before, after), None)
+            join = (_chain_plan(sizes, n, after, kept)[1][0], _chain_labels(before + after, n),
+                    None, _join_flops(sizes, n, before, after), None)
             out.append((start, steps + (join,), None))
         else:
-            out.append(_chain_plan(sizes, n, before or after, kept, target)[1])
+            out.append(_chain_plan(sizes, n, before or after, kept)[1])
     return tuple(out)
 
 
@@ -588,15 +590,13 @@ def _step_layout(labels, extents, shared, factor, keep):
     in place (see :func:`~fctnlr.tensor.contract`'s ``split``), and gap and
     rest are batched.  A kept set straddles the boundary before the factor's
     modes or the one after them.  Returns ``(cost, target, split)`` for the
-    fewest batched GEMMs and then, if it can, a layout that reads the
-    (small) factor in place too; None when no such layout keeps every set
-    contiguous."""
+    fewest batched GEMMs, the first such layout found; None when no layout
+    keeps every set contiguous."""
     own = [lab for lab in labels if lab not in shared]
     new = [lab for lab in factor if lab not in shared]
     # the GEMM needs a unit stride in its rows or in the contracted modes
     first = next((lab for lab in labels if extents[lab] > 1), labels[0])
     at = {lab: t for t, lab in enumerate(labels)}
-    slot = {lab: t for t, lab in enumerate(factor)}
     best = None
     for a in range(len(own)):
         for b in range(a, len(own)):
@@ -605,7 +605,7 @@ def _step_layout(labels, extents, shared, factor, keep):
             run = own[a : b + 1]
             rest = [lab for lab in own if lab not in run]
             batched = math.prod(extents[lab] for lab in rest)
-            if first not in shared and first not in run or best is not None and batched > best[0][0]:
+            if first not in shared and first not in run or best is not None and batched >= best[0]:
                 continue
             for side in itertools.permutations(range(len(keep))):
                 head = keep[side[0]] if side else set()
@@ -617,12 +617,9 @@ def _step_layout(labels, extents, shared, factor, keep):
                 after = [lab for lab in rest if lab in tail]
                 after += [lab for lab in rest if lab not in head and lab not in tail]
                 target = run + gap + start + mid + end + after
-                if not all(_contiguous(target, group) for group in keep):
-                    continue
-                mine = [slot[lab] for lab in target if lab in slot]
-                copied = bool(mine) and mine != list(range(mine[0], mine[0] + len(mine)))
-                if best is None or (batched, copied) < best[0]:
-                    best = (batched, copied), tuple(target), len(run)
+                if all(_contiguous(target, group) for group in keep):
+                    best = batched, tuple(target), len(run)
+                    break
     return best
 
 
@@ -766,6 +763,8 @@ class SweepPlan(NamedTuple):
     price: int
 
 
+_ALGORITHMS = ("fctnlr", "afctnlr")
+
 # Weights of the doubled-network Gram against the dense product M M^T, timed
 # per factor with FCTN_THREADS=1 on a 2-core x86 host over 25 shapes (n 3-6,
 # extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
@@ -803,7 +802,7 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
     environment route builds M for and which drops out of the environments.
     So the choice depends on the rank table, the extents and the last factor
     only."""
-    if algorithm not in ("fctnlr", "afctnlr"):
+    if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     n = rank.n
     flops = dict.fromkeys(("mk", "compose", "proj", "gram"), 0)

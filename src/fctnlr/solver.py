@@ -80,6 +80,7 @@ from .laplacian import CirculantLaplacian
 from .network import (
     FctnFactors,
     FctnRank,
+    _ALGORITHMS,
     _broadcast,
     _compose_except_cached_labeled,
     _rank_entries,
@@ -109,7 +110,6 @@ __all__ = [
     "run",
 ]
 
-_ALGORITHMS = ("fctnlr", "afctnlr")
 _RANK_POLICIES = ("fixed", "threshold")
 _GROW_NOISE = 1e-2
 # a sweep may raise the objective by at most this share of
@@ -368,7 +368,7 @@ def run(obs: Observation, cfg: SolverConfig) -> SolverResult:
         # a fixed rank starts at its cap, so it never has a bond to grow
         grown = f.rank.any_below(cap) and rel < 10.0 * cfg.eps
         if grown:
-            f, prev_obj = _grow_with_continuity(f, cap, rng, laps, lams, x, obj)
+            f, prev_obj = _grow_with_continuity(f, cap, rng, laps, lams, x)
         factor_norm = max(math.sqrt(_sq(f.factor(k))) for k in range(n))
         least_factor_norm = min(least_factor_norm, factor_norm)
         _check_gauge(it, factor_norm, least_factor_norm)
@@ -462,21 +462,20 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     return f, x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
 
 
-def _grow_with_continuity(f, cap, rng, laps, lams, x, pre_objective):
-    """Enlarge the rank table: embed each factor zero-padded and add, on its
-    new entries only, unit noise times ``scale`` times the old factor's RMS.
-    Retry with smaller noise until the objective stays within 5% of its
-    pre-growth value (zero noise restores it up to roundoff).  Returns the
-    grown factors and their objective."""
+def _grow_with_continuity(f, cap, rng, laps, lams, x):
+    """Enlarge the rank table: embed each factor zero-padded
+    (:meth:`~fctnlr.network.FctnFactors.grow`) and add, on its new entries
+    only, ``_GROW_NOISE`` times the old factor's RMS times unit noise, drawn
+    once per factor from ``rng``.  Returns the grown factors and their
+    objective, which the next sweep's rise check compares against.  The
+    noise is what lets a new bond grow: a solve maps a zero slice to zero,
+    so without it the new entries would stay 0 for good."""
     grown = f.grow(f.rank.increment_below(cap))
-    noises, rms = [], []
+    factors = []
     for k in range(f.n):
         noise = rng.standard_normal(grown.factor(k).shape)
         noise[tuple(slice(0, s) for s in f.factor(k).shape)] = 0.0
-        noises.append(noise)
-        rms.append(float(np.sqrt(np.mean(f.factor(k) ** 2))))
-    for scale in (_GROW_NOISE, _GROW_NOISE / 10.0, 0.0):
-        cand = FctnFactors([grown.factor(k) + scale * rms[k] * noises[k] for k in range(f.n)])
-        post = objective(x, cand, laps, lams)
-        if scale == 0.0 or (math.isfinite(post) and post <= 1.05 * pre_objective + 1e-12):
-            return cand, post
+        rms = float(np.sqrt(np.mean(f.factor(k) ** 2)))
+        factors.append(grown.factor(k) + _GROW_NOISE * rms * noise)
+    grown = FctnFactors(factors)
+    return grown, objective(x, grown, laps, lams)

@@ -64,6 +64,19 @@ def test_out_of_range_hyperparameter_exits_one(tmp_path, capsys, no_solve, extra
     assert not out.exists() and not saved.exists()
 
 
+@pytest.mark.parametrize("flag", ["--max-rank", "--initial-rank"])
+@pytest.mark.parametrize("value", ["2.5", "abc", "2,2.5,2"])
+def test_non_integer_rank_entry_exits_one(tmp_path, capsys, no_solve, flag, value):
+    """A rank entry that is not an integer is refused by the library's one
+    entry check, with a message naming the option, before the mask is drawn
+    or saved."""
+    values = np.random.default_rng(0).standard_normal((4, 4, 3))
+    rc, out, saved = _complete(tmp_path, values, flag, value)
+    assert rc == 1
+    assert f"{flag} entries must be integers" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()
+
+
 def test_negative_seed_with_a_mask_file_saves_no_mask(tmp_path, capsys, no_solve):
     """With --mask as with --sr, the settings are refused before the mask is
     read or saved."""

@@ -26,6 +26,7 @@ from fctnlr.network import (
     compose_except,
     env_data_product,
     gram_except,
+    matrix_labels,
     property1_unfold,
     sweep_plan,
 )
@@ -113,6 +114,38 @@ def _asked_for_after(order, t):
     later = range(t + 1, n)
     chains = [order[: u - 1] for u in later if u - 1 <= t] + [order[u + 1 :] for u in later]
     return {tuple(sorted(c)) for c in chains if 2 <= len(c) <= n - 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(max_n=7))
+def test_every_laid_out_chain_ends_in_its_chain_labels(case):
+    """One layout rule for every chain: a chain over ``seq`` writes its last
+    step, and targets, ``_chain_labels(seq)``, which over every factor is
+    the natural order and over all but k is :func:`matrix_labels` order (the
+    remaining physical modes, then the bonds to k, each by ascending
+    factor); every partial network either build plans comes out in it."""
+    dims, rank, orders, _ = case
+    n = rank.n
+    sizes = network._mode_sizes(rank, dims)
+    assert network._chain_labels(range(n), n) == tuple(("i", j) for j in range(n))
+    for k in range(n):
+        rest = [j for j in range(n) if j != k]
+        assert matrix_labels(k, n) == [("i", j) for j in rest] + [network._bond(j, k) for j in rest]
+    for order in orders:
+        for t in range(1, n + 1):
+            seq = order[:t]
+            _, steps, target = network._chain_plan(sizes, n, seq, None)[1]
+            assert target == network._chain_labels(seq, n)
+            assert [step[1] for step in steps] == [network._chain_labels(seq[: i + 2], n)
+                                                   for i in range(t - 1)]
+        builds = [(k, network._plain_chain(rank, tuple(dims), tuple(j for j in range(n) if j != k))[1])
+                  for k in range(n)]
+        builds += list(zip(order, cached_build_plan(rank, dims, order)))
+        builds.append((order[-1], network._plain_chain(rank, tuple(dims), order[:-1])[1]))
+        for k, (_, steps, target) in builds:
+            want = tuple(matrix_labels(k, n))
+            assert steps[-1][1] == want if steps else target == want
+            assert target in (None, want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -382,31 +382,57 @@ def test_run_rel_change_and_x_norm_match_direct_recomputation(algorithm):
 # ---------- rank growth ---------- #
 
 
-def _grow(f, cap, seed, pre_objective):
-    """run()'s growth step of ``f`` toward ``cap``: a pre-growth objective of
-    -inf refuses every noisy candidate, so the zero-noise one is taken, and
-    +inf takes the first (noise 1e-2)."""
+def _grow(f, cap, seed):
+    """run()'s growth step of ``f`` toward ``cap`` with the generator of
+    ``seed``."""
     laps = [CirculantLaplacian(d, 0.5) for d in f.dims]
     x = np.zeros(f.dims)
-    return _grow_with_continuity(f, cap, np.random.default_rng(seed), laps, (0.35,) * f.n,
-                                 x, pre_objective)[0]
+    return _grow_with_continuity(f, cap, np.random.default_rng(seed), laps, (0.35,) * f.n, x)[0]
 
 
 def test_increase_rank_zero_noise_preserves_composition():
+    """The zero-padded embedding alone keeps the composed tensor bit for
+    bit."""
     rng = np.random.default_rng(10)
     f = FctnFactors.random((4, 3, 5), FctnRank.uniform(3, 1), rng)
-    before = compose(f)
     cap = FctnRank.uniform(3, 2)
-    grown = _grow(f, cap, 0, -math.inf)
+    grown = f.grow(cap)
     assert grown.rank == cap
-    assert np.array_equal(compose(grown), before)
+    assert np.array_equal(compose(grown), compose(f))
+
+
+def test_increase_rank_draws_the_noise_once():
+    """The new entries are ``_GROW_NOISE`` times the old factor's RMS times
+    one standard-normal draw per factor from the run's generator, the old
+    entries stay as they are, and the objective returned is the grown
+    network's."""
+    rng = np.random.default_rng(13)
+    f = FctnFactors.random((5, 4, 3, 2), FctnRank(4, [1, 2, 1, 1, 2, 1]), rng)
+    cap = FctnRank(4, [2, 2, 3, 1, 2, 2])
+    laps = [CirculantLaplacian(d, 0.5) for d in f.dims]
+    x = rng.standard_normal(f.dims)
+    gen = np.random.default_rng(7)
+    grown, obj = _grow_with_continuity(f, cap, gen, laps, (0.35,) * f.n, x)
+    want = np.random.default_rng(7)
+    assert grown.rank == f.rank.increment_below(cap)
+    for k in range(f.n):
+        old, sl = f.factor(k), tuple(slice(0, s) for s in f.factor(k).shape)
+        noise = want.standard_normal(grown.factor(k).shape)
+        new = np.ones(noise.shape, dtype=bool)
+        new[sl] = False
+        rms = float(np.sqrt(np.mean(old ** 2)))
+        assert np.array_equal(grown.factor(k)[sl], old)
+        assert np.array_equal(grown.factor(k)[new], (solver_module._GROW_NOISE * rms * noise)[new])
+    # one draw per factor: the run's generator is where the reference's is
+    assert gen.standard_normal() == want.standard_normal()
+    assert obj == objective(x, grown, laps, (0.35,) * f.n)
 
 
 def test_increase_rank_embeds_and_perturbs():
     rng = np.random.default_rng(11)
     f = FctnFactors.random((5, 4, 3), FctnRank.uniform(3, 1), rng)
     cap = FctnRank.uniform(3, 2)
-    grown = _grow(f, cap, 1, math.inf)
+    grown = _grow(f, cap, 1)
     for k in range(3):
         old = f.factor(k)
         sl = tuple(slice(0, s) for s in old.shape)
@@ -419,7 +445,7 @@ def test_increase_rank_at_cap_is_identity_data():
     rng = np.random.default_rng(12)
     cap = FctnRank.uniform(3, 2)
     f = FctnFactors.random((4, 3, 5), cap, rng)
-    same = _grow(f, cap, 2, math.inf)
+    same = _grow(f, cap, 2)
     for k in range(3):
         assert np.array_equal(same.factor(k), f.factor(k))
 

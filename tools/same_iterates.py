@@ -11,8 +11,8 @@ SHA-256 of the completed tensor X, of the factors and of every
 ``NumericalFailure`` is compared by its message).  It lists the runs that
 differ and exits 1 if any do, else 0.  Under each run that differs it says
 how far the run moved: its largest X difference relative to X's largest
-entry, its largest relative objective difference over the sweeps both trees
-ran, and whether the sweep count, the growth sweeps and ``converged`` all
+entry, its largest relative difference of the objective, of ``rel_change``
+and of ``step_sq`` over the sweeps both trees ran, and whether the sweep count, the growth sweeps and ``converged`` all
 match, as they do when an edit changes only roundoff.
 
 The full grid covers 8 shapes of orders 3 to 6 (both of ``afctnlr``'s
@@ -106,6 +106,8 @@ def _digests(name: str) -> bytes:
         }
         out["course"][run_id] = {
             "objectives": [rec.objective for rec in res.trace],
+            "rel_change": [rec.rel_change for rec in res.trace],
+            "step_sq": [rec.step_sq for rec in res.trace],
             "growth": [rec.iteration for rec in res.trace if rec.rank_grown],
             "converged": res.converged,
         }
@@ -135,12 +137,20 @@ def _collect(src: Path, name: str) -> tuple:
 
 
 def _moved(this: dict, other: dict) -> str:
-    """How far a differing run moved between the two trees' courses."""
+    """How far a differing run moved between the two trees' courses: X
+    relative to its largest entry, and each per-sweep quantity by its
+    largest relative difference over the sweeps both trees ran (absolute
+    where the other tree's value is 0)."""
+    def rel(key):
+        pairs = zip(this[key], other[key])
+        return max((abs(a - b) / (abs(b) or 1.0) for a, b in pairs), default=0.0)
+
     dx = abs(this["x"] - other["x"]).max() / abs(other["x"]).max()
-    dobj = max(abs(a - b) / abs(b) for a, b in zip(this["objectives"], other["objectives"]))
+    within = ", ".join(f"{key} within {rel(key):.1e}"
+                       for key in ("objectives", "rel_change", "step_sq"))
     same = all(this[key] == other[key] for key in ("growth", "converged"))
     same = same and len(this["objectives"]) == len(other["objectives"])
-    return (f"  X within {dx:.1e}, objectives within {dobj:.1e}; sweeps, growth and "
+    return (f"  X within {dx:.1e}, {within}; sweeps, growth and "
             f"converged {'match' if same else 'differ'}")
 
 
