@@ -12,8 +12,9 @@ SHA-256 of the completed tensor X, of the factors and of every
 differ and exits 1 if any do, else 0.  Under each run that differs it says
 how far the run moved: its largest X difference relative to X's largest
 entry, its largest relative difference of the objective, of ``rel_change``
-and of ``step_sq`` over the sweeps both trees ran, and whether the sweep count, the growth sweeps and ``converged`` all
-match, as they do when an edit changes only roundoff.
+and of ``step_sq`` over the sweeps both trees ran, and whether the sweep
+count, the growth sweeps and ``converged`` all match, as they do when an
+edit changes only roundoff.
 
 The full grid covers 8 shapes of orders 3 to 6 (both of ``afctnlr``'s
 routes), each with both variants under rank growth and under a fixed rank,
