@@ -182,7 +182,7 @@ def _cmd_bench(args) -> int:
     if args.out:
         fileio.write_report_csv(args.out, res.rows(), CSV_FIELDS)
         print(host_facts())
-        for alg in ("fctnlr", "afctnlr"):
+        for alg in _ALGORITHMS:
             print(
                 f"{alg}: median_wall_ms={res.medians[alg]:.3f} "
                 f"total_flops={res.totals[alg]}"

@@ -17,10 +17,13 @@ factors.  The accelerated build's chain runs the prefix over the factors
 already updated in the sweep, from the longest one an earlier position
 kept, and its last step joins the suffix over those not yet updated, kept
 by the sweep's first position or a single factor (:func:`cached_build_plan`).
-Composition runs the plain chain over every factor (:func:`compose`), and the
-Gram matrix ``M M^T`` of a network matrix can also come from the doubled
-network (:func:`gram_except`) without forming M.  These two and
-:func:`compose_except` take their chains from the cached :func:`_plain_chain`.
+Composition (:func:`compose`) runs the chain its sweep plan names: the
+plain chain over every factor, or, for ``afctnlr``, one step that takes
+the partial network the last position's build kept and contracts it with
+the last factor.  The Gram matrix ``M M^T`` of a network matrix can also
+come from the doubled network (:func:`gram_except`) without forming M.
+These two, outside a sweep, and :func:`compose_except` take their chains
+from the cached :func:`_plain_chain`.
 
 On the environment route an ``afctnlr`` sweep builds no network matrix M
 before the last position, only each factor's data product ``X_(k) M^T``
@@ -32,17 +35,18 @@ contractions are one planned chain (:func:`_schedule`) of the same shape,
 run by :func:`_run` (:func:`env_data_product`), each result laid out so
 that the step reading it needs no copy.
 
-Each position's build and Gram route are chosen here, by
-:func:`sweep_plan`, and the solver plans no chain of its own; the GEMM form
-of a data product from M is :func:`~fctnlr.sylvester.data_product`'s
-choice, and the compose route the solver's, by variant.  Each
+Each position's build and Gram route and the compose chain are chosen
+here, by :func:`sweep_plan`, and the solver plans no chain of its own and
+does not branch on the variant; the GEMM form of a data product from M is
+:func:`~fctnlr.sylvester.data_product`'s choice.  Each
 :class:`Position` carries the chains it runs: the chain that builds its M
 (the plain chain, or a prefix chain whose last step joins the suffix) or
 the environment chain of its data product, and whether the Gram matrix
 ``M M^T`` comes from the doubled network or the dense product.  A plan's
 FLOPs and contraction calls are counted from the steps of its chains
-(:func:`_cost`).  ``fctnlr`` builds every M by the plain chain.
-``afctnlr`` takes the environment route or the prefix/suffix route for the
+(:func:`_cost`).  ``fctnlr`` builds every M by the plain chain and
+composes by the plain chain.  ``afctnlr`` composes from its last M and
+takes the environment route or the prefix/suffix route for the
 whole sweep, whichever the plan prices lower, and on the environment route
 every position before the last takes the doubled Gram.  Every other Gram,
 in both variants, comes from the doubled network where that is priced below
@@ -55,9 +59,8 @@ Modes are tracked by label, not position: ``('i', k)`` is the physical mode
 of factor ``k`` and ``('r', a, b)`` with ``a < b`` is the bond between
 factors ``a`` and ``b``.  Every contraction is one call of the labeled
 :func:`~fctnlr.tensor.contract`, which contracts over the labels both
-operands carry and writes the result in the layout the plan names; all but
-the one product of :func:`compose` from M are chain steps run by
-:func:`_run`.
+operands carry and writes the result in the layout the plan names; every
+one is a chain step run by :func:`_run`.
 """
 from __future__ import annotations
 
@@ -106,7 +109,7 @@ def _broadcast(value, count: int, name: str) -> tuple:
 def _rank_entries(spec, name: str = "rank") -> np.ndarray:
     """The entries of a rank spec (an int, a bond list or a :class:`FctnRank`,
     as numbers or as text) in the spec's shape, each checked to be an
-    integer >= 1; the errors name the spec ``name``."""
+    integer >= 1 that an int64 holds; the errors name the spec ``name``."""
     try:
         entries = np.asarray(spec.entries if isinstance(spec, FctnRank) else spec).astype(float)
     except ValueError:  # text that is not a number
@@ -115,6 +118,10 @@ def _rank_entries(spec, name: str = "rank") -> np.ndarray:
         raise ValueError(f"{name} entries must be integers")
     if (entries < 1).any():
         raise ValueError(f"{name} entries must be >= 1")
+    # int64 holds no float from 2**63 up (2**63 - 1 rounds to it), and the
+    # cast would wrap there with a RuntimeWarning
+    if (entries >= 2.0**63).any():
+        raise ValueError(f"{name} entries must be below 2**63")
     return entries.astype(int)
 
 
@@ -313,30 +320,21 @@ def _factors(f: FctnFactors):
     return lambda j: (f.factor(j), factor_labels(j, n))
 
 
-def compose(f: FctnFactors, k: int | None = None, m: np.ndarray | None = None) -> np.ndarray:
-    """Contract the whole network into the dense tensor (modes 0..n-1).
+def compose(f: FctnFactors, chain=None, store: dict | None = None) -> np.ndarray:
+    """Contract the whole network into the dense tensor (modes 0..n-1) by
+    the planned ``chain`` (:func:`_run`, taking kept tensors out of
+    ``store``), every intermediate laid out for the step that reads it and
+    the last written straight into the natural layout.
 
-    Without ``m`` the factors are chained in ascending order
-    (:func:`_plain_chain`), every intermediate laid out for the step that
-    reads it and the last written straight into the natural layout.  Given
-    ``m``, the network matrix of factor ``k`` (:func:`property1_unfold` of the
-    partial network around k, built from the other factors as they are now),
-    the chain is skipped: the tensor is the single product
-    ``X_(k) = A_(k) m``, 2 * I^n * R^(n-1) FLOPs in the uniform case, also
-    written straight into the natural layout.
+    By default the chain is the plain one over every factor in ascending
+    order (:func:`_plain_chain`).  A sweep plan's :attr:`SweepPlan.compose`
+    may instead start from the partial network around a factor k that its
+    last build kept in ``store``: the one step ``X_(k) = A_(k) M``,
+    2 * I^n * R^(n-1) FLOPs in the uniform case.
     """
-    n = f.n
+    chain = chain or _plain_chain(f.rank, f.dims, tuple(range(f.n)))[1]
     with FLOPS.scoped("compose"):
-        if m is None:
-            return _run(_factors(f), _plain_chain(f.rank, f.dims, tuple(range(n)))[1], {})[0]
-        a_k = f.factor(k)
-        rest = [j for j in range(n) if j != k]
-        extents = [f.dims[j] for j in rest] + [a_k.shape[j] for j in rest]
-        # m.T is the partial network with its physical modes leading; a view
-        # when m is C-ordered, as property1_unfold leaves it
-        mt = np.reshape(m.T, extents, order="F")
-        return contract(mt, matrix_labels(k, n), a_k, factor_labels(k, n),
-                        [("i", j) for j in range(n)])[0]
+        return _run(_factors(f), chain, {} if store is None else store)[0]
 
 
 def compose_except(f: FctnFactors, k: int) -> np.ndarray:
@@ -446,9 +444,11 @@ def _compose_except_cached_labeled(f: FctnFactors, chain, kept: dict) -> np.ndar
     prefix holds only factors already replaced and a suffix only factors
     not yet replaced, and neither changes before it is used.  Each entry is
     kept by the position :func:`cached_build_plan` names and taken out by
-    the one later position that starts or joins from it, so ``kept`` is
-    empty when the sweep ends; a chain that takes a key not in ``kept``
-    raises KeyError.  Start each sweep from an empty dict.  The benchmark's
+    the one later position that starts or joins from it; the last
+    position's build of an ``afctnlr`` plan keeps its partial network for
+    the sweep's compose chain (:attr:`SweepPlan.compose`).  So ``kept`` is
+    empty when the sweep has composed; a chain that takes a key not in
+    ``kept`` raises KeyError.  Start each sweep from an empty dict.  The benchmark's
     tracer hooks this name, so it is renamed only with the next benchmark
     change."""
     with FLOPS.scoped("mk"):
@@ -756,11 +756,16 @@ class Position(NamedTuple):
 
 class SweepPlan(NamedTuple):
     """One sweep's positions in visiting order, its FLOPs by label (``mk``,
-    ``compose``, ``proj``, ``gram``) and its price."""
+    ``compose``, ``proj``, ``gram``), its price, and ``compose``, the
+    planned chain (:func:`_chain_plan`) that composes the X-refresh tensor
+    once every position is done (:func:`compose`): the plain chain over
+    every factor, or one step from the partial network the last position's
+    build kept."""
 
     positions: tuple
     flops: MappingProxyType
     price: int
+    compose: tuple
 
 
 _ALGORITHMS = ("fctnlr", "afctnlr")
@@ -790,12 +795,14 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
     ``_DOUBLED_WEIGHT``, plus ``_CALL_FLOPS`` for every contraction call.
     ``fctnlr`` builds every M by the plain ascending chain, takes every data
     product ``X_(k) M^T`` (``2 q p s``) from M and composes by the whole
-    chain.  ``afctnlr`` composes from the last M and, on the environment
-    route, takes the data products of the positions before the last from
+    chain.  ``afctnlr``'s last build keeps its partial network, and its
+    compose chain is one step from it, ``X_(k) = A_(k) M`` (``2 p q s``);
+    on the environment route it takes the data products of the positions before the last from
     kept X-environments (:func:`_schedule`), their Grams from the doubled
     network, and builds only the last M, by the plain chain in visiting
     order; off it, every position builds its M by a prefix chain that ends
-    by joining the suffix (:func:`cached_build_plan`).
+    by joining the suffix (:func:`cached_build_plan`).  The compose chain
+    is charged from its steps, as every other chain is.
     Both routes are priced in the order of the other factors ascending,
     then the last: with unequal extents the price moves a little with the
     order of the rest, the choice mostly with the last factor, which the
@@ -836,7 +843,7 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
     if algorithm == "fctnlr":
         for k in order:
             place(k, _plain_chain(rank, dims, tuple(j for j in range(n) if j != k))[1])
-        charge("compose", *_cost(_plain_chain(rank, dims, tuple(range(n)))[1]))
+        compose = _plain_chain(rank, dims, tuple(range(n)))[1]
     else:
         if env is None:
             last = order[-1]
@@ -844,14 +851,21 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
             env = (sweep_plan(rank, dims, ranked, algorithm, True).price
                    < sweep_plan(rank, dims, ranked, algorithm, False).price)
         if env:
-            for k, chain in zip(order, _schedule(rank, dims, order)):
-                place(k, product=chain)
-            place(order[-1], _plain_chain(rank, dims, order[:-1])[1])
+            builds = (None,) * (n - 1) + (_plain_chain(rank, dims, order[:-1])[1],)
+            products = _schedule(rank, dims, order) + (None,)
         else:
-            for k, chain in zip(order, cached_build_plan(rank, dims, order)):
-                place(k, chain)
-        charge("compose", 2 * math.prod(dims) * rank.bond_product(order[-1]), 1)
-    return SweepPlan(tuple(positions), MappingProxyType(flops), price)
+            builds, products = cached_build_plan(rank, dims, order), (None,) * n
+        # the last build keeps its partial network under the key of its
+        # factors, and compose's one step starts from it (at n = 2 that
+        # build has no step, and compose starts from the other factor)
+        rest = tuple(sorted(order[:-1]))
+        start, steps, target = builds[-1]
+        steps = steps[:-1] + tuple(step[:4] + (rest,) for step in steps[-1:])
+        for k, build, product in zip(order, builds[:-1] + ((start, steps, target),), products):
+            place(k, build, product)
+        compose = _chain_plan(_mode_sizes(rank, dims), n, order, {rest})[1]
+    charge("compose", *_cost(compose))
+    return SweepPlan(tuple(positions), MappingProxyType(flops), price, compose)
 
 
 def _gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int, int, int]:

@@ -29,37 +29,37 @@ observed set, and ``||X||`` carries over from the sweep before.  The tests
 check it against a direct refresh (``update_x`` in ``tests/oracles.py``)
 and :func:`objective`.
 
-The variants differ in how they get each factor's network matrix and data
-product, in how they compose the X-refresh tensor and in their visiting
-order.  Both build every partial network by the one build
-:func:`~fctnlr.network._compose_except_cached_labeled`, which runs the chain
-their sweep plan names and writes the result in
+The variants differ only in their sweep plans and their visiting order; a
+sweep runs every chain its :func:`~fctnlr.network.sweep_plan` names and
+does not branch on the variant.  Both build every partial network by the
+one build :func:`~fctnlr.network._compose_except_cached_labeled`, which
+runs a position's chain and writes the result in
 :func:`~fctnlr.network.matrix_labels` layout, so its network matrix M is a
-view of it, never a copy.  The baseline's chains rebuild every partial
-network from scratch by the plain ascending chain; it takes every data
-product from M and composes the X-refresh tensor by the whole chain.  The
-accelerated variant composes the X-refresh tensor from the last factor's M
-as ``X_(k) = A_(k) M`` and reuses work within the sweep: each M's chain
-extends a prefix kept by an earlier position and joins a suffix kept the
-same way, each kept for the one later build that uses it, or it takes its
-data products from X-environments kept the same way
-(:func:`~fctnlr.network.env_data_product`), in one store per sweep.
-Which build and Gram matrix each position takes, and the chains it runs,
-are planned by :func:`~fctnlr.network.sweep_plan` and carried by its
-positions; a sweep runs them and plans no chain itself, and
+view of it, never a copy, and both compose the X-refresh tensor by the
+plan's compose chain (:func:`~fctnlr.network.compose`).  The baseline's
+chains rebuild every partial network from scratch by the plain ascending
+chain; it takes every data product from M and composes by the whole chain.
+The accelerated variant composes from the partial network its last build
+kept, as ``X_(k) = A_(k) M``, and reuses work within the sweep: each M's
+chain extends a prefix kept by an earlier position and joins a suffix kept
+the same way, each kept for the one later build that uses it, or it takes
+its data products from X-environments kept the same way
+(:func:`~fctnlr.network.env_data_product`), in one store per sweep.  The
+plan also names each position's Gram matrix, and
 :func:`~fctnlr.sylvester.data_product` picks the GEMM form of a product
 from M.  Both variants visit the factors in the identity order by default,
 so they follow the same iterates and ``afctnlr`` runs every sweep from one
 cached plan; ``shuffle`` draws a fresh random order for ``afctnlr`` every
-sweep instead, as the paper does (``fctnlr`` refuses it).  Bonds grow by one when the relative
-change ``||X_new - X|| / ||X||`` falls below ``10 * eps``, and the run stops
-when it is at most eps after a sweep without growth.
+sweep instead, as the paper does (``fctnlr`` refuses it).  Bonds grow by
+one when the relative change ``||X_new - X|| / ||X||`` falls below
+``10 * eps``, and the run stops when it is at most eps after a sweep
+without growth.
 
 A sweep holds at most one network matrix M at a time: the previous factor's
-M and its data product are freed before the next M is built, and ``fctnlr``
-frees the last M before composing the whole chain.  Besides it a sweep
-holds the chain intermediates or X-environments still to be used
-(``afctnlr``) and X-sized arrays.
+M and its data product are freed before the next M is built, and the last
+M before composing, unless the compose chain starts from it (``afctnlr``).
+Besides it a sweep holds the chain intermediates or X-environments still
+to be used (``afctnlr``) and X-sized arrays.
 
 A sweep cannot raise the objective beyond roundoff (PAM decreases it), so
 one that does stops the run with :class:`~fctnlr.sylvester.NumericalFailure`.
@@ -435,12 +435,14 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     """One PAM sweep from the iterate ``(f, x)``, which it leaves as it is:
     solve every factor in the visiting ``order``, by the routes of its
     :func:`~fctnlr.network.sweep_plan`, each against the factors as
-    updated so far, then refresh X.  Returns ``(f_new, x_new, objective,
+    updated so far, then refresh X from the tensor the plan's compose
+    chain composes.  Returns ``(f_new, x_new, objective,
     step_sq, x_step_sq)``: the new iterate, its objective, the summed
     squared factor steps and the squared X step."""
-    kept = {}  # the chains or X-environments kept for later positions of this sweep
+    kept = {}  # the chains or X-environments kept for later chains of this sweep
     step_sq = 0.0
-    for k, build, product, doubled in sweep_plan(f.rank, f.dims, order, cfg.algorithm).positions:
+    plan = sweep_plan(f.rank, f.dims, order, cfg.algorithm)
+    for k, build, product, doubled in plan.positions:
         m = xm = None  # the previous factor's, freed before the next build
         if product is not None:
             xm = env_data_product(f, k, product, x, kept)
@@ -452,13 +454,12 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
         a_new = solve_factor(xm, a_prev, gram, laps[k], lams[k], cfg.rho)
         step_sq += _sq(a_new - a_prev)
         f = f.with_factor(k, mode_fold(a_new, k, f.factor(k).shape))
-    # the last factor's network matrix holds every other factor as updated
-    if cfg.algorithm == "afctnlr":
-        composed = compose(f, k, m)
-    else:
-        m = None  # compose's chain builds without it
-        composed = compose(f)
-    x_new, data, x_step_sq = refresh_x(composed, x, obs, cfg.rho)
+    m = None  # freed before compose, unless compose starts from it
+    # compose takes what it starts from out of a copy of the store, so that
+    # stays alive in kept until the sweep returns: freed before the X
+    # refresh, though no more bytes were live, it raised dense4 afctnlr's
+    # peak RSS from 169.7 to 188.6 MB
+    x_new, data, x_step_sq = refresh_x(compose(f, plan.compose, dict(kept)), x, obs, cfg.rho)
     return f, x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
 
 

@@ -77,6 +77,21 @@ def test_non_integer_rank_entry_exits_one(tmp_path, capsys, no_solve, flag, valu
     assert not out.exists() and not saved.exists()
 
 
+@pytest.mark.parametrize("flag", ["--max-rank", "--initial-rank"])
+@pytest.mark.parametrize("value", ["1e20", "9223372036854775807"])
+def test_oversized_rank_entry_exits_one(tmp_path, capsys, no_solve, flag, value):
+    """A rank entry that no int64 holds is refused in one line naming the
+    option, before the mask is drawn or saved, and with no numpy warning of
+    a wrapped cast (pytest would raise it)."""
+    values = np.random.default_rng(0).standard_normal((4, 4, 3))
+    rc, out, saved = _complete(tmp_path, values, flag, value)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{flag} entries must be below 2**63" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists() and not saved.exists()
+
+
 def test_negative_seed_with_a_mask_file_saves_no_mask(tmp_path, capsys, no_solve):
     """With --mask as with --sr, the settings are refused before the mask is
     read or saved."""

@@ -8,8 +8,10 @@ from fctnlr.fileio import sample_mask
 from fctnlr.network import (
     FctnFactors,
     FctnRank,
+    _compose_except_cached_labeled,
     compose,
     compose_except,
+    env_data_product,
     factor_labels,
     gram_except,
     matrix_labels,
@@ -78,6 +80,11 @@ def test_rank_table_validation():
         with pytest.raises(ValueError, match="integer"):
             FctnRank(3, [1, bad, 2])
     assert FctnRank(3, [1, 2.0, np.int64(2)]).entries == (1, 2, 2)
+    # an entry no int64 holds is refused before the cast, which would wrap it
+    # with a RuntimeWarning (an error here)
+    for big in (1e20, 2**63 - 1, "9223372036854775807"):
+        with pytest.raises(ValueError, match=r"rank entries must be below 2\*\*63"):
+            FctnRank(3, [1, big, 2])
     r = FctnRank(3, [1, 2, 3])
     with pytest.raises(KeyError):
         r[1, 1]
@@ -264,46 +271,73 @@ def test_property1_unfold_order_check():
         property1_unfold(np.zeros((2, 3, 2, 3), order="C"), 0, 3)
 
 
+def _sweep_chains(f, order, env=None):
+    """Run the chains of every position of an ``afctnlr`` sweep plan in
+    ``order`` (route forced by ``env``) with no factor replaced; returns
+    the plan and its store, which then holds what the compose chain starts
+    from."""
+    plan = sweep_plan(f.rank, f.dims, tuple(order), "afctnlr", env)
+    kept, x = {}, np.zeros(f.dims, order="F")
+    for pos in plan.positions:
+        if pos.product is not None:
+            env_data_product(f, pos.k, pos.product, x, kept)
+        else:
+            _compose_except_cached_labeled(f, pos.build, kept)
+    return plan, kept
+
+
 def test_compose_from_partial_matches_compose():
+    """The compose chain of an afctnlr plan, one step from the last
+    position's partial network, composes the network with each factor last,
+    on either route."""
     for seed in range(6):
         f = random_network(1000 + seed)
         full = compose(f)
         for k in range(f.n):
-            got = compose(f, k, plain_m(f, k))
-            err = np.linalg.norm(got - full) / np.linalg.norm(full)
-            assert err <= 1e-12
+            order = tuple(j for j in range(f.n) if j != k) + (k,)
+            for env in (False, True):
+                plan, kept = _sweep_chains(f, order, env)
+                got = compose(f, plan.compose, kept)
+                err = np.linalg.norm(got - full) / np.linalg.norm(full)
+                assert err <= 1e-12
+                assert kept == {}
+    # a kept partial that is not the network's is refused
+    plan = sweep_plan(f.rank, f.dims, tuple(range(1, f.n)) + (0,), "afctnlr")
     with pytest.raises(ValueError):
-        compose(f, 0, np.zeros((2, 2)))
+        compose(f, plan.compose, {plan.compose[0]: (np.zeros((2, 2)), matrix_labels(0, f.n))})
 
 
 def test_compose_from_partial_flop_count():
     rng = np.random.default_rng(9)
     n, i, r = 4, 3, 2
     f = FctnFactors.random((i,) * n, FctnRank.uniform(n, r), rng)
-    m = plain_m(f, 1)
+    plan, kept = _sweep_chains(f, (0, 2, 3, 1))
     FLOPS.reset()
     before = FLOPS.labeled("compose")
-    compose(f, 1, m)
+    compose(f, plan.compose, kept)
     assert FLOPS.labeled("compose") - before == 2 * i**n * r ** (n - 1)
+    assert plan.flops["compose"] == 2 * i**n * r ** (n - 1)
     assert compose_from_partial_flops(n, i, r) == 2 * i**n * r ** (n - 1)
 
 
 def _check_network_matrix_orders(f, orders):
-    """Every visiting order of the cached build yields, as a view of the
-    build, the einsum oracle's network matrix and, through compose(f, k, m),
-    the chain's composition."""
+    """Every visiting order of the cached build (the prefix/suffix route's
+    builds) yields, as a view of the build, the einsum oracle's network
+    matrix, and the plan's compose chain then composes the network from the
+    last one."""
     full = compose(f)
     for order in orders:
+        plan = sweep_plan(f.rank, f.dims, tuple(order), "afctnlr", False)
         kept = {}  # one sweep per order
-        for k in order:
-            want = network_matrix(f, k)
-            arr = cached_build(f, k, order, kept)
-            m = property1_unfold(arr, k, f.n)
+        for pos in plan.positions:
+            want = network_matrix(f, pos.k)
+            arr = _compose_except_cached_labeled(f, pos.build, kept)
+            m = property1_unfold(arr, pos.k, f.n)
             assert np.shares_memory(m, arr)
             assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
-            got = compose(f, k, m)
-            err = np.linalg.norm(got - full) / np.linalg.norm(full)
-            assert err <= 1e-12
+        got = compose(f, plan.compose, kept)
+        err = np.linalg.norm(got - full) / np.linalg.norm(full)
+        assert err <= 1e-12
 
 
 def test_compose_from_partial_view_any_label_order():

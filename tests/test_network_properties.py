@@ -214,8 +214,9 @@ def test_every_plan_keeps_only_what_a_later_chain_starts_from(n):
 def test_every_planned_chain_makes_its_planned_calls(n):
     """Over every visiting order, on both afctnlr routes and the fctnlr
     plan, each position's build of M makes exactly the contraction calls
-    its chain counts (:func:`~fctnlr.network._cost`), and each data product
-    from kept X-environments those of its chain: the calls a sweep's price
+    its chain counts (:func:`~fctnlr.network._cost`), each data product
+    from kept X-environments those of its chain, and the compose chain
+    those of its own, after which nothing is kept: the calls a sweep's price
     charges are the calls it makes."""
     rng = np.random.default_rng(n)
     rank, dims = FctnRank.uniform(n, 2), (2,) * n
@@ -231,15 +232,46 @@ def test_every_planned_chain_makes_its_planned_calls(n):
     with mock.patch.object(network, "contract", counted):
         for order in itertools.permutations(range(n)):
             for algorithm, env in (("fctnlr", None), ("afctnlr", False), ("afctnlr", True)):
-                kept = {}
-                for pos in sweep_plan(rank, dims, order, algorithm, env).positions:
+                kept, plan = {}, sweep_plan(rank, dims, order, algorithm, env)
+                for pos in plan.positions:
                     calls.clear()
                     if pos.product is not None:
                         env_data_product(f, pos.k, pos.product, x, kept)
                     else:
                         _compose_except_cached_labeled(f, pos.build, kept)
                     assert len(calls) == _cost(pos.product or pos.build)[1]
+                calls.clear()
+                compose(f, plan.compose, kept)
+                assert len(calls) == _cost(plan.compose)[1]
                 assert kept == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(max_n=6))
+def test_compose_chain_meters_its_plan_and_composes_the_network(case):
+    """Over a sweep that replaces each factor after its own position, as the
+    solver does, the plan's compose chain (the plain chain for fctnlr, one
+    step from the last position's kept partial network on either afctnlr
+    route) meters the ``compose`` FLOPs its plan counts and composes the
+    network as it is then."""
+    dims, rank, orders, seed = case
+    rng = np.random.default_rng(seed)
+    x = np.asfortranarray(rng.standard_normal(tuple(dims)))
+    for order in orders:
+        for algorithm, env in (("fctnlr", None), ("afctnlr", False), ("afctnlr", True)):
+            f = FctnFactors.random(dims, rank, rng)
+            kept, plan = {}, sweep_plan(rank, tuple(dims), order, algorithm, env)
+            for pos in plan.positions:
+                if pos.product is not None:
+                    env_data_product(f, pos.k, pos.product, x, kept)
+                else:
+                    _compose_except_cached_labeled(f, pos.build, kept)
+                f = f.with_factor(pos.k, rng.standard_normal(f.factor(pos.k).shape))
+            before = FLOPS.labeled("compose")
+            got = compose(f, plan.compose, kept)
+            assert FLOPS.labeled("compose") - before == plan.flops["compose"]
+            assert _close(got, compose(f))
+            assert kept == {}
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,10 @@ process, with ``FCTN_THREADS=1`` set before numpy loads.  For every workload
 of ``benchmark/workloads.py`` (imported as it is; ``--tiny`` takes its toy
 sizes) and both variants it runs ``--pairs`` pairs of whole ``run`` calls,
 one per tree on the same input, the tree that goes first alternating from
-pair to pair.  Pair i solves seed i + 1: the fixed-sweep workloads at their
-fixed rank, the quality workload on one mask of its clip from its start rank
-to the eps stop, as ``benchmark/child.py`` sets them.
+pair to pair.  Every pair solves the one input of seed 1, so the quartiles
+spread by timing noise alone, not by inputs: the fixed-sweep workloads at
+their fixed rank, the quality workload on mask draw 0 of its clip from its
+start rank to the eps stop, as ``benchmark/child.py`` sets them.
 
 Per workload and variant it prints each tree's median solve time with its
 quartiles, how many pairs this tree won, the median of the per-pair ratio
@@ -115,11 +116,11 @@ def main(argv=None) -> int:
         print(f"this: {Path(this.__file__).parent}  other: {args.other.resolve() / 'fctnlr'}")
         for name in args.workload or wl_names:
             w = table[name]
-            clip = wl.smooth_clip(w.dims, w.rank, wl.CLIP_SEED) if w.kind == "quality" else None
+            seed = 1  # every pair solves this one input, so pairs differ by noise alone
+            truth = (wl.smooth_clip(w.dims, w.rank, wl.CLIP_SEED) if w.kind == "quality"
+                     else wl.gaussian_truth(w.dims, seed))
             runs = {(v, side): [] for v in VARIANTS for side in ("this", "other")}
             for i in range(args.pairs):
-                seed = i + 1
-                truth = wl.gaussian_truth(w.dims, seed) if clip is None else clip
                 sides = [("this", this), ("other", other)][:: 1 if i % 2 == 0 else -1]
                 for variant in VARIANTS:
                     for side, pkg in sides:
