@@ -457,8 +457,8 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     m = None  # freed before compose, unless compose starts from it
     # compose takes what it starts from out of a copy of the store, so that
     # stays alive in kept until the sweep returns: freed before the X
-    # refresh, though no more bytes were live, it raised dense4 afctnlr's
-    # peak RSS from 169.7 to 188.6 MB
+    # refresh, with fewer bytes live, it raised the peak RSS of afctnlr at
+    # 40^4 R=4 from 169.7 to 188.6 MB (glibc, 2-core x86 host)
     x_new, data, x_step_sq = refresh_x(compose(f, plan.compose, dict(kept)), x, obs, cfg.rho)
     return f, x_new, data + _penalty(f, laps, lams), step_sq, x_step_sq
 

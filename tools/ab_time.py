@@ -114,9 +114,9 @@ def main(argv=None) -> int:
         wl = _workloads()
         table = wl.TINY if args.tiny else wl.WORKLOADS
         print(f"this: {Path(this.__file__).parent}  other: {args.other.resolve() / 'fctnlr'}")
+        seed = 1  # every pair solves this one input, so pairs differ by noise alone
         for name in args.workload or wl_names:
             w = table[name]
-            seed = 1  # every pair solves this one input, so pairs differ by noise alone
             truth = (wl.smooth_clip(w.dims, w.rank, wl.CLIP_SEED) if w.kind == "quality"
                      else wl.gaussian_truth(w.dims, seed))
             runs = {(v, side): [] for v in VARIANTS for side in ("this", "other")}
