@@ -64,6 +64,7 @@ one is a chain step run by :func:`_run`.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -201,12 +202,16 @@ class FctnRank:
 # ---------- factors ---------- #
 
 
+def _as_factor(a) -> np.ndarray:
+    return np.asfortranarray(np.asarray(a, dtype=np.float64))
+
+
 class FctnFactors:
     """Ordered, immutable list of network factors, each F-ordered float64.
     :meth:`with_factor` and :meth:`grow` return new networks."""
 
     def __init__(self, factors) -> None:
-        arrays = [np.asfortranarray(np.asarray(a, dtype=np.float64)) for a in factors]
+        arrays = [_as_factor(a) for a in factors]
         n = len(arrays)
         if n < 2:
             raise ValueError("need at least two factors")
@@ -220,6 +225,7 @@ class FctnFactors:
                         f"bond ({i}, {j}) disagrees: {arrays[i].shape[j]} vs {arrays[j].shape[i]}"
                     )
         self._arrays = tuple(arrays)
+        self._rank = FctnRank(n, [arrays[i].shape[j] for i in range(n) for j in range(i + 1, n)])
 
     @classmethod
     def random(cls, dims, rank: FctnRank, rng: np.random.Generator) -> "FctnFactors":
@@ -239,11 +245,7 @@ class FctnFactors:
 
     @property
     def rank(self) -> FctnRank:
-        n = self.n
-        tri = [
-            self._arrays[i].shape[j] for i in range(n) for j in range(i + 1, n)
-        ]
-        return FctnRank(n, tri)
+        return self._rank
 
     def factor(self, k: int) -> np.ndarray:
         return self._arrays[k]
@@ -255,7 +257,10 @@ class FctnFactors:
             raise ValueError(
                 f"factor {k} needs shape {self._arrays[k].shape}, got {np.shape(arr)}"
             )
-        return FctnFactors(self._arrays[:k] + (arr,) + self._arrays[k + 1 :])
+        # the same shapes make the same bonds and rank table
+        new = copy.copy(self)
+        new._arrays = self._arrays[:k] + (_as_factor(arr),) + self._arrays[k + 1 :]
+        return new
 
     def grow(self, new_rank: FctnRank) -> "FctnFactors":
         """Zero-padded embedding into a larger rank table (entrywise >= current)."""
@@ -773,11 +778,13 @@ _ALGORITHMS = ("fctnlr", "afctnlr")
 # Weights of the doubled-network Gram against the dense product M M^T, timed
 # per factor with FCTN_THREADS=1 on a 2-core x86 host over 25 shapes (n 3-6,
 # extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
-# FLOP rate (small operands, layout copies), and each of its n-2 contraction
-# calls costs about 140 us of Python, some 4e6 FLOPs of GEMM time.  The
-# price of a sweep charges the same for every contraction call.
+# FLOP rate (small operands, layout copies).  A tensor.contract call costs
+# about 36 us of Python, some 1e6 FLOPs of GEMM time on the same host; the
+# price of a sweep charges that for every contraction call.  4e6, the
+# earlier fit, priced the environment route 1.036x the prefix/suffix route
+# at 64x64x3x32 R=2, where it ran faster (6.5 against 8.0 ms a sweep).
 _DOUBLED_WEIGHT = 3
-_CALL_FLOPS = 4_000_000
+_CALL_FLOPS = 1_000_000
 
 
 # holds every visiting order of one network at n <= 6 (720) and the 2n

@@ -167,6 +167,10 @@ def test_factors_with_factor_swaps_one_factor():
     assert g.factor(0) is before[0] and g.factor(2) is before[2]
     # the original network still holds its old arrays
     assert all(f.factor(k) is before[k] for k in range(3))
+    assert g.rank == f.rank and g.dims == f.dims
+    # a C-ordered integer factor is stored as the constructor stores one
+    h = f.with_factor(2, np.ones(before[2].shape, dtype=int))
+    assert h.factor(2).dtype == np.float64 and h.factor(2).flags.f_contiguous
     with pytest.raises(ValueError):
         f.with_factor(0, np.zeros((1, 1, 1)))
     assert not hasattr(f, "replace")
@@ -567,31 +571,32 @@ def test_doubled_gram_route_follows_cost():
 
 def test_sweep_route_follows_the_price():
     """afctnlr's route is chosen per sweep by the price of both routes, by
-    the last factor of the visiting order.  At 64x64x3x32 R=3 the environment
-    route wins unless the order ends in the short mode 2, which then drops
-    out of the environments; where the doubled Gram is dear or the tensor
-    small the prefix/suffix build wins; on the benchmark's fixed-sweep shapes
-    and at 8^6 R=2 the environment route does, although the doubled Gram
-    loses per factor at 8^6 R=2."""
+    the last factor of the visiting order.  At 64x64x3x32 R=2 and R=3 the
+    environment route wins unless the order ends in the short mode 2, which
+    then drops out of the environments; where the doubled Gram is dear or
+    the tensor small the prefix/suffix build wins; on the benchmark's
+    fixed-sweep shapes and at 8^6 R=2 the environment route does, and at
+    8^6 R=2 the doubled Gram wins per factor too."""
     video = (64, 64, 3, 32)
-    rank = FctnRank.uniform(4, 3)
-    assert [_env_route(rank, video, last) for last in range(4)] == [True, True, False, True]
+    for r in (2, 3):
+        rank = FctnRank.uniform(4, r)
+        assert [_env_route(rank, video, last) for last in range(4)] == [True, True, False, True]
     for dims, r, env in [
-        (video, 2, False), ((12, 12, 3, 8), 1, False), ((12, 12, 3, 8), 2, False),
+        ((12, 12, 3, 8), 1, False), ((12, 12, 3, 8), 2, False),
         ((10,) * 5, 3, False), ((6,) * 6, 2, False),
         ((8,) * 6, 2, True), ((40,) * 4, 4, True), ((16,) * 5, 3, True), ((128,) * 3, 4, True),
     ]:
         rank = FctnRank.uniform(len(dims), r)
         assert [_env_route(rank, dims, last) for last in range(len(dims))] == [env] * len(dims)
-    assert not _grams(FctnRank.uniform(6, 2), (8,) * 6)[0]
+    assert _grams(FctnRank.uniform(6, 2), (8,) * 6) == [True] * 6
 
 
 def test_sweep_flops_with_mixed_grams_match_a_sweep():
-    """At 8^6 R=2 afctnlr takes the environment route with the dense Gram
+    """At 7^6 R=2 afctnlr takes the environment route with the dense Gram
     rule against it: the positions before the last take the doubled Gram,
     the last the dense one, and a measured sweep counts the planned FLOPs by
     label, which are the closed forms' on that route."""
-    n, i, r = 6, 8, 2
+    n, i, r = 6, 7, 2
     dims = (i,) * n
     truth = np.random.default_rng(5).standard_normal(dims)
     obs = Observation.from_dense(truth, sample_mask(dims, 0.3, 5))

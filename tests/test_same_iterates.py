@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MOVED = (r"  X within {0}, objectives within {0}, rel_change within {0}, step_sq within {0}; "
-         r"sweeps, growth and converged match")
+MOVED = (r"  X within {0}, objectives within {0}, rel_change within {0}, step_sq within {0}, "
+         r"x_norm within {0}; sweeps, growth and converged match")
 # zero, or a difference of at most 1e-12
 ROUNDOFF = r"(?:0\.0e\+00|\d\.\de-(?:1[2-9]|[2-9]\d|\d{3}))"
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fctnlr.fileio import sample_mask
@@ -16,10 +16,12 @@ from fctnlr.laplacian import CirculantLaplacian
 from fctnlr.metrics import rel_err
 from fctnlr.network import FctnFactors, FctnRank, compose
 from fctnlr.solver import (
+    _BLOCK,
     Observation,
     SolverConfig,
     _grow_with_continuity,
     _penalty,
+    _sq,
     objective,
     refresh_x,
     run,
@@ -223,7 +225,7 @@ def test_refresh_x_matches_update_x_and_objective(rho):
     for seed in range(5):
         obs, f, x, laps, lams = refresh_case(40 + seed)
         composed = compose(f)
-        x_new, data, step_sq = refresh_x(composed.copy(order="F"), x, obs, rho)
+        x_new, data, step_sq, x_new_sq = refresh_x(composed.copy(order="F"), x, obs, rho)
         ref = update_x(composed, x, obs, rho)
         off = ~obs.mask
         assert np.linalg.norm(x_new[off] - ref[off]) <= 1e-14 * np.linalg.norm(ref[off])
@@ -234,6 +236,7 @@ def test_refresh_x_matches_update_x_and_objective(rho):
         want = objective(x_new, f, laps, lams, obs=obs)
         assert data + _penalty(f, laps, lams) == pytest.approx(want, rel=1e-12)
         assert step_sq == pytest.approx(float(np.sum((x_new - x) ** 2)), rel=1e-12)
+        assert x_new_sq == pytest.approx(float(np.sum(x_new ** 2)), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,8 +248,8 @@ def test_refresh_x_matches_update_x_and_objective(rho):
 def test_refresh_x_matches_update_x_random(dims, rho, seed):
     """Over random orders, extents and masks with observed -0.0 values, the
     residual-pass refresh keeps every observed entry bit for bit and agrees
-    with the direct refresh off the mask; its data term and step equal
-    ``1/2 ||x_new - composed||^2`` and ``||x_new - x||^2``.  Errors are
+    with the direct refresh off the mask; its data term, step and norm equal
+    ``1/2 ||x_new - composed||^2``, ``||x_new - x||^2`` and ``||x_new||^2``.  Errors are
     measured against the inputs' scale, since an entry can cancel to far
     below it."""
     dims = tuple(dims)
@@ -262,29 +265,112 @@ def test_refresh_x_matches_update_x_random(dims, rho, seed):
     composed = np.asfortranarray(rng.standard_normal(dims))
     scale = np.linalg.norm(x) + np.linalg.norm(composed)
     ref = update_x(composed, x, obs, rho)
-    x_new, data, step_sq = refresh_x(composed.copy(order="F"), x, obs, rho)
+    x_new, data, step_sq, x_new_sq = refresh_x(composed.copy(order="F"), x, obs, rho)
     assert np.array_equal(bits(x_new[mask]), bits(obs.values[mask]))
     off = ~mask
     off_scale = np.linalg.norm(x[off]) + np.linalg.norm(composed[off])
     assert np.linalg.norm(x_new[off] - ref[off]) <= 1e-15 * off_scale
     assert abs(math.sqrt(2.0 * data) - np.linalg.norm(x_new - composed)) <= 1e-15 * scale
     assert abs(math.sqrt(step_sq) - np.linalg.norm(x_new - x)) <= 1e-15 * scale
+    assert abs(math.sqrt(x_new_sq) - np.linalg.norm(x_new)) <= 1e-15 * scale
+
+def one_pass_refresh(composed, x, obs, rho):
+    """The refresh's arithmetic over the whole tensor at once, unblocked:
+    ``(x_new, data, step_sq, x_new_sq)`` as :func:`refresh_x` returns them."""
+    r = np.asfortranarray(composed - x)
+    on = r[obs.mask]
+    r[obs.mask] = -0.0
+    off_sq = _sq(r)
+    r *= 1.0 / (1.0 + rho)
+    r += x
+    shrink = rho / (1.0 + rho)
+    return r, 0.5 * (shrink * shrink * off_sq + _sq(on)), off_sq / (1.0 + rho) ** 2, _sq(r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.one_of(st.just(_BLOCK), st.just(1), st.integers(1, _BLOCK)),
+    st.lists(st.sampled_from(["empty", "full", "some"]), min_size=4, max_size=4),
+    st.booleans(),
+    st.sampled_from([1e-8, 0.1, 10.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(4, _BLOCK, ["empty", "full", "some", "some"], False, 0.1, 0)
+@example(3, 5, ["full", "some", "empty", "some"], True, 1e-8, 1)
+@example(2, _BLOCK - 1, ["some", "empty", "some", "some"], False, 10.0, 2)
+def test_blocked_refresh_matches_one_pass(blocks, last, kinds, column, rho, seed):
+    """The refresh runs over blocks of ``_BLOCK`` entries.  Over 1-4 blocks,
+    the last one whole or partial, with blocks that hold no observed entry,
+    blocks observed throughout and an observed -0.0 at each observed
+    block's first and last entry: the new X equals the unblocked arithmetic
+    bit for bit, and equals ``update_x`` bit for bit on the observed set, so
+    every -0.0 keeps its sign; the data term, the step and ``||X_new||^2``
+    equal their unblocked sums and ``1/2 ||x_new - composed||^2``,
+    ``||x_new - x||^2`` and ``_sq(x_new)`` to 1e-14 relative."""
+    size = (blocks - 1) * _BLOCK + last
+    rng = np.random.default_rng(seed)
+    if all(kind == "empty" for kind in kinds[:blocks]):
+        kinds = ["some"] + kinds[1:]  # an observation needs an observed entry
+    mask = np.zeros(size, dtype=bool)
+    edges = []
+    for b, kind in enumerate(kinds[:blocks]):
+        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, size)
+        if kind == "empty":
+            continue
+        mask[lo:hi] = True if kind == "full" else rng.random(hi - lo) < 0.3
+        mask[[lo, hi - 1]] = True
+        edges += [lo, hi - 1]
+    values = rng.standard_normal(size)
+    values[edges] = -0.0
+    dims = (1, size) if column else (size, 1)
+    obs = Observation(values=values.reshape(dims), mask=mask.reshape(dims))
+    assert len(obs.block_bounds) == blocks + 1
+    x = np.asfortranarray(rng.standard_normal(dims))
+    x[obs.mask] = obs.values[obs.mask]
+    composed = np.asfortranarray(rng.standard_normal(dims))
+
+    x_new, data, step_sq, x_new_sq = refresh_x(composed.copy(order="F"), x, obs, rho)
+    want, want_data, want_step, want_sq = one_pass_refresh(composed, x, obs, rho)
+    assert np.array_equal(bits(x_new), bits(want))
+    ref = update_x(composed, x, obs, rho)
+    assert np.array_equal(bits(x_new[obs.mask]), bits(ref[obs.mask]))
+    assert np.signbit(x_new.ravel(order="F")[edges]).all()
+    assert data == pytest.approx(want_data, rel=1e-14)
+    assert step_sq == pytest.approx(want_step, rel=1e-14)
+    assert x_new_sq == pytest.approx(want_sq, rel=1e-14)
+    assert data == pytest.approx(0.5 * _sq(x_new - composed), rel=1e-14)
+    assert step_sq == pytest.approx(float(np.sum((x_new - x) ** 2)), rel=1e-14)
+    assert x_new_sq == pytest.approx(_sq(x_new), rel=1e-14)
+
+
+def test_block_bounds_come_from_the_observations_own_mask():
+    """The block bounds, computed on first use, split the observation's own
+    copy of the mask: clearing the caller's mask afterwards moves none."""
+    dims = (_BLOCK // 4, 9)  # 2.25 blocks
+    mask = sample_mask(dims, 0.3, 7)
+    obs = Observation.from_dense(np.ones(dims), mask)
+    want = [np.count_nonzero(mask.ravel(order="F")[:lo]) for lo in (0, _BLOCK, 2 * _BLOCK)]
+    mask[...] = False
+    assert obs.block_bounds.tolist() == want + [np.count_nonzero(obs.mask)]
 
 
 @pytest.mark.parametrize("algorithm", ["fctnlr", "afctnlr"])
 def test_sweep_objective_matches_oracle(algorithm):
-    """A sweep's fused objective equals the objective recomputed from its
-    iterate and its updated factors."""
+    """A sweep's fused objective, X step and ``||X_new||^2`` equal those
+    recomputed from its iterate and its updated factors."""
     obs, f, _, laps, lams = refresh_case(50)
     cfg = SolverConfig(algorithm=algorithm, lam=lams, rho=0.1)
     x = obs.values.copy(order="F")
     for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
         # the sweep leaves its input iterate as it is
         before = [x.tobytes()] + [f.factor(k).tobytes() for k in range(f.n)]
-        f_new, x_new, obj, _, x_step_sq = solver_module._sweep(f, x, obs, order, laps, lams, cfg)
+        f_new, x_new, obj, _, x_step_sq, x_new_sq = solver_module._sweep(
+            f, x, obs, order, laps, lams, cfg)
         assert [x.tobytes()] + [f.factor(k).tobytes() for k in range(f.n)] == before
         assert obj == pytest.approx(objective(x_new, f_new, laps, lams, obs=obs), rel=1e-12)
         assert x_step_sq == pytest.approx(float(np.sum((x_new - x) ** 2)), rel=1e-12)
+        assert x_new_sq == pytest.approx(float(np.sum(x_new ** 2)), rel=1e-12)
         f, x = f_new, x_new
 
 

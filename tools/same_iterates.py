@@ -11,10 +11,10 @@ SHA-256 of the completed tensor X, of the factors and of every
 ``NumericalFailure`` is compared by its message).  It lists the runs that
 differ and exits 1 if any do, else 0.  Under each run that differs it says
 how far the run moved: its largest X difference relative to X's largest
-entry, its largest relative difference of the objective, of ``rel_change``
-and of ``step_sq`` over the sweeps both trees ran, and whether the sweep
-count, the growth sweeps and ``converged`` all match, as they do when an
-edit changes only roundoff.
+entry, its largest relative difference of the objective, of ``rel_change``,
+of ``step_sq`` and of ``x_norm`` over the sweeps both trees ran, and whether
+the sweep count, the growth sweeps and ``converged`` all match, as they do
+when an edit changes only roundoff.
 
 The full grid covers 8 shapes of orders 3 to 6 (both of ``afctnlr``'s
 routes), each with both variants under rank growth and under a fixed rank,
@@ -109,6 +109,7 @@ def _digests(name: str) -> bytes:
             "objectives": [rec.objective for rec in res.trace],
             "rel_change": [rec.rel_change for rec in res.trace],
             "step_sq": [rec.step_sq for rec in res.trace],
+            "x_norm": [rec.x_norm for rec in res.trace],
             "growth": [rec.iteration for rec in res.trace if rec.rank_grown],
             "converged": res.converged,
         }
@@ -148,7 +149,7 @@ def _moved(this: dict, other: dict) -> str:
 
     dx = abs(this["x"] - other["x"]).max() / abs(other["x"]).max()
     within = ", ".join(f"{key} within {rel(key):.1e}"
-                       for key in ("objectives", "rel_change", "step_sq"))
+                       for key in ("objectives", "rel_change", "step_sq", "x_norm"))
     same = all(this[key] == other[key] for key in ("growth", "converged"))
     same = same and len(this["objectives"]) == len(other["objectives"])
     return (f"  X within {dx:.1e}, {within}; sweeps, growth and "
