@@ -780,9 +780,11 @@ _ALGORITHMS = ("fctnlr", "afctnlr")
 # extents 4-128, ranks 1-5): its chain runs at about a third of the GEMM's
 # FLOP rate (small operands, layout copies).  A tensor.contract call costs
 # about 36 us of Python, some 1e6 FLOPs of GEMM time on the same host; the
-# price of a sweep charges that for every contraction call.  4e6, the
-# earlier fit, priced the environment route 1.036x the prefix/suffix route
-# at 64x64x3x32 R=2, where it ran faster (6.5 against 8.0 ms a sweep).
+# price of a sweep charges that for every contraction call.  With it the
+# price picks the faster afctnlr route on 11 timed shapes (n 3-6), among
+# them 64x64x3x32 R=2 (environment route, 6.5 against 8.0 ms a sweep); at
+# 8^6 R=2 it sends fctnlr's Grams to the doubled network, which is slower
+# there at factors 0-3 (4.4-5.3 against 3.6-3.9 ms).
 _DOUBLED_WEIGHT = 3
 _CALL_FLOPS = 1_000_000
 

@@ -248,10 +248,10 @@ def test_refresh_x_matches_update_x_and_objective(rho):
 def test_refresh_x_matches_update_x_random(dims, rho, seed):
     """Over random orders, extents and masks with observed -0.0 values, the
     residual-pass refresh keeps every observed entry bit for bit and agrees
-    with the direct refresh off the mask; its data term, step and norm equal
-    ``1/2 ||x_new - composed||^2``, ``||x_new - x||^2`` and ``||x_new||^2``.  Errors are
-    measured against the inputs' scale, since an entry can cancel to far
-    below it."""
+    with the direct refresh off the mask; its data term, step and norm
+    equal ``1/2 ||x_new - composed||^2``, ``||x_new - x||^2`` and
+    ``||x_new||^2``.  Errors are measured against the inputs' scale, since
+    an entry can cancel to far below it."""
     dims = tuple(dims)
     rng = np.random.default_rng(seed)
     mask = rng.random(dims) < rng.uniform(0.05, 0.95)
@@ -273,6 +273,7 @@ def test_refresh_x_matches_update_x_random(dims, rho, seed):
     assert abs(math.sqrt(2.0 * data) - np.linalg.norm(x_new - composed)) <= 1e-15 * scale
     assert abs(math.sqrt(step_sq) - np.linalg.norm(x_new - x)) <= 1e-15 * scale
     assert abs(math.sqrt(x_new_sq) - np.linalg.norm(x_new)) <= 1e-15 * scale
+
 
 def one_pass_refresh(composed, x, obs, rho):
     """The refresh's arithmetic over the whole tensor at once, unblocked:
