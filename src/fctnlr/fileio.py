@@ -189,13 +189,12 @@ def read_pnm(path: str) -> np.ndarray:
     count = width * height * channels
     if binary:
         # exactly one whitespace byte separates maxval from the raster
-        data = blob[end + 1 :]
-        if maxval < 256:
-            raw = np.frombuffer(data[:count], dtype=np.uint8)
-        else:
-            raw = np.frombuffer(data[: 2 * count], dtype=">u2")
-        if raw.size != count:
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        data = blob[end + 1 : end + 1 + dtype.itemsize * count]
+        # counted in bytes, so a raster cut inside a 16-bit sample is caught
+        if len(data) != dtype.itemsize * count:
             raise ValueError(f"{path}: truncated raster")
+        raw = np.frombuffer(data, dtype=dtype)
     else:
         rest = [_unsigned(t, path) for t, _ in toks]
         if len(rest) < count:

@@ -44,11 +44,10 @@ def psnr(x, ref, peak: float = 1.0) -> float:
     if not 0.0 < peak < math.inf:
         raise ValueError("peak must be finite and > 0")
     xs, rs = _pair(x, ref)
-    h, w, s = xs.shape
-    vals = []
-    for t in range(s):
-        mse = float(np.mean((xs[:, :, t] - rs[:, :, t]) ** 2))
-        vals.append(100.0 if mse == 0.0 else 10.0 * math.log10(peak * peak / mse))
+    mse = np.mean((xs - rs) ** 2, axis=(0, 1))
+    # a zero-error slice divides by zero here; np.where gives it the cap
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = np.where(mse == 0.0, 100.0, 10.0 * np.log10(peak * peak / mse))
     return float(np.mean(vals))
 
 
@@ -59,20 +58,13 @@ def ssim(x, ref, peak: float = 1.0) -> float:
         raise ValueError("peak must be finite and > 0")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    xs, rs = _pair(x, ref)
-    vals = []
-    for t in range(xs.shape[2]):
-        a = xs[:, :, t]
-        b = rs[:, :, t]
-        mu_a = float(a.mean())
-        mu_b = float(b.mean())
-        var_a = float(a.var())
-        var_b = float(b.var())
-        cov = float(((a - mu_a) * (b - mu_b)).mean())
-        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-        vals.append(num / den)
-    return float(np.mean(vals))
+    a, b = _pair(x, ref)
+    mu_a, mu_b = a.mean(axis=(0, 1)), b.mean(axis=(0, 1))
+    var_a, var_b = a.var(axis=(0, 1)), b.var(axis=(0, 1))
+    cov = ((a - mu_a) * (b - mu_b)).mean(axis=(0, 1))
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 def rel_err(x, ref, mask=None) -> float:

@@ -21,9 +21,11 @@ Composition (:func:`compose`) runs the chain its sweep plan names: the
 plain chain over every factor, or, for ``afctnlr``, one step that takes
 the partial network the last position's build kept and contracts it with
 the last factor.  The Gram matrix ``M M^T`` of a network matrix can also
-come from the doubled network (:func:`gram_except`) without forming M.
-These two, outside a sweep, and :func:`compose_except` take their chains
-from the cached :func:`_plain_chain`.
+come from the doubled network (:func:`gram_except`) without forming M, by
+the chain its sweep plan names.  Outside a sweep, :func:`compose` and
+:func:`compose_except` take their chains from the cached
+:func:`_plain_chain`, and :func:`gram_except` its chain from the cached
+:func:`_doubled_chain`.
 
 On the environment route an ``afctnlr`` sweep builds no network matrix M
 before the last position, only each factor's data product ``X_(k) M^T``
@@ -41,8 +43,8 @@ does not branch on the variant; the GEMM form of a data product from M is
 :func:`~fctnlr.sylvester.data_product`'s choice.  Each
 :class:`Position` carries the chains it runs: the chain that builds its M
 (the plain chain, or a prefix chain whose last step joins the suffix) or
-the environment chain of its data product, and whether the Gram matrix
-``M M^T`` comes from the doubled network or the dense product.  A plan's
+the environment chain of its data product, and the doubled-network chain
+of its Gram matrix ``M M^T``, or None for the dense product.  A plan's
 FLOPs and contraction calls are counted from the steps of its chains
 (:func:`_cost`).  ``fctnlr`` builds every M by the plain chain and
 composes by the plain chain.  ``afctnlr`` composes from its last M and
@@ -50,10 +52,11 @@ takes the environment route or the prefix/suffix route for the
 whole sweep, whichever the plan prices lower, and on the environment route
 every position before the last takes the doubled Gram.  Every other Gram,
 in both variants, comes from the doubled network where that is priced below
-the dense product and no larger than M (:func:`_gram_price`): the doubled
-chain's middle intermediates grow as R^(2 t (n-t)), so it loses once R^2 is
-large against the extents (4^5 at R=3, 6^6 at R=2), and on small tensors,
-where the Python cost of its contractions dominates.
+the dense product and no larger than M (:func:`_doubled_chain` sizes and
+prices it once): the doubled chain's middle intermediates grow as
+R^(2 t (n-t)), so it loses once R^2 is large against the extents (4^5 at
+R=3, 6^6 at R=2), and on small tensors, where the Python cost of its
+contractions dominates.
 
 Modes are tracked by label, not position: ``('i', k)`` is the physical mode
 of factor ``k`` and ``('r', a, b)`` with ``a < b`` is the bond between
@@ -383,7 +386,7 @@ def _doubled_labels(j: int, n: int) -> list:
     return bonds + [_twin(lab) for lab in bonds]
 
 
-def gram_except(f: FctnFactors, k: int) -> np.ndarray:
+def gram_except(f: FctnFactors, k: int, chain=None) -> np.ndarray:
     """Gram matrix ``M M^T`` of factor k's network matrix, s x s, rows and
     columns in M's row order (k's bonds by ascending partner, first index
     fastest), F-ordered.
@@ -391,11 +394,13 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
     Built from the doubled network, not from M: each other factor j first
     meets its own copy over physical mode j in the small Gram ``U_j^T U_j``
     of its mode-j unfolding, a tensor over its bonds and their twins; then
-    those n-1 Grams are chained in ascending order over every bond not at k
-    (:func:`_plain_chain`), in their natural layouts, and the last step
-    writes the s x s layout directly.
+    those n-1 Grams are contracted by the planned ``chain`` (a position's
+    :attr:`Position.gram`), by default the one in ascending order over
+    every bond not at k (:func:`_doubled_chain`), in their natural layouts,
+    and the last step writes the s x s layout directly.
     """
     n = f.n
+    chain = chain or _doubled_chain(f.rank, f.dims, k)[0]
 
     def small(j):
         u = mode_unfold(f.factor(j), j)
@@ -404,9 +409,8 @@ def gram_except(f: FctnFactors, k: int) -> np.ndarray:
         # the product is symmetric, so its transpose is the F-ordered Gram
         return (u.T @ u).T.reshape(extents * 2, order="F"), _doubled_labels(j, n)
 
-    rest = tuple(j for j in range(n) if j != k)
     with FLOPS.scoped("gram"):
-        arr = _run(small, _plain_chain(f.rank, f.dims, rest, True)[1], {})[0]
+        arr = _run(small, chain, {})[0]
     s = f.factor(k).size // f.dims[k]
     return arr.reshape((s, s), order="F")
 
@@ -526,25 +530,37 @@ def _chain_plan(sizes: dict, n: int, seq, kept: set | None, target=None) -> tupl
     return peak, (start, tuple(steps), target)
 
 
-# holds, per network, the whole chain, each factor's plain and doubled chain,
-# and the last plain chain of the environment route in every visiting order
-# at n <= 6 (720)
+# holds, per network, the whole chain, each factor's plain chain, and the
+# last plain chain of the environment route in every visiting order at
+# n <= 6 (720)
 @functools.lru_cache(maxsize=1024)
-def _plain_chain(rank: FctnRank, dims: tuple, seq: tuple, doubled: bool = False) -> tuple:
+def _plain_chain(rank: FctnRank, dims: tuple, seq: tuple) -> tuple:
     """:func:`_chain_plan` of the chain over ``seq`` that keeps nothing,
     cached on its arguments: the dense tensor in natural order when ``seq``
     holds every factor, else the partial network around the factor k left
-    out, in :func:`matrix_labels` order, or, if ``doubled``, the Gram chain
-    of :func:`gram_except`, which is the plain chain over ``seq`` of the
+    out, in :func:`matrix_labels` order."""
+    return _chain_plan(_mode_sizes(rank, dims), rank.n, seq, None)
+
+
+# holds each factor's chain of a few networks
+@functools.lru_cache(maxsize=256)
+def _doubled_chain(rank: FctnRank, dims: tuple, k: int) -> tuple[tuple, int, int, int]:
+    """The Gram chain of :func:`gram_except` around factor k, with its
+    FLOPs, price and largest tensor (entries), cached on its arguments.
+    The chain is the plain ascending chain over the other factors of the
     network with squared bonds and unit extents, run in natural layouts and
-    written in the Gram's (bond, twin) order."""
+    written in the Gram's (bond, twin) order.  Its FLOPs add the n-1 small
+    Grams ``U_j^T U_j``, ``2 I_j s_j^2`` each, to the chain's, and its price
+    is ``_DOUBLED_WEIGHT`` times those FLOPs plus ``_CALL_FLOPS`` per
+    contraction call."""
     n = rank.n
-    if not doubled:
-        return _chain_plan(_mode_sizes(rank, dims), n, seq, None)
-    k = next(j for j in range(n) if j not in seq)
-    bonds = [_bond(j, k) for j in seq]
+    rest = tuple(j for j in range(n) if j != k)
+    bonds = [_bond(j, k) for j in rest]
     squared = _mode_sizes(FctnRank(n, [e * e for e in rank.entries]), (1,) * n)
-    return _chain_plan(squared, n, seq, None, tuple(bonds + [_twin(b) for b in bonds]))
+    peak, chain = _chain_plan(squared, n, rest, None, tuple(bonds + [_twin(b) for b in bonds]))
+    count, calls = _cost(chain)
+    count += sum(2 * dims[j] * rank.bond_product(j) ** 2 for j in rest)
+    return chain, count, _DOUBLED_WEIGHT * count + calls * _CALL_FLOPS, peak
 
 
 def cached_build_plan(rank: FctnRank, dims, order) -> tuple:
@@ -750,13 +766,14 @@ class Position(NamedTuple):
     """How one position of a sweep runs.  ``k`` is its factor; ``build``
     the planned chain (:func:`_chain_plan`) that builds its M, or None when
     no M is built; ``product`` the environment chain (:func:`_schedule`) of
-    its data product, or None when that comes from M; ``doubled`` whether
-    its Gram matrix comes from the doubled network."""
+    its data product, or None when that comes from M; ``gram`` the
+    doubled-network chain (:func:`_doubled_chain`) of its Gram matrix, or
+    None when that is the dense product ``M M^T``."""
 
     k: int
     build: tuple | None
     product: tuple | None
-    doubled: bool
+    gram: tuple | None
 
 
 class SweepPlan(NamedTuple):
@@ -834,20 +851,23 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
         """Charge factor k's position: its data product by the environment
         chain ``product`` (and its Gram from the doubled network), else by
         the chain ``build`` of M and the data product from M, its Gram by
-        the doubled network where that is priced below the dense product
-        and its largest tensor is no larger than M (:func:`_gram_price`)."""
+        the doubled network (:func:`_doubled_chain`) where that is priced
+        below the dense product ``M M^T`` of M (s x p), ``2 s^2 p`` FLOPs at
+        face value, and its largest tensor is no larger than M."""
         nonlocal price
+        s, p = rank.bond_product(k), math.prod(dims) // dims[k]
         if product is not None:
             charge("proj", *_cost(product))
         else:
             charge("mk", *_cost(build))
-            charge("proj", 2 * math.prod(dims) * rank.bond_product(k), 0)
-        twin, dense = _gram_price(rank, dims, k, True), _gram_price(rank, dims, k, False)
-        doubled = product is not None or twin[1] < dense[1] and twin[2] <= dense[2]
-        count, cost, _ = twin if doubled else dense
+            charge("proj", 2 * math.prod(dims) * s, 0)
+        gram, count, cost, peak = _doubled_chain(rank, dims, k)
+        dense = 2 * s * s * p
+        if product is None and not (cost < dense and peak <= s * p):
+            gram, count, cost = None, dense, dense
         flops["gram"] += count
         price += cost
-        positions.append(Position(k, build, product, doubled))
+        positions.append(Position(k, build, product, gram))
 
     if algorithm == "fctnlr":
         for k in order:
@@ -875,26 +895,6 @@ def sweep_plan(rank: FctnRank, dims: tuple, order: tuple, algorithm: str,
         compose = _chain_plan(_mode_sizes(rank, dims), n, order, {rest})[1]
     charge("compose", *_cost(compose))
     return SweepPlan(tuple(positions), MappingProxyType(flops), price, compose)
-
-
-def _gram_price(rank: FctnRank, dims: tuple, k: int, doubled: bool) -> tuple[int, int, int]:
-    """FLOPs, price and largest tensor (entries) of factor k's Gram matrix.
-    From the doubled network (:func:`gram_except`): the n-1 small Grams
-    ``U_j^T U_j``, ``2 I_j s_j^2`` FLOPs each, then the plain ascending
-    chain over the other factors of the network with squared bonds and unit
-    extents, priced at ``_DOUBLED_WEIGHT`` times its FLOPs plus
-    ``_CALL_FLOPS`` per contraction call.  Else the dense product ``M M^T``
-    of its network matrix M (s x p), ``2 s^2 p`` FLOPs at face value, whose
-    largest tensor is M."""
-    n = rank.n
-    s, p = rank.bond_product(k), math.prod(dims) // dims[k]
-    if not doubled:
-        return 2 * s * s * p, 2 * s * s * p, s * p
-    rest = tuple(j for j in range(n) if j != k)
-    peak, chain = _plain_chain(rank, dims, rest, True)
-    count, calls = _cost(chain)
-    count += sum(2 * dims[j] * rank.bond_product(j) ** 2 for j in rest)
-    return count, _DOUBLED_WEIGHT * count + calls * _CALL_FLOPS, peak
 
 
 # ---------- visiting orders ---------- #

@@ -48,7 +48,9 @@ chain extends a prefix kept by an earlier position and joins a suffix kept
 the same way, each kept for the one later build that uses it, or it takes
 its data products from X-environments kept the same way
 (:func:`~fctnlr.network.env_data_product`), in one store per sweep.  The
-plan also names each position's Gram matrix, and
+plan also names each position's Gram route, the doubled-network chain that
+:func:`~fctnlr.network.gram_except` runs or the dense product, so a sweep
+plans and looks up no chain of its own, and
 :func:`~fctnlr.sylvester.data_product` picks the GEMM form of a product
 from M.  Both variants visit the factors in the identity order by default,
 so they follow the same iterates and ``afctnlr`` runs every sweep from one
@@ -472,7 +474,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
     kept = {}  # the chains or X-environments kept for later chains of this sweep
     step_sq = 0.0
     plan = sweep_plan(f.rank, f.dims, order, cfg.algorithm)
-    for k, build, product, doubled in plan.positions:
+    for k, build, product, gram_chain in plan.positions:
         m = xm = None  # the previous factor's, freed before the next build
         if product is not None:
             xm = env_data_product(f, k, product, x, kept)
@@ -480,7 +482,7 @@ def _sweep(f, x, obs, order, laps, lams, cfg):
             m = property1_unfold(_compose_except_cached_labeled(f, build, kept), k, f.n)
         a_prev = mode_unfold(f.factor(k), k)
         xm = data_product(x, k, m) if xm is None else xm
-        gram = gram_except(f, k) if doubled else dense_gram(m)
+        gram = dense_gram(m) if gram_chain is None else gram_except(f, k, gram_chain)
         a_new = solve_factor(xm, a_prev, gram, laps[k], lams[k], cfg.rho)
         step_sq += _sq(a_new - a_prev)
         f = f.with_factor(k, mode_fold(a_new, k, f.factor(k).shape))

@@ -54,7 +54,7 @@ def test_run_bench_counts_match_cost_model():
 
     n, i, r = 4, 6, 2
     # the dense Gram route here, so afctnlr builds every M
-    assert not uniform_plan(n, i, r, "fctnlr").positions[0].doubled
+    assert uniform_plan(n, i, r, "fctnlr").positions[0].gram is None
     assert not any(pos.product is not None for pos in uniform_plan(n, i, r, "afctnlr").positions)
     assert res.mk_iter1["fctnlr"] == partial_sweep_flops(n, i, r)
     assert res.mk_iter1["afctnlr"] == partial_sweep_flops_cached(n, i, r)

@@ -341,6 +341,11 @@ def test_read_pnm_validation(tmp_path):
             read_pnm(_write(tmp_path / name, b"P2\n" + size + b"\n255\n"))
     with pytest.raises(ValueError, match="bad9.pgm: truncated raster"):
         read_pnm(_write(tmp_path / "bad9.pgm", b"P2\n2 2\n255\n0 5 10\n"))
+    # a 16-bit raster cut inside its last sample
+    for name, body in (("bad10.pgm", b"P5 2 1 65535\n\x00\x01\x00"),
+                       ("bad11.ppm", b"P6 1 1 65535\n" + bytes(5))):
+        with pytest.raises(ValueError, match=f"{name}: truncated raster"):
+            read_pnm(_write(tmp_path / name, body))
 
 
 @pytest.mark.parametrize("name, body, token", [

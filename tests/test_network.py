@@ -516,7 +516,7 @@ def test_sweep_gram_flops_match_cost_model(n, i, r, doubled, algorithm):
     closed form, and every phase's FLOPs are the cost model's, afctnlr's
     on the doubled shapes those of the environment route."""
     dims = (i,) * n
-    assert all(pos.doubled == doubled for pos in uniform_plan(n, i, r, "fctnlr").positions)
+    assert {pos.gram is not None for pos in uniform_plan(n, i, r, "fctnlr").positions} == {doubled}
     truth = np.random.default_rng(3).standard_normal(dims)
     obs = Observation.from_dense(truth, sample_mask(dims, 0.5, 3))
     cfg = SolverConfig(eps=0.0, max_iters=1, max_rank=r, initial_rank=r,
@@ -540,7 +540,7 @@ def _grams(rank, dims):
     """Whether each factor's Gram comes from the doubled network, by the plan
     of a fctnlr sweep, where the per-factor rule alone decides."""
     plan = sweep_plan(rank, dims, tuple(range(rank.n)), "fctnlr")
-    return [pos.doubled for pos in plan.positions]
+    return [pos.gram is not None for pos in plan.positions]
 
 
 def _env_route(rank, dims, last):
@@ -604,7 +604,7 @@ def test_sweep_flops_with_mixed_grams_match_a_sweep():
                                 rank_policy="fixed", algorithm="afctnlr", seed=5))
     sweep = res.trace[0]
     plan = uniform_plan(n, i, r, "afctnlr")
-    assert [pos.doubled for pos in plan.positions] == [True] * (n - 1) + [False]
+    assert [pos.gram is not None for pos in plan.positions] == [True] * (n - 1) + [False]
     pred = plan.flops
     assert {lab: getattr(sweep, f"{lab}_flops") for lab in pred} == pred
     dense = 2 * i ** (n - 1) * r ** (2 * (n - 1))

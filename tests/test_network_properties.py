@@ -19,7 +19,7 @@ from fctnlr.network import (
     FctnRank,
     _compose_except_cached_labeled,
     _cost,
-    _gram_price,
+    _doubled_chain,
     _schedule,
     cached_build_plan,
     compose,
@@ -296,7 +296,7 @@ def test_doubled_network_gram_is_the_dense_gram(case):
         scale = np.linalg.norm(gram_dense(network_matrix(absolute, k)))
         assert np.linalg.norm(got - want) <= 1e-12 * scale
         # the sweep plan sizes the same chain without running it
-        assert FLOPS.labeled("gram") == FLOPS.total == _gram_price(rank, tuple(dims), k, True)[0]
+        assert FLOPS.labeled("gram") == FLOPS.total == _doubled_chain(rank, tuple(dims), k)[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,31 +386,32 @@ def test_plans_of_every_order_stay_cached():
     assert plan_all() == first
 
 
-@pytest.mark.parametrize("env", [False, True], ids=["prefix-suffix", "environments"])
-def test_a_planned_sweep_plans_no_chain(env):
+@pytest.mark.parametrize("algorithm, env", [
+    ("fctnlr", None), ("afctnlr", False), ("afctnlr", True),
+], ids=["fctnlr", "prefix-suffix", "environments"])
+def test_a_planned_sweep_plans_no_chain(algorithm, env):
     """A sweep runs the chains its cached plan holds: once the plan is made,
-    neither route plans a chain of a position again.  The plain and doubled
-    chains that :func:`gram_except` and :func:`compose` look up are all in
-    :func:`network._plain_chain`'s cache by then."""
-    dims, rank, order = (5, 4, 3, 4), FctnRank.uniform(4, 2), (2, 0, 3, 1)
+    no sweep plans or looks up a chain again, neither its builds, its
+    data products, its Grams (doubled and dense both occur here) nor its
+    compose."""
+    dims, rank, order = (40, 40, 3, 16), FctnRank.uniform(4, 3), (2, 0, 3, 1)
     rng = np.random.default_rng(4)
     obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
-    # planned afresh, so the plain chains it looks up are the cache's newest
-    plan = sweep_plan.__wrapped__(rank, dims, order, "afctnlr", env)
-    assert {pos.product is not None for pos in plan.positions[:-1]} == {env}
+    plan = sweep_plan(rank, dims, order, algorithm, env)
+    assert {pos.product is not None for pos in plan.positions[:-1]} == {bool(env)}
+    assert {pos.gram is None for pos in plan.positions} == {False, True}
 
     def forbidden(*args):
-        raise AssertionError("a chain was planned during the sweep")
+        raise AssertionError("a chain was planned or looked up during the sweep")
 
-    misses = network._plain_chain.cache_info().misses
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(solver, "sweep_plan", lambda *args: plan))
-        for attr in ("_schedule", "cached_build_plan"):
+        for attr in ("_chain_plan", "_plain_chain", "_doubled_chain", "_schedule",
+                     "cached_build_plan"):
             stack.enter_context(mock.patch.object(network, attr, forbidden))
         solver._sweep(FctnFactors.random(dims, rank, rng), obs.values.copy(order="F"), obs,
                       order, [CirculantLaplacian(d, 0.5, "positive-definite") for d in dims],
-                      (0.35,) * 4, SolverConfig(algorithm="afctnlr"))
-    assert network._plain_chain.cache_info().misses == misses
+                      (0.35,) * 4, SolverConfig(algorithm=algorithm))
 
 
 _LABELS = ("mk", "compose", "proj", "gram")
@@ -473,7 +474,7 @@ def _sweep_calls(f, obs, order, algorithm):
     spies = [
         spy(solver, "env_data_product", "product", lambda f, k, chain, *_: (k, chain)),
         spy(solver, "_compose_except_cached_labeled", "built", lambda f, chain, kept: (chain,)),
-        spy(solver, "gram_except", "doubled", lambda f, k: (k,)),
+        spy(solver, "gram_except", "doubled", lambda f, k, chain: (k, chain)),
         spy(solver, "dense_gram", "dense", lambda m: ()),
         spy(solver, "solve_factor", "solve", lambda xm, a_prev, gram, *_: ()),
         spy(sylvester, "eig_gram", "eig", lambda g: ()),
@@ -501,13 +502,13 @@ def test_sweeps_run_their_plan(algorithm, order, env):
     obs = Observation.from_dense(rng.standard_normal(dims), rng.random(dims) < 0.5)
     plan = sweep_plan(rank, dims, order, algorithm)
     assert [pos.product is not None for pos in plan.positions[:-1]] == [env] * 3
-    assert len({pos.doubled for pos in plan.positions}) == 2
+    assert len({pos.gram is None for pos in plan.positions}) == 2
     want = []
     for pos in plan.positions:
         if pos.product is not None:
             want.append(("product", pos.k, pos.product))
         else:
             want.append(("built", pos.build))
-        want.append(("doubled", pos.k) if pos.doubled else ("dense",))
+        want.append(("dense",) if pos.gram is None else ("doubled", pos.k, pos.gram))
         want += [("solve",), ("eig",)]
     assert _sweep_calls(FctnFactors.random(dims, rank, rng), obs, order, algorithm) == want
