@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -141,6 +142,11 @@ def _config(args, n: int) -> SolverConfig:
 
 def _cmd_complete(args) -> int:
     _check_output_dirs(args.output, args.report, args.save_mask)
+    outputs = (("--output", args.output), ("--report", args.report), ("--save-mask", args.save_mask))
+    named = [(opt, os.path.realpath(path)) for opt, path in outputs if path]
+    for (a, path), (b, other) in itertools.combinations(named, 2):
+        if path == other:
+            raise ValueError(f"{a} and {b} name the same file {path}")
     values = fileio.read_tensor(args.input)
     # the settings are checked before the mask is drawn, read or saved
     cfg = _config(args, values.ndim)

@@ -41,6 +41,10 @@ FRAME_EXTS = (".pgm", ".ppm")
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a tempfile renamed over it.  The
+    file gets the mode ``open(path, "wb")`` would leave: the replaced file's
+    permission bits, else ``0o666`` less the umask (the tempfile is made
+    0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".fctn-", dir=directory)
     try:
@@ -48,6 +52,13 @@ def _atomic_write(path: str, data: bytes) -> None:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0o077)  # read by setting it, so set a strict one meanwhile
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -600,24 +600,35 @@ def _contiguous(target, group) -> bool:
     return pos[-1] - pos[0] == len(pos) - 1
 
 
-def _step_layout(labels, extents, shared, factor, keep):
+def _step_layout(labels, extents, shared, factor, keep, final=None):
     """Result layout for contracting a large tensor, its modes ``labels`` in
     memory order, with a factor (modes ``factor`` in memory order) over the
     modes ``shared``; every set in ``keep`` (at most two) must come out
     contiguous, as a later step contracts it.
 
-    The result is laid out as [rows, gap, factor, rest]: rows are a run of
-    the tensor's modes adjacent in its memory, so the GEMM reads the tensor
-    in place (see :func:`~fctnlr.tensor.contract`'s ``split``), and gap and
-    rest are batched.  A kept set straddles the boundary before the factor's
-    modes or the one after them.  Returns ``(cost, target, split)`` for the
-    fewest batched GEMMs, the first such layout found; None when no layout
-    keeps every set contiguous."""
+    A position's last step keeps nothing and names ``final``, M's row
+    order.  Its result is laid out in ``final`` wherever the longest leading
+    run of ``final``'s modes adjacent in the tensor's memory, in that order,
+    can be the GEMM's rows, so the GEMM reads the tensor in place (see
+    :func:`~fctnlr.tensor.contract`'s ``split``).  Otherwise the result is
+    laid out as [rows, gap, factor, rest]: rows are a run of the tensor's
+    modes adjacent in its memory, read in place the same way, and gap and
+    rest are batched.  A kept set straddles the boundary before the
+    factor's modes or the one after them.  Returns ``(cost, target,
+    split)``, the cost being the count of batched GEMMs (the product of the
+    tensor's modes outside the rows): ``final``'s layout where it applies,
+    else the first layout found with the fewest; None when no layout keeps
+    every set contiguous."""
     own = [lab for lab in labels if lab not in shared]
     new = [lab for lab in factor if lab not in shared]
     # the GEMM needs a unit stride in its rows or in the contracted modes
     first = next((lab for lab in labels if extents[lab] > 1), labels[0])
     at = {lab: t for t, lab in enumerate(labels)}
+    if final is not None:
+        pairs = zip(labels[at.get(final[0], len(labels)):], final)
+        run = [lab for lab, _ in itertools.takewhile(lambda pair: pair[0] == pair[1], pairs)]
+        if run and (first in shared or first in run):
+            return math.prod(extents[lab] for lab in own if lab not in run), final, len(run)
     best = None
     for a in range(len(own)):
         for b in range(a, len(own)):
@@ -644,23 +655,6 @@ def _step_layout(labels, extents, shared, factor, keep):
     return best
 
 
-def _leading_split(labels, extents, shared, target):
-    """How many leading modes of ``target`` (a small result's layout) the
-    GEMM can take as its rows straight from the large tensor: the longest
-    prefix of its modes adjacent in the tensor's memory in that order, or
-    None when that leaves the GEMM without a unit stride."""
-    at = {lab: t for t, lab in enumerate(labels)}
-    first = next((lab for lab in labels if extents[lab] > 1), labels[0])
-    split = 0
-    while split < len(target) and target[split] in at and (
-        split == 0 or at[target[split]] == at[target[split - 1]] + 1
-    ):
-        split += 1
-    if split and (first in shared or first in target[:split]):
-        return split
-    return None
-
-
 def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     """Chains of the environment route of a sweep in ``order``: entry p is
     the chain ``(start, steps, target)`` (:func:`_run`) of the data product
@@ -673,63 +667,61 @@ def _schedule(rank: FctnRank, dims: tuple, order: tuple) -> tuple:
     environment E_j (X contracted with ``order[j:]``), kept under
     ``("env", j)`` for j >= 2, and the last of them is the data product of
     ``order[0]``.  Position p starts from E_{p+1} and takes the already
-    updated ``order[:p]`` one at a time.  Every step's result is laid out
-    (:func:`_step_layout`) so that the steps reading it find the modes they
-    contract in one block: E_j (j >= 2) for the next step of position 0,
-    which contracts ``order[j-1]``, and for the first step of position j-1,
-    whose factor is picked among ``order[:j-1]`` as the one the cheapest such
-    layout serves; each later step of position p picks its factor the same
-    way.  The pick changes only roundoff and, for unequal extents, FLOPs."""
+    updated ``order[:p]`` one at a time; its chain is planned as soon as
+    position 0 has laid out E_{p+1}, one pass over the sweep.  Every step's
+    result is laid out (:func:`_step_layout`) for the cheapest of its
+    options, each of which keeps contiguous the modes that the steps reading
+    it contract: those of position 0's next factor, if the step is position
+    0's and one follows, plus those of one factor it picks among the ones
+    its position has still to take (for position 0, among ``order[:j-1]``
+    after ``order[j]``: the first factor of position j-1).  A position's
+    last step picks nothing and writes its product in M's row order where
+    that reads its tensor in place.  The pick changes only roundoff and, for
+    unequal extents, FLOPs."""
     n = rank.n
     extents = _mode_sizes(rank, dims)
-
-    def step(labels, j, options, final=None):
-        """Contract factor j, laid out for the cheapest of its (keep, pick)
-        options; every option has a layout that keeps its sets contiguous.
-        A position's last step writes its product in ``final``, M's row
-        order, where that reads the tensor in place."""
-        shared = _touching(labels, j)
-        split = None if final is None else _leading_split(labels, extents, shared, final)
-        target, pick = final, None
-        if not split:
-            plans = [(_step_layout(labels, extents, shared, factor_labels(j, n), keep), pick)
-                     for keep, pick in options]
-            (_, target, split), pick = min(plans, key=lambda got: got[0][0])
-        size = math.prod(extents[lab] for lab in target)
-        flops = 2 * size * math.prod(extents[lab] for lab in shared)
-        return (j, target, split, flops), pick
-
-    def column(labels, j, w):
-        """The modes of factor w that the contraction after factor j's takes."""
-        return _touching(labels, w) | {_bond(j, w)}
 
     def product(k):
         """M's row order of factor k's data product."""
         return tuple([("i", k)] + [_bond(j, k) for j in range(n) if j != k])
 
-    firsts, envs, steps = {}, {}, []
+    def step(labels, j, k, nxt, todo):
+        """Contract factor j into the running tensor of factor k's data
+        product, laid out for the cheapest of its options: keep the modes of
+        ``nxt`` (position 0's next factor, or None) and those of one factor
+        picked among ``todo``; each has a layout that keeps them contiguous.
+        Returns the step without its key, and the factor picked (None when
+        ``todo`` is empty: the position's last step)."""
+        shared = _touching(labels, j)
+
+        def column(w):
+            """The modes of factor w that the contraction after factor j's takes."""
+            return _touching(labels, w) | {_bond(j, w)}
+
+        keep = [column(nxt)] if nxt is not None else []
+        options = [(keep + [column(w)], w) for w in todo] or [(keep, None)]
+        final = None if todo else product(k)
+        plans = [(_step_layout(labels, extents, shared, factor_labels(j, n), sets, final), w)
+                 for sets, w in options]
+        (_, target, split), pick = min(plans, key=lambda got: got[0][0])
+        return (j, target, split, 2 * math.prod(extents[lab] for lab in (*target, *shared))), pick
+
+    schedule, steps = [None] * (n - 1), []
     labels = tuple(("i", j) for j in range(n))
     for left in range(n - 1, 0, -1):
-        j = order[left]
-        options, final = [([], None)], product(order[0])
-        if left >= 2:
-            nxt = column(labels, j, order[left - 1])
-            options = [([nxt, column(labels, j, w)], w) for w in order[: left - 1]]
-            final = None
-        got, firsts[left] = step(labels, j, options, final)
-        steps.append(got + (("env", left) if left >= 2 else None,))
-        labels = envs[left] = got[1]
-    schedule = [(("env", n), tuple(steps), product(order[0]))]
-    for p in range(1, n - 1):
-        labels, steps = envs[p + 1], []
-        todo, w = list(order[:p]), firsts[p + 1]
-        while w is not None:
-            todo.remove(w)
-            options = [([column(labels, w, v)], v) for v in todo] or [([], None)]
-            got, w = step(labels, w, options, None if todo else product(order[p]))
-            steps.append(got + (None,))
-            labels = got[1]
-        schedule.append((("env", p + 1), tuple(steps), product(order[p])))
+        todo = list(order[: left - 1])
+        got, w = step(labels, order[left], order[0], order[left - 1] if todo else None, todo)
+        steps.append(got + (("env", left) if todo else None,))
+        labels = env = got[1]
+        if todo:  # position left-1, from E_left
+            chain = []
+            while w is not None:
+                todo.remove(w)
+                got, w = step(env, w, order[left - 1], None, todo)
+                chain.append(got + (None,))
+                env = got[1]
+            schedule[left - 1] = (("env", left), tuple(chain), product(order[left - 1]))
+    schedule[0] = (("env", n), tuple(steps), product(order[0]))
     return tuple(schedule)
 
 

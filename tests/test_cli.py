@@ -428,6 +428,31 @@ def test_complete_output_in_a_missing_directory_exits_one(tmp_path, capsys, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fctn"]
 
 
+@pytest.mark.parametrize("first, second, spelled", [
+    ("--output", "--report", "out.fctn"),
+    ("--output", "--save-mask", "out.fctn"),
+    ("--report", "--save-mask", "out.fctn"),
+    ("--output", "--report", "./out.fctn"),
+], ids=["output-report", "output-save-mask", "report-save-mask", "dot-slash"])
+def test_complete_outputs_naming_one_file_exit_one(tmp_path, capsys, monkeypatch,
+                                                   first, second, spelled):
+    """Two output options naming the same file are refused before a mask is
+    drawn or the solve runs, and no file is written."""
+    monkeypatch.chdir(tmp_path)
+    write_tensor("in.fctn", _truth(8))
+    monkeypatch.setattr(fctnlr.fileio, "sample_mask", _forbidden)
+    monkeypatch.setattr(fctnlr.cli, "run", _forbidden)
+    paths = {"--output": "o.fctn", "--report": "trace.csv", "--save-mask": "mask.fctn"}
+    paths[first], paths[second] = "out.fctn", spelled
+    rc = main(["complete", "--input", "in.fctn", "--sr", "0.4",
+               *(part for opt, path in paths.items() for part in (opt, path))])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"fctnlr: error: {first} and {second} name the same file "
+                   f"{os.path.realpath('out.fctn')}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fctn"]
+
+
 @pytest.mark.parametrize("folder", ["nodir", "file.txt"])
 def test_bench_out_in_a_missing_directory_exits_one(tmp_path, capsys, monkeypatch, folder):
     (tmp_path / "file.txt").write_text("")

@@ -221,6 +221,35 @@ def test_failed_replace_leaves_original_intact(tmp_path, monkeypatch):
     assert stray == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=["022", "002", "077"])
+@pytest.mark.parametrize("write", [lambda p: write_tensor(p, np.ones(3)),
+                                   lambda p: write_mask(p, np.ones(3, dtype=bool)),
+                                   lambda p: write_report_csv(p, [{"a": 1}], ["a"])],
+                         ids=["tensor", "mask", "report"])
+def test_new_file_gets_the_mode_open_gives(tmp_path, umask, write):
+    """A new container or report gets the mode ``open(path, "wb")`` gives
+    under the umask, not the tempfile's 0600."""
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        write(str(tmp_path / "written"))
+    finally:
+        os.umask(old)
+    want = os.stat(tmp_path / "plain").st_mode & 0o777
+    assert want == 0o666 & ~umask
+    assert os.stat(tmp_path / "written").st_mode & 0o777 == want
+
+
+def test_overwrite_keeps_the_replaced_file_mode(tmp_path):
+    path = tmp_path / "t.fctn"
+    write_tensor(str(path), np.zeros(2))
+    os.chmod(path, 0o640)
+    write_tensor(str(path), np.ones(2))
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    assert np.array_equal(read_tensor(str(path)), np.ones(2))
+
+
 def test_sample_mask_exact_count():
     mask = sample_mask((10, 10), 0.2, 0)
     assert mask.shape == (10, 10)

@@ -16,11 +16,11 @@ of ``step_sq`` and of ``x_norm`` over the sweeps both trees ran, and whether
 the sweep count, the growth sweeps and ``converged`` all match, as they do
 when an edit changes only roundoff.
 
-The full grid covers 8 shapes of orders 3 to 6 (both of ``afctnlr``'s
+The full grid covers 9 shapes of orders 2 to 6 (both of ``afctnlr``'s
 routes), each with both variants under rank growth and under a fixed rank,
-and ``afctnlr`` with ``shuffle=True``: 40 runs.  The tiny grid is one shape, both variants, with
-rank growth.  A refactor that claims to change no result should pass the
-full grid against its parent.
+and ``afctnlr`` with ``shuffle=True``: 45 runs.  The tiny grid is one
+shape, both variants, with rank growth.  A refactor that claims to change
+no result should pass the full grid against its parent.
 """
 from __future__ import annotations
 
@@ -37,7 +37,9 @@ from pathlib import Path
 # (shape, rank): the growth runs grow every bond to the rank, the fixed runs
 # start there (initial_rank = max_rank), so no bond grows; 64x64x3x32 at
 # rank 3 and 8^6 at rank 2 take afctnlr's environment route, the others its
-# prefix/suffix route
+# prefix/suffix route; at order 2 afctnlr's compose starts from the other
+# factor, and the partial network around factor 0 is factor 1 transposed
+# (that shape comes last, so the runs before it keep their seeds)
 SHAPES = [
     ((8, 7, 5), 3),
     ((24, 3, 16), 3),
@@ -47,6 +49,7 @@ SHAPES = [
     ((4, 3, 4, 3, 2), 3),
     ((5, 5, 5, 5, 5), 3),
     ((8,) * 6, 2),
+    ((20, 15), 3),
 ]
 
 
